@@ -11,7 +11,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -59,14 +58,6 @@ EXIT_SOLVE = 2
 EXIT_PREREQUISITES = 3
 EXIT_SWEEP_PARTIAL = 4
 EXIT_BLOWUP = 5
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("PERIWAVE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _stamp(config: dict) -> dict:
@@ -221,15 +212,8 @@ def cmd_sweep(args, config: dict) -> int:
     if not members:
         return EXIT_SWEEP_PARTIAL if partial else EXIT_SOLVE
 
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            certs = list(pool.map(certify, members))
-    else:
-        certs = [certify(w) for w in members]
-
     rows = []
-    for value, w, cert in zip(values, members, certs):
+    for value, w in zip(values, members):
         rows.append(
             {
                 "xi": float(value),
@@ -237,7 +221,7 @@ def cmd_sweep(args, config: dict) -> int:
                 "A": w.A,
                 "mass": mass(w.profile),
                 "momentum": momentum(w.profile, symbol=w.symbol, variant=w.variant),
-                "verdict": cert.verdict.conclusion,
+                "verdict": certify(w).verdict.conclusion,
             }
         )
         save_wave(w, os.path.join(out, f"wave_{len(rows) - 1:03d}"), extra=_stamp(config))

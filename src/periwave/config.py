@@ -8,6 +8,7 @@ from importlib import resources
 
 import jsonschema
 
+from .io import nonlinearity_from_dict, symbol_from_dict
 from .spectral import DispersionSymbol, PeriodicGrid
 from .waves import Constraint, Nonlinearity
 
@@ -243,26 +244,16 @@ def grid_from_config(config: dict) -> PeriodicGrid:
 
 def symbol_from_config(config: dict) -> DispersionSymbol:
     sym = config["equation"]["symbol"]
-    L = float(config["grid"]["L"])
-    kind = sym["kind"]
-    if kind == "second_derivative":
-        return DispersionSymbol.second_derivative(L)
-    if kind == "hilbert_derivative":
-        return DispersionSymbol.hilbert_derivative(L)
-    if kind == "ilw":
-        if "delta" not in sym:
-            raise ConfigError("ilw symbol requires equation.symbol.delta")
-        return DispersionSymbol.ilw(float(sym["delta"]), L)
-    if "m" not in sym:
-        raise ConfigError("power symbol requires equation.symbol.m")
-    return DispersionSymbol.power(float(sym["m"]), L)
+    try:
+        return symbol_from_dict(sym, float(config["grid"]["L"]))
+    except KeyError as exc:
+        raise ConfigError(
+            f"{sym['kind']} symbol requires equation.symbol.{exc.args[0]}"
+        ) from None
 
 
 def nonlinearity_from_config(config: dict) -> Nonlinearity:
-    nl = config["equation"]["nonlinearity"]
-    if nl["kind"] == "quadratic":
-        return Nonlinearity.quadratic()
-    return Nonlinearity.power_law(int(nl.get("p", 1)), float(nl.get("c", 1.0)))
+    return nonlinearity_from_dict(config["equation"]["nonlinearity"])
 
 
 def constraint_from_config(config: dict) -> Constraint:

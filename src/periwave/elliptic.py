@@ -8,44 +8,18 @@ precision.  No lookup tables, no external special-function libraries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "EllipticModulus",
     "complete_K",
     "complete_E",
     "jacobi_sn_cn_dn",
-    "zeta_fourier_coefficients",
-    "jacobi_zeta",
     "nome",
 ]
 
 _AGM_TOL = 1e-15
 _AGM_MAX_ITER = 64
-
-
-@dataclass(frozen=True)
-class EllipticModulus:
-    """Elliptic modulus k in [0, 1) with its complement k' = sqrt(1 - k^2)."""
-
-    k: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.k < 1.0):
-            raise ValueError(f"elliptic modulus must lie in [0, 1), got {self.k}")
-
-    @property
-    def complement(self) -> float:
-        return math.sqrt((1.0 - self.k) * (1.0 + self.k))
-
-    def __float__(self) -> float:
-        return self.k
-
-
-def _modulus_value(k) -> float:
-    return float(k)
 
 
 def complete_K(k) -> float:
@@ -54,7 +28,7 @@ def complete_K(k) -> float:
     Computed as pi / (2 agm(1, k')).  Diverges as k -> 1, so k = 1 is
     rejected.
     """
-    k = _modulus_value(k)
+    k = float(k)
     if not (0.0 <= k < 1.0):
         raise ValueError(f"complete_K requires 0 <= k < 1, got {k}")
     a, b = 1.0, math.sqrt((1.0 - k) * (1.0 + k))
@@ -67,7 +41,7 @@ def complete_K(k) -> float:
 
 def complete_E(k) -> float:
     """Complete elliptic integral of the second kind E(k), 0 <= k <= 1."""
-    k = _modulus_value(k)
+    k = float(k)
     if not (0.0 <= k <= 1.0):
         raise ValueError(f"complete_E requires 0 <= k <= 1, got {k}")
     if k == 1.0:
@@ -93,7 +67,7 @@ def jacobi_sn_cn_dn(u, k):
     dn is recovered from dn^2 = 1 - k^2 sn^2, which is exact for real
     arguments and 0 <= k < 1 since dn >= k' > 0 there.
     """
-    k = _modulus_value(k)
+    k = float(k)
     if not (0.0 <= k < 1.0):
         raise ValueError(f"jacobi_sn_cn_dn requires 0 <= k < 1, got {k}")
     u = np.asarray(u, dtype=float)
@@ -123,43 +97,8 @@ def jacobi_sn_cn_dn(u, k):
 
 def nome(k) -> float:
     """Elliptic nome q = exp(-pi K(k') / K(k)) for 0 < k < 1."""
-    k = _modulus_value(k)
+    k = float(k)
     if not (0.0 < k < 1.0):
         raise ValueError(f"nome requires 0 < k < 1, got {k}")
     kp = math.sqrt((1.0 - k) * (1.0 + k))
     return math.exp(-math.pi * complete_K(kp) / complete_K(k))
-
-
-def zeta_fourier_coefficients(k, n_max: int) -> np.ndarray:
-    """Sine-series coefficients of the Jacobi Zeta function.
-
-    Z(u; k) = sum_{n>=1} c_n sin(n pi u / K) on the period 2K(k), with
-    c_n = (2 pi / K) q^n / (1 - q^{2n}) and q the elliptic nome.  The
-    truncation tail at n_max must fall below 1e-14 or a ValueError is
-    raised (increase n_max).
-    """
-    k = _modulus_value(k)
-    if not (0.0 < k < 1.0):
-        raise ValueError(f"zeta_fourier_coefficients requires 0 < k < 1, got {k}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    K = complete_K(k)
-    q = nome(k)
-    n = np.arange(1, n_max + 1, dtype=float)
-    coeff = (2.0 * math.pi / K) * q**n / (1.0 - q ** (2.0 * n))
-    # geometric tail bound: sum_{n > n_max} c_n <= (2 pi / K) q^(n_max+1) / ((1-q)(1-q^2))
-    tail = (2.0 * math.pi / K) * q ** (n_max + 1) / ((1.0 - q) * (1.0 - q * q))
-    if tail > 1e-14:
-        raise ValueError(
-            f"zeta series tail {tail:.2e} above 1e-14 at n_max={n_max}; increase n_max"
-        )
-    return coeff
-
-
-def jacobi_zeta(u, k, n_max: int = 64):
-    """Jacobi Zeta function Z(u; k) reconstructed from its sine series."""
-    coeff = zeta_fourier_coefficients(k, n_max)
-    K = complete_K(k)
-    u = np.asarray(u, dtype=float)
-    n = np.arange(1, n_max + 1, dtype=float)
-    return np.sin(np.multiply.outer(u, n) * (math.pi / K)) @ coeff

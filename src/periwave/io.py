@@ -24,11 +24,11 @@ __all__ = [
     "config_hash",
     "atomic_write_text",
     "save_field_csv",
-    "save_spectrum_csv",
     "save_wave",
     "load_wave",
+    "symbol_from_dict",
+    "nonlinearity_from_dict",
     "save_trace_csv",
-    "save_table_csv",
 ]
 
 
@@ -115,17 +115,6 @@ def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
 
 def save_field_csv(u: Field, path: str):
     atomic_write_text(path, _csv_text(["x", "u"], [u.grid.nodes, u.values]))
-
-
-def save_spectrum_csv(u: Field, path: str):
-    spec = u.spectrum
-    atomic_write_text(
-        path,
-        _csv_text(
-            ["kappa", "re_u_hat", "im_u_hat"],
-            [u.grid.wavenumbers, spec.real, spec.imag],
-        ),
-    )
 
 
 def _symbol_to_dict(symbol: DispersionSymbol) -> dict:
@@ -223,7 +212,3 @@ def save_trace_csv(trace, path: str):
             ],
         ),
     )
-
-
-def save_table_csv(header: list[str], columns: list, path: str):
-    atomic_write_text(path, _csv_text(header, [np.asarray(c, dtype=float) for c in columns]))

@@ -64,10 +64,6 @@ class LinearizedOperator:
         """Spectral norm (largest |eigenvalue|)."""
         return float(np.abs(self.eigenvalues).max())
 
-    def kernel_indices(self, zero_tol: float | None = None) -> np.ndarray:
-        tol = self.zero_tol if zero_tol is None else zero_tol
-        return np.flatnonzero(np.abs(self.eigenvalues) <= tol)
-
     def apply(self, u: Field) -> Field:
         if not u.grid.same_as(self.grid):
             raise ValueError("field grid does not match operator grid")

@@ -35,13 +35,11 @@ __all__ = [
     "sobolev_norm",
     "apply_multiplier",
     "shift",
-    "translate_nodes",
     "random_smooth_field",
     "multiplier_matrix",
     "derivative_matrix",
     "sobolev_weight_matrix",
     "verify_symbol_bounds",
-    "spectral_tail_ratio",
 ]
 
 
@@ -312,11 +310,6 @@ def shift(u: Field, r: float) -> Field:
     return Field.from_spectrum(g, u.spectrum * phase)
 
 
-def translate_nodes(u: Field, n_nodes: int) -> Field:
-    """Translate by a whole number of grid nodes (exact sample roll)."""
-    return Field(u.grid, np.roll(u.values, -n_nodes % u.grid.size))
-
-
 def random_smooth_field(
     grid: PeriodicGrid,
     seed: int,
@@ -348,13 +341,18 @@ def random_smooth_field(
 # ---------------------------------------------------------------------------
 
 def _conjugated_diagonal(grid: PeriodicGrid, diag: np.ndarray) -> np.ndarray:
-    """Real collocation matrix of a Fourier-diagonal operator F^-1 diag F."""
-    F = np.fft.fft(np.eye(grid.size), axis=0)
-    return np.fft.ifft(diag[:, None] * F, axis=0).real
+    """Real collocation matrix of a Fourier-diagonal operator F^-1 diag F.
+
+    The matrix is circulant: entry (j, l) is c[(j - l) mod N] with
+    c = F^-1 diag, so one inverse transform of the diagonal builds it.
+    """
+    c = np.fft.ifft(diag).real
+    n = np.arange(grid.size)
+    return c[(n[:, None] - n[None, :]) % grid.size]
 
 
 def multiplier_matrix(symbol: DispersionSymbol, grid: PeriodicGrid) -> np.ndarray:
-    return _conjugated_diagonal(grid, symbol.values_on(grid).astype(complex))
+    return _conjugated_diagonal(grid, symbol.values_on(grid))
 
 
 def derivative_matrix(grid: PeriodicGrid) -> np.ndarray:
@@ -365,7 +363,7 @@ def derivative_matrix(grid: PeriodicGrid) -> np.ndarray:
 
 def sobolev_weight_matrix(grid: PeriodicGrid, s: float) -> np.ndarray:
     """Collocation matrix of the H^s weight (1 + xi^2)^s (kept at Nyquist: it is a norm, not a derivative)."""
-    return _conjugated_diagonal(grid, _sobolev_weights(grid, s).astype(complex))
+    return _conjugated_diagonal(grid, _sobolev_weights(grid, s))
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +408,3 @@ def verify_symbol_bounds(symbol: DispersionSymbol, grid: PeriodicGrid) -> Symbol
         tightest_upper=tight_hi,
         passed=passed,
     )
-
-
-def spectral_tail_ratio(u: Field) -> float:
-    """Max |u_hat| over the last octave of modes relative to the overall max."""
-    spec = np.abs(u.spectrum)
-    half = u.grid.size // 2
-    tail = spec[half // 2 : half + 1].max()
-    peak = spec.max()
-    return float(tail / peak) if peak > 0 else 0.0

@@ -47,6 +47,7 @@ from .spectral import (
     derivative,
     derivative_matrix,
     integral,
+    sobolev_weight_matrix,
 )
 from .waves import (
     Constraint,
@@ -498,10 +499,8 @@ def lyapunov_sigma(
     h = g.spacing
     s = w.sobolev_index
     q = mu + nu * w.profile.values
-    weights = (1.0 + g.frequencies**2) ** s
-    F_mat = np.fft.fft(np.eye(g.size), axis=0)
-    W_half = np.fft.ifft(np.sqrt(weights)[:, None] * F_mat, axis=0).real
-    W_half_inv = np.fft.ifft((1.0 / np.sqrt(weights))[:, None] * F_mat, axis=0).real
+    W_half = sobolev_weight_matrix(g, 0.5 * s)
+    W_half_inv = sobolev_weight_matrix(g, -0.5 * s)
 
     phi_prime = derivative(w.profile).values
     y0 = W_half @ phi_prime
@@ -541,7 +540,6 @@ class Certification:
     surface: Optional[SurfaceDerivatives]
     verdict: StabilityVerdict
     c3: Optional[float]
-    resolvent: Optional[ResolventReport]
     k_r: Optional[int]
 
     def to_dict(self) -> dict:
@@ -588,11 +586,9 @@ def certify(
     h1_pass = c1 > 0.0
 
     surface = None
-    resolvent = None
     try:
         eta, beta = param_derivatives(w, lin, zero_tol=zero_tol)
         surface = surface_derivatives(w, eta, beta)
-        resolvent = resolvent_consistency(w, lin, surface, zero_tol=zero_tol)
     except NearSingularError:
         pass
 
@@ -630,6 +626,5 @@ def certify(
         surface=surface,
         verdict=vd,
         c3=c3,
-        resolvent=resolvent,
         k_r=k_r,
     )

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from periwave.elliptic import (
-    EllipticModulus,
-    complete_E,
-    complete_K,
-    jacobi_sn_cn_dn,
-    jacobi_zeta,
-    zeta_fourier_coefficients,
-)
+from periwave.elliptic import complete_E, complete_K, jacobi_sn_cn_dn
 
 
 def quad_K(k):
@@ -87,21 +80,6 @@ class TestCompleteIntegrals:
             assert lhs == pytest.approx(math.pi / 2.0, abs=1e-12)
 
 
-class TestModulus:
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            EllipticModulus(1.0)
-        with pytest.raises(ValueError):
-            EllipticModulus(-0.2)
-
-    def test_complement_identity(self):
-        m = EllipticModulus(0.73)
-        assert m.k**2 + m.complement**2 == pytest.approx(1.0, abs=1e-15)
-
-    def test_float_coercion(self):
-        assert complete_K(EllipticModulus(0.5)) == complete_K(0.5)
-
-
 class TestJacobiFunctions:
     def test_origin(self):
         sn, cn, dn = jacobi_sn_cn_dn(0.0, 0.7)
@@ -141,51 +119,3 @@ class TestJacobiFunctions:
         assert np.allclose(sn, np.sin(u), atol=1e-15)
         assert np.allclose(cn, np.cos(u), atol=1e-15)
         assert np.allclose(dn, 1.0)
-
-
-class TestZetaSeries:
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            zeta_fourier_coefficients(0.5, 0)
-        with pytest.raises(ValueError):
-            zeta_fourier_coefficients(0.0, 16)
-        with pytest.raises(ValueError):
-            # tail far above 1e-14 at such a small truncation
-            zeta_fourier_coefficients(0.97, 2)
-
-    def test_vanishes_at_zero_and_quarter_period(self):
-        for k in (0.3, 0.8):
-            K = complete_K(k)
-            assert abs(jacobi_zeta(0.0, k)) < 1e-14
-            assert abs(jacobi_zeta(K, k)) < 1e-13
-
-    def test_odd_and_periodic(self):
-        k = 0.6
-        K = complete_K(k)
-        u = np.linspace(0.05, 1.9, 31) * K
-        z = jacobi_zeta(u, k)
-        assert np.abs(jacobi_zeta(-u, k) + z).max() < 1e-12
-        assert np.abs(jacobi_zeta(u + 2.0 * K, k) - z).max() < 1e-12
-
-    def test_against_incomplete_integral_oracle(self):
-        # Z(u) = E(am(u); k) - u E/K with E(phi;k) by direct quadrature
-        for k in (0.35, 0.6, 0.85):
-            K, E = complete_K(k), complete_E(k)
-            us = np.linspace(0.1, 0.9, 9) * K
-            for u in us:
-                sn, _, _ = jacobi_sn_cn_dn(u, k)
-                phi = math.asin(min(1.0, max(-1.0, float(sn))))
-                e_inc, err = integrate.quad(
-                    lambda t: math.sqrt(1.0 - (k * math.sin(t)) ** 2),
-                    0.0,
-                    phi,
-                    epsabs=1e-13,
-                    epsrel=1e-13,
-                )
-                assert err < 1e-11
-                oracle = e_inc - u * E / K
-                assert abs(jacobi_zeta(float(u), k) - oracle) < 1e-10
-
-    def test_tail_below_threshold(self):
-        coeff = zeta_fourier_coefficients(0.5, 48)
-        assert abs(coeff[-1]) < 1e-14

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from periwave.cli import main
-from periwave.config import ConfigError, list_presets, load_config
+from periwave.config import ConfigError, list_presets, load_config, symbol_from_config
 from periwave.io import (
     canonical_json,
     config_hash,
     format_float,
     load_wave,
     save_field_csv,
-    save_spectrum_csv,
     save_wave,
 )
 from periwave.spectral import PeriodicGrid, random_smooth_field
@@ -45,14 +44,6 @@ class TestSerialization:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(data[:, 0], grid.nodes)
         assert np.array_equal(data[:, 1], u.values)
-
-    def test_spectrum_csv(self, tmp_path):
-        grid = PeriodicGrid(TWO_PI, 64)
-        u = random_smooth_field(grid, seed=2)
-        path = str(tmp_path / "spec.csv")
-        save_spectrum_csv(u, path)
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert np.array_equal(data[:, 1] + 1j * data[:, 2], u.spectrum)
 
     def test_wave_roundtrip(self, tmp_path, kdv_stable, ilw_stable, bbm_wave):
         for w in (kdv_stable, ilw_stable, bbm_wave):
@@ -99,6 +90,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(preset="kdv-cnoidal", overrides=["no-equals-sign"])
 
+    @pytest.mark.parametrize("kind, key", [("ilw", "delta"), ("power", "m")])
+    def test_symbol_requires_its_parameter(self, kind, key):
+        cfg = load_config(preset="kdv-cnoidal", overrides=[f"equation.symbol.kind={kind}"])
+        with pytest.raises(ConfigError, match=f"{kind} symbol requires equation.symbol.{key}"):
+            symbol_from_config(cfg)
+
 
 class TestCli:
     def run(self, *argv):
@@ -124,14 +121,6 @@ class TestCli:
 
     def test_missing_config_file(self, tmp_path):
         assert self.run("solve", "--config", str(tmp_path / "nope.json")) == 1
-
-    def test_worker_count_fallback(self, monkeypatch):
-        from periwave.cli import _worker_count
-
-        monkeypatch.setenv("PERIWAVE_THREADS", "abc")
-        assert _worker_count() == 1
-        monkeypatch.setenv("PERIWAVE_THREADS", "3")
-        assert _worker_count() == 3
 
     def test_solve_writes_wave_and_report(self, tmp_path, capsys):
         out = str(tmp_path / "run")
@@ -212,8 +201,7 @@ class TestCli:
         summary = json.loads(open(os.path.join(out, "evolve_summary.json")).read())
         assert summary["traces"][0]["drift_F"] < 1e-7
 
-    def test_sweep_honors_thread_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PERIWAVE_THREADS", "2")
+    def test_sweep_honors_thread_cap(self, tmp_path):
         out = str(tmp_path / "run")
         code = self.run(
             "sweep", "--preset", "kdv-cnoidal", "--out", out,

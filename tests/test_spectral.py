@@ -9,6 +9,7 @@ from periwave.spectral import (
     PeriodicGrid,
     apply_multiplier,
     derivative,
+    derivative_matrix,
     inner,
     integral,
     mean_value,
@@ -16,7 +17,7 @@ from periwave.spectral import (
     random_smooth_field,
     shift,
     sobolev_norm,
-    translate_nodes,
+    sobolev_weight_matrix,
     verify_symbol_bounds,
 )
 
@@ -162,10 +163,21 @@ class TestApplyMultiplier:
         assert np.abs(out.values - u.values).max() < 1e-12
 
     def test_matches_dense_matrix(self, grid):
-        s = DispersionSymbol.ilw(0.8, TWO_PI)
         u = random_smooth_field(grid, seed=5)
-        dense = multiplier_matrix(s, grid) @ u.values
-        assert np.abs(apply_multiplier(s, u).values - dense).max() < 1e-12
+        for s in (
+            DispersionSymbol.ilw(0.8, TWO_PI),
+            DispersionSymbol.hilbert_derivative(TWO_PI),
+            DispersionSymbol.second_derivative(TWO_PI),
+        ):
+            dense = multiplier_matrix(s, grid) @ u.values
+            assert np.abs(apply_multiplier(s, u).values - dense).max() < 1e-12, s.kind
+        # a Nyquist component is annihilated by both derivative forms
+        v = u + Field(grid, np.cos(np.pi * np.arange(grid.size)))
+        dense = derivative_matrix(grid) @ v.values
+        assert np.abs(derivative(v).values - dense).max() < 1e-12
+        for s in (0.5, 1.0):
+            product = sobolev_weight_matrix(grid, s) @ sobolev_weight_matrix(grid, -s)
+            assert np.abs(product - np.eye(grid.size)).max() < 1e-12
 
     def test_grid_mismatch(self, grid):
         s = DispersionSymbol.second_derivative(3.0)
@@ -175,8 +187,8 @@ class TestApplyMultiplier:
     def test_translation_commutes(self, grid):
         s = DispersionSymbol.ilw(1.3, TWO_PI)
         u = random_smooth_field(grid, seed=6)
-        shifted_then = apply_multiplier(s, translate_nodes(u, 5))
-        then_shifted = translate_nodes(apply_multiplier(s, u), 5)
+        shifted_then = apply_multiplier(s, shift(u, 5 * grid.spacing))
+        then_shifted = shift(apply_multiplier(s, u), 5 * grid.spacing)
         assert (shifted_then - then_shifted).sup_norm() < 1e-12
 
 
