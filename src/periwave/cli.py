@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 configuration error, 2 solver failure,
 3 certification prerequisites failed (inconclusive verdict),
-4 sweep aborted partway (partial results flushed), 5 blowup detected.
+4 sweep aborted partway (converged members written), 5 blowup detected.
 """
 
 from __future__ import annotations
@@ -90,46 +90,44 @@ def _solve_wave(config: dict) -> TravelingWave:
     tol = solve.get("tol", 1e-10)
     max_iter = solve.get("max_iter", 50)
 
-    if kind == "cnoidal":
-        wave = cnoidal_wave(grid.length, guess_spec["k"], grid.size)
-    elif kind == "bbm_dnoidal":
-        wave = bbm_dnoidal_wave(grid.length, guess_spec["k"], grid.size)
-    elif kind == "ilw":
-        wave = ilw_wave(grid.length, guess_spec["delta"], guess_spec["k"], grid.size)
-    else:  # cosine guess -> Newton
+    if kind == "cosine":
         if "omega" not in solve:
             raise ConfigError("cosine guesses need solve.omega")
         amp = guess_spec.get("amplitude", 1.0)
         mode = guess_spec.get("mode", 1)
         values = amp * np.cos(2.0 * math.pi * mode * grid.nodes / grid.length)
-        return solve_newton(
-            Field(grid, values),
-            float(solve["omega"]),
-            constraint_from_config(config),
-            symbol,
-            nl,
-            tol=tol,
-            max_iter=max_iter,
-            variant=variant,
-        )
-    if guess_spec.get("newton_polish", False):
-        wave = solve_newton(
-            wave.profile,
-            wave.omega,
-            constraint_from_config(config),
-            wave.symbol,
-            wave.nonlinearity,
-            tol=tol,
-            max_iter=max_iter,
-            variant=wave.variant,
-        )
-    return wave
+        guess, omega = Field(grid, values), float(solve["omega"])
+    else:
+        if kind == "cnoidal":
+            wave = cnoidal_wave(grid.length, guess_spec["k"], grid.size)
+        elif kind == "bbm_dnoidal":
+            wave = bbm_dnoidal_wave(grid.length, guess_spec["k"], grid.size)
+        else:
+            wave = ilw_wave(grid.length, guess_spec["delta"], guess_spec["k"], grid.size)
+        if not guess_spec.get("newton_polish", False):
+            return wave
+        # polish the closed form within its own equation
+        guess, omega = wave.profile, wave.omega
+        symbol, nl, variant = wave.symbol, wave.nonlinearity, wave.variant
+    return solve_newton(
+        guess,
+        omega,
+        constraint_from_config(config),
+        symbol,
+        nl,
+        tol=tol,
+        max_iter=max_iter,
+        variant=variant,
+    )
 
 
 def _load_or_solve(args, config: dict) -> TravelingWave:
-    if getattr(args, "wave", None):
+    if not getattr(args, "wave", None):
+        return _solve_wave(config)
+    try:
         return load_wave(args.wave)
-    return _solve_wave(config)
+    except ValueError as exc:
+        raise ConfigError(f"cannot load wave {args.wave}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -200,20 +198,18 @@ def cmd_sweep(args, config: dict) -> int:
             return EXIT_CONFIG
         kwargs["omega_map"] = lambda x: float(np.polyval(om_coeffs[::-1], x))
         kwargs["A_map"] = lambda x: float(np.polyval(a_coeffs[::-1], x))
-    members = []
     partial = False
     try:
         family = continue_family(seed_wave, sweep["parameter"], values, **kwargs)
-        members = list(family)
     except SolverError as exc:
         print(f"sweep aborted: {exc}", file=sys.stderr)
-        partial = True
+        family, partial = exc.family, True
 
-    if not members:
+    if not family:
         return EXIT_SWEEP_PARTIAL if partial else EXIT_SOLVE
 
     rows = []
-    for value, w in zip(values, members):
+    for value, w in zip(family.values, family):
         rows.append(
             {
                 "xi": float(value),
@@ -245,11 +241,8 @@ def cmd_sweep(args, config: dict) -> int:
 
     curve_value = None
     curve_mu_nu = None
-    if len(members) >= 3:
-        from .waves import WaveFamily
-
-        fam = WaveFamily(tuple(members), sweep["parameter"], values[: len(members)], 0.0)
-        curve_value, curve_mu_nu = curve_criterion(fam, return_mu_nu=True)
+    if len(family) >= 3:
+        curve_value, curve_mu_nu = curve_criterion(family)
     _write_json(
         {
             "curve_criterion": curve_value,
@@ -291,8 +284,7 @@ def cmd_evolve(args, config: dict) -> int:
             sigma = 1.0
     try:
         traces = stability_experiment(
-            wave, ev["amplitudes"], ev["T"], cfg, seed=ev["seed"],
-            sigma=sigma, mu=mu, nu=nu,
+            wave, ev["amplitudes"], cfg, seed=ev["seed"], sigma=sigma, mu=mu, nu=nu
         )
     except BlowupError as exc:
         _write_json(
@@ -377,8 +369,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if not args.config and not args.preset and not getattr(args, "wave", None):
-        print("need --config, --preset, or --wave", file=sys.stderr)
+    if not args.config and not args.preset:
+        print("need --config or --preset (also with --wave)", file=sys.stderr)
         return EXIT_CONFIG
     try:
         config = load_config(args.config, args.preset, args.override)

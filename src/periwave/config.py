@@ -140,7 +140,6 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "directory": {"type": "string"},
-                "formats": {"type": "array", "items": {"enum": ["csv", "json"]}},
             },
         },
     },
@@ -162,7 +161,7 @@ _DEFAULTS = {
         "sample_interval": 0.5,
         "dealias": True,
     },
-    "output": {"directory": "periwave-out", "formats": ["csv", "json"]},
+    "output": {"directory": "periwave-out"},
 }
 
 

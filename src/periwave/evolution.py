@@ -14,7 +14,7 @@ conservation-favoring alternative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .spectral import (
     DispersionSymbol,
     Field,
     PeriodicGrid,
+    _sobolev_weights,
     apply_multiplier,
     integral,
     random_smooth_field,
@@ -134,7 +135,7 @@ def orbital_distance(v: Field, w: TravelingWave, s: float | None = None) -> tupl
     if not g.same_as(w.grid):
         raise ValueError("fields live on different grids")
     phi = w.profile
-    weights = (1.0 + g.frequencies**2) ** s
+    weights = _sobolev_weights(g, s)
     scale = g.length / g.size**2
     cross = weights * v.spectrum * np.conj(phi.spectrum)
 
@@ -183,7 +184,6 @@ class EvolutionConfig:
     dealias: bool = True
     variant: str = "standard"
     sample_interval: float | None = None
-    contour_points: int = 32
     blowup_factor: float = 1e6
 
     def __post_init__(self):
@@ -205,9 +205,9 @@ class Trajectory:
         return self.states[-1]
 
 
-def _etdrk4_coefficients(z: np.ndarray, dt: float, n_pts: int):
-    """phi-function coefficients by contour averaging (stable for small |z|)."""
-    roots = np.exp(2j * np.pi * (np.arange(n_pts) + 0.5) / n_pts)
+def _etdrk4_coefficients(z: np.ndarray, dt: float):
+    """phi-function coefficients by 32-point contour averaging (stable for small |z|)."""
+    roots = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
     LR = z[:, None] + roots[None, :]
     exp_half = np.exp(z / 2.0)
     exp_full = np.exp(z)
@@ -274,9 +274,7 @@ def integrate(
     states = [u0]
 
     if cfg.integrator == "etdrk4":
-        exp_full, exp_half, Q, f1, f2, f3 = _etdrk4_coefficients(
-            dt * sd.linear, dt, cfg.contour_points
-        )
+        exp_full, exp_half, Q, f1, f2, f3 = _etdrk4_coefficients(dt * sd.linear, dt)
 
         def step(uh):
             n0 = sd.nonlinear(uh)
@@ -345,7 +343,6 @@ class EvolutionTrace:
 def stability_experiment(
     w: TravelingWave,
     amplitudes,
-    T: float,
     cfg: EvolutionConfig,
     seed: int = 0,
     s: float | None = None,
@@ -358,19 +355,10 @@ def stability_experiment(
     The perturbation direction is one fixed seeded mean-free random field of
     unit H^(m/2) norm shared by all amplitudes, so traces are comparable.
     Finite-horizon runs can only falsify stability, never prove it; the
-    metadata carries that caveat.
+    metadata carries that caveat.  The run uses cfg with the wave's variant.
     """
     s = w.sobolev_index if s is None else s
-    cfg = EvolutionConfig(
-        dt=cfg.dt,
-        T=T,
-        integrator=cfg.integrator,
-        dealias=cfg.dealias,
-        variant=w.variant,
-        sample_interval=cfg.sample_interval,
-        contour_points=cfg.contour_points,
-        blowup_factor=cfg.blowup_factor,
-    )
+    cfg = replace(cfg, variant=w.variant)
     direction = random_smooth_field(w.grid, seed, mean_free=True, norm_s=s)
     traces = []
     for a in amplitudes:

@@ -12,11 +12,12 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
 from .spectral import DispersionSymbol, Field, PeriodicGrid
-from .waves import Nonlinearity, TravelingWave
+from .waves import Nonlinearity, TravelingWave, residual
 
 __all__ = [
     "format_float",
@@ -172,20 +173,24 @@ def save_wave(w: TravelingWave, basepath: str, extra: dict | None = None):
 
 
 def load_wave(basepath: str) -> TravelingWave:
+    """Read a saved wave, recomputing its residual instead of trusting the sidecar.
+
+    A profile whose length differs from the sidecar's N raises ValueError.
+    """
     with open(basepath + ".json") as handle:
         meta = json.load(handle)
-    data = np.loadtxt(basepath + ".csv", delimiter=",", skiprows=1)
+    data = np.loadtxt(basepath + ".csv", delimiter=",", skiprows=1, ndmin=2)
     grid = PeriodicGrid(float(meta["L"]), int(meta["N"]))
-    return TravelingWave(
+    w = TravelingWave(
         profile=Field(grid, data[:, 1]),
         omega=float(meta["omega"]),
         A=float(meta["A"]),
         symbol=symbol_from_dict(meta["symbol"], grid.length),
         nonlinearity=nonlinearity_from_dict(meta["nonlinearity"]),
         variant=meta.get("variant", "standard"),
-        residual_norm=float(meta["residual_norm"]),
         constraint=meta.get("constraint", ""),
     )
+    return replace(w, residual_norm=residual(w).sup_norm())
 
 
 def save_eigenvalues_csv(operator, path: str):

@@ -69,18 +69,11 @@ class LinearizedOperator:
             raise ValueError("field grid does not match operator grid")
         return Field(self.grid, self.matrix @ u.values)
 
-    def solve_on_complement(self, b: Field, zero_tol: float | None = None) -> Field:
-        return solve_on_complement(self, b, zero_tol=zero_tol)
 
-
-def assemble(w: "TravelingWave", variant: str | None = None, zero_tol_factor: float = 1e-8) -> LinearizedOperator:
-    """Collocation matrix of the linearization about a solved wave.
-
-    ``variant`` defaults to the wave's own; passing it explicitly allows
-    assembling the regularized operator on top of any profile.
-    """
-    variant = w.variant if variant is None else variant
-    a_M, b_lin = _linear_coefficients(variant, w.omega)
+def assemble(w: "TravelingWave") -> LinearizedOperator:
+    """Collocation matrix of the linearization about a solved wave, for the
+    wave's own variant; its kernel band is 1e-8 times the spectral norm."""
+    a_M, b_lin = _linear_coefficients(w.variant, w.omega)
     grid = w.grid
     mat = a_M * multiplier_matrix(w.symbol, grid) + b_lin * np.eye(grid.size)
     mat -= np.diag(w.nonlinearity.fprime(w.profile.values))
@@ -92,12 +85,12 @@ def assemble(w: "TravelingWave", variant: str | None = None, zero_tol_factor: fl
     return LinearizedOperator(
         grid=grid,
         matrix=mat,
-        variant=variant,
+        variant=w.variant,
         omega=w.omega,
         symbol=w.symbol,
         eigenvalues=lam,
         eigenvectors=vec,
-        zero_tol=zero_tol_factor * float(np.abs(lam).max()),
+        zero_tol=1e-8 * float(np.abs(lam).max()),
     )
 
 
@@ -147,11 +140,12 @@ def check_H0(lin: LinearizedOperator, w: "TravelingWave", zero_tol: float | None
     if norm_pp < 1e-14 * (1.0 + np.abs(w.profile.values).max()):
         alignment = 0.0
     else:
-        idx = kernel[0] if zero_dim else int(np.argmin(np.abs(lam)))
         if zero_dim > 0:
             # pick the kernel vector best aligned with phi'
             overlaps = np.abs(phi_prime @ lin.eigenvectors[:, kernel]) / norm_pp
             idx = kernel[int(np.argmax(overlaps))]
+        else:
+            idx = int(np.argmin(np.abs(lam)))
         v0 = lin.eigenvectors[:, idx]
         alignment = float(abs(v0 @ phi_prime) / (np.linalg.norm(v0) * norm_pp))
 

@@ -37,10 +37,12 @@ from .evolution import mass, momentum
 from .linop import (
     LinearizedOperator,
     SpectralReport,
+    _complement_basis,
     assemble,
     check_H0,
     constrained_min_rayleigh,
     h1_constants,
+    solve_on_complement,
 )
 from .spectral import (
     Field,
@@ -48,6 +50,7 @@ from .spectral import (
     derivative_matrix,
     integral,
     sobolev_weight_matrix,
+    verify_symbol_bounds,
 )
 from .waves import (
     Constraint,
@@ -73,7 +76,6 @@ __all__ = [
     "delta_form",
     "find_delta_witness",
     "decide",
-    "verdict",
     "mean_criterion",
     "curve_criterion",
     "hamiltonian_spectrum",
@@ -188,8 +190,8 @@ def resolvent_consistency(
     """Evaluate -(L^-1 g, 1), -(L^-1 1, 1), -(L^-1 g, g) and compare with sd."""
     g = speed_gradient_field(w)
     ones = Field.constant(w.grid, 1.0)
-    x_g = lin.solve_on_complement(g, zero_tol=zero_tol)
-    x_1 = lin.solve_on_complement(ones, zero_tol=zero_tol)
+    x_g = solve_on_complement(lin, g, zero_tol=zero_tol)
+    x_1 = solve_on_complement(lin, ones, zero_tol=zero_tol)
     M_omega = -integral(x_g)
     M_A = -integral(x_1)
     F_omega = -integral(g * x_g)
@@ -259,119 +261,62 @@ class StabilityVerdict:
         }
 
 
-def _negative_indicator(s: float) -> Optional[int]:
-    """1 for s < 0, 0 for s > 0, None at s = 0 (undefined)."""
-    if s > 0.0:
-        return 0
-    if s < 0.0:
-        return 1
-    return None
-
-
-def decide(sd: SurfaceDerivatives, h0: SpectralReport, h1_pass: bool) -> StabilityVerdict:
-    """Pure decision function; deterministic in its inputs."""
-    det_cond = sd.det_condition()
-    criteria = {
-        "M_A": sd.M_A,
-        "F_omega": sd.F_omega,
-        "M_omega": sd.M_omega,
-        "det_condition": det_cond,
-    }
-    witness = find_delta_witness(sd)
-    D = det_cond / sd.M_A if sd.M_A != 0.0 else None
-    prerequisites = {"h0_pass": h0.h0_pass, "h1_pass": h1_pass}
-
-    if not (h0.h0_pass and h1_pass):
-        return StabilityVerdict(
-            conclusion=INCONCLUSIVE,
-            fired_criterion=None,
-            criteria=criteria,
-            delta_witness=witness,
-            D=D,
-            K_Ham=None,
-            mu_nu=None,
-            prerequisites=prerequisites,
-            reason="spectral prerequisites failed "
-            f"(n_neg={h0.n_negative}, zero_dim={h0.zero_dim}, h1={h1_pass})",
-        )
-
-    fired = None
-    mu_nu = None
-    if sd.M_A > 0.0:
-        fired, mu_nu = "M_A", (1.0, 0.0)
-    elif sd.F_omega > 0.0:
-        fired, mu_nu = "F_omega", (0.0, 1.0)
-    elif det_cond > 0.0:
-        fired, mu_nu = "det_condition", witness
-    elif witness is not None:
-        fired, mu_nu = "delta_witness", witness
-
-    if fired is not None:
-        return StabilityVerdict(
-            conclusion=ORBITALLY_STABLE,
-            fired_criterion=fired,
-            criteria=criteria,
-            delta_witness=witness,
-            D=D,
-            K_Ham=None,
-            mu_nu=mu_nu,
-            prerequisites=prerequisites,
-        )
-
-    # no positive direction: probe the Krein-Hamiltonian count
-    premises = sd.M_A < 0.0 and sd.F_omega < 0.0 and det_cond < 0.0 and h0.n_negative == 1
-    if premises:
-        n_const = _negative_indicator(-sd.M_A)  # sign of (L^-1 1, 1)
-        n_D = _negative_indicator(D)
-        if n_const is not None and n_D is not None:
-            k_ham = h0.n_negative - n_const - n_D
-            if k_ham == 1:
-                return StabilityVerdict(
-                    conclusion=SPECTRALLY_UNSTABLE,
-                    fired_criterion=None,
-                    criteria=criteria,
-                    delta_witness=None,
-                    D=D,
-                    K_Ham=k_ham,
-                    mu_nu=None,
-                    prerequisites=prerequisites,
-                )
-            return StabilityVerdict(
-                conclusion=INCONCLUSIVE,
-                fired_criterion=None,
-                criteria=criteria,
-                delta_witness=None,
-                D=D,
-                K_Ham=k_ham,
-                mu_nu=None,
-                prerequisites=prerequisites,
-                reason=f"Krein-Hamiltonian count {k_ham} != 1",
-            )
-    return StabilityVerdict(
-        conclusion=INCONCLUSIVE,
-        fired_criterion=None,
-        criteria=criteria,
-        delta_witness=None,
-        D=D,
-        K_Ham=None,
-        mu_nu=None,
-        prerequisites=prerequisites,
-        reason="no stability criterion fired and instability premises unmet",
-    )
-
-
-def verdict(
-    w: TravelingWave,
-    lin: LinearizedOperator,
-    sd: SurfaceDerivatives,
-    h0: SpectralReport | None = None,
-    h1: tuple[float, float] | None = None,
+def decide(
+    sd: Optional[SurfaceDerivatives], h0: SpectralReport, h1_pass: bool
 ) -> StabilityVerdict:
-    if h0 is None:
-        h0 = check_H0(lin, w)
-    if h1 is None:
-        h1 = h1_constants(lin)
-    return decide(sd, h0, h1[0] > 0.0)
+    """Pure decision function; deterministic in its inputs.
+
+    ``sd`` is None when the kernel solve for the surface derivatives was
+    near-singular, which leaves the verdict inconclusive whatever the
+    prerequisites say.
+    """
+    criteria, witness, D = {}, None, None
+    fired = mu_nu = k_ham = reason = None
+    conclusion = INCONCLUSIVE
+    if sd is None:
+        reason = "kernel solve for the surface derivatives is near-singular"
+    else:
+        det_cond = sd.det_condition()
+        criteria = {
+            "M_A": sd.M_A,
+            "F_omega": sd.F_omega,
+            "M_omega": sd.M_omega,
+            "det_condition": det_cond,
+        }
+        witness = find_delta_witness(sd)
+        D = det_cond / sd.M_A if sd.M_A != 0.0 else None
+        if not (h0.h0_pass and h1_pass):
+            reason = (
+                "spectral prerequisites failed "
+                f"(n_neg={h0.n_negative}, zero_dim={h0.zero_dim}, h1={h1_pass})"
+            )
+        elif sd.M_A > 0.0:
+            fired, mu_nu = "M_A", (1.0, 0.0)
+        elif sd.F_omega > 0.0:
+            fired, mu_nu = "F_omega", (0.0, 1.0)
+        elif det_cond > 0.0:
+            fired, mu_nu = "det_condition", witness
+        elif witness is not None:
+            fired, mu_nu = "delta_witness", witness
+        elif sd.M_A < 0.0 and sd.F_omega < 0.0 and det_cond < 0.0 and h0.n_negative == 1:
+            # no positive direction: the Krein-Hamiltonian count n(L) -
+            # neg(-M_A) - neg(D) is 1 - 0 - 0 here, since -M_A > 0 and D > 0
+            conclusion, k_ham = SPECTRALLY_UNSTABLE, 1
+        else:
+            reason = "no stability criterion fired and instability premises unmet"
+        if fired is not None:
+            conclusion = ORBITALLY_STABLE
+    return StabilityVerdict(
+        conclusion=conclusion,
+        fired_criterion=fired,
+        criteria=criteria,
+        delta_witness=witness,
+        D=D,
+        K_Ham=k_ham,
+        mu_nu=mu_nu,
+        prerequisites={"h0_pass": h0.h0_pass, "h1_pass": h1_pass},
+        reason=reason,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -404,13 +349,13 @@ def mean_criterion(w: TravelingWave) -> MeanCriterionResult:
     return MeanCriterionResult(value=value, fires=value > 0.0, mu=w.omega, nu=-1.0)
 
 
-def curve_criterion(fam: WaveFamily, return_mu_nu: bool = False):
+def curve_criterion(fam: WaveFamily) -> tuple[float, tuple[float, float]]:
     """Curve form -A'(xi) dM/dxi - omega'(xi) dF/dxi by central differences.
 
     Evaluated at every interior grid point of the family; the maximum is
     returned, so a negative result certifies the criterion along the whole
-    sampled curve.  With ``return_mu_nu`` the auxiliary-quantity direction
-    (mu, nu) = (dA/dxi, domega/dxi) at the mid interior point is attached.
+    sampled curve.  It comes paired with the auxiliary-quantity direction
+    (mu, nu) = (dA/dxi, domega/dxi) at the mid interior point.
     """
     if len(fam) < 3:
         raise ValueError("curve criterion needs at least 3 family members")
@@ -426,8 +371,6 @@ def curve_criterion(fam: WaveFamily, return_mu_nu: bool = False):
     dM = np.gradient(masses, xi)[1:-1]
     dF = np.gradient(momenta, xi)[1:-1]
     value = float(np.max(-dA * dM - dom * dF))
-    if not return_mu_nu:
-        return value
     mid = len(dA) // 2
     return value, (float(dA[mid]), float(dom[mid]))
 
@@ -445,26 +388,17 @@ class HamiltonianSpectrum:
     symmetry_defect: float
 
 
-def hamiltonian_spectrum(
-    lin: LinearizedOperator,
-    re_tol: float | None = None,
-    im_tol: float | None = None,
-) -> HamiltonianSpectrum:
+def hamiltonian_spectrum(lin: LinearizedOperator) -> HamiltonianSpectrum:
     """Eigenvalues of d/dx composed with L, with the real-axis count k_r.
 
     k_r counts eigenvalues with real part above re_tol and imaginary part
-    within im_tol of zero.  The defaults scale both tolerances by 1e-6
-    times the spectral norm of L; classification of a discretized
-    nonnormal matrix is tolerance-dependent by nature, so both knobs stay
-    overridable.  The quadruple symmetry (lambda, -lambda, +-conj) is
-    summarized by the worst relative distance from spectrum to its
-    negation.
+    within im_tol of zero, both 1e-6 times the spectral norm of L.  The
+    quadruple symmetry (lambda, -lambda, +-conj) is summarized by the worst
+    relative distance from spectrum to its negation.
     """
     if lin.variant != "standard":
         raise ValueError("hamiltonian spectrum is defined for the standard variant")
-    scale_L = lin.norm
-    re_tol = 1e-6 * scale_L if re_tol is None else re_tol
-    im_tol = 1e-6 * scale_L if im_tol is None else im_tol
+    re_tol = im_tol = 1e-6 * lin.norm
     Dx = derivative_matrix(lin.grid)
     ev = np.linalg.eigvals(Dx @ lin.matrix)
     k_r = int(np.sum((ev.real > re_tol) & (np.abs(ev.imag) < im_tol)))
@@ -484,16 +418,14 @@ def lyapunov_sigma(
     lin: LinearizedOperator,
     mu: float,
     nu: float,
-    sigma0: float = 1.0,
-    growth: float = 4.0,
-    max_steps: int = 40,
 ) -> tuple[float, float]:
     """Penalty weight sigma making (Lv,v) + 2 sigma (q,v)^2 coercive on {phi'}^perp.
 
     q = mu + nu phi and orthogonality is taken in the H^(m/2) inner
     product, matching the Lyapunov function's second variation at the wave.
-    Returns (sigma, margin) where margin is the certified minimum of the
-    generalized Rayleigh quotient against the H^(m/2) norm.
+    sigma runs through 1, 4, 16, ... (at most 40 steps).  Returns (sigma,
+    margin) where margin is the certified minimum of the generalized
+    Rayleigh quotient against the H^(m/2) norm.
     """
     g = w.grid
     h = g.spacing
@@ -505,14 +437,13 @@ def lyapunov_sigma(
     phi_prime = derivative(w.profile).values
     y0 = W_half @ phi_prime
     y0 /= np.linalg.norm(y0)
-    u_svd, s_svd, _ = np.linalg.svd(y0[:, None], full_matrices=True)
-    B = u_svd[:, 1:]
+    B = _complement_basis(y0[:, None])
 
     core = W_half_inv @ lin.matrix @ W_half_inv
     qy = W_half_inv @ q
-    sigma = sigma0
+    sigma = 1.0
     previous = -math.inf
-    for _ in range(max_steps):
+    for _ in range(40):
         A = core + (2.0 * sigma * h) * np.outer(qy, qy)
         margin = float(np.linalg.eigvalsh(B.T @ A @ B)[0])
         if margin > 0.0:
@@ -520,7 +451,7 @@ def lyapunov_sigma(
         if margin - previous < 1e-14 * max(1.0, abs(margin)):
             break
         previous = margin
-        sigma *= growth
+        sigma *= 4.0
     raise SolverError(
         f"no coercive penalty weight found up to sigma={sigma:.3e} (margin {margin:.3e})"
     )
@@ -571,19 +502,18 @@ def certify(
     w: TravelingWave,
     zero_tol: float | None = None,
     compute_spectrum: bool = True,
-    re_tol: float | None = None,
-    im_tol: float | None = None,
 ) -> Certification:
     """Full pipeline: assemble, H0/H1 checks, surface derivatives, verdict.
 
-    The constrained Rayleigh minimum c3 over {phi', mu + nu phi}^perp is
+    H1 needs c1 > 0 and the symbol's stored growth bounds on the grid.  The
+    constrained Rayleigh minimum c3 over {phi', mu + nu phi}^perp is
     recorded for the (mu, nu) chosen by the verdict, and k_r from the
     Hamiltonian spectrum is attached for the standard variant.
     """
     lin = assemble(w)
     h0 = check_H0(lin, w, zero_tol)
     c1, c2 = h1_constants(lin)
-    h1_pass = c1 > 0.0
+    h1_pass = c1 > 0.0 and verify_symbol_bounds(w.symbol, w.grid).passed
 
     surface = None
     try:
@@ -592,20 +522,7 @@ def certify(
     except NearSingularError:
         pass
 
-    if surface is None:
-        vd = StabilityVerdict(
-            conclusion=INCONCLUSIVE,
-            fired_criterion=None,
-            criteria={},
-            delta_witness=None,
-            D=None,
-            K_Ham=None,
-            mu_nu=None,
-            prerequisites={"h0_pass": h0.h0_pass, "h1_pass": h1_pass},
-            reason="kernel solve for the surface derivatives is near-singular",
-        )
-    else:
-        vd = decide(surface, h0, h1_pass)
+    vd = decide(surface, h0, h1_pass)
 
     c3 = None
     if vd.mu_nu is not None:
@@ -615,7 +532,7 @@ def certify(
 
     k_r = None
     if compute_spectrum and w.variant == "standard":
-        k_r = hamiltonian_spectrum(lin, re_tol=re_tol, im_tol=im_tol).k_r
+        k_r = hamiltonian_spectrum(lin).k_r
 
     return Certification(
         wave=w,

@@ -48,7 +48,12 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """Base class for wave-solver failures."""
+    """Base class for wave-solver failures.
+
+    A failed continuation attaches the converged prefix as ``family``.
+    """
+
+    family: "WaveFamily | None" = None
 
 
 class ConvergenceError(SolverError):
@@ -147,8 +152,8 @@ def _dealiased_apply(values: np.ndarray, func, degree: int) -> np.ndarray:
     return np.fft.ifft(spec_out).real
 
 
-def _eval_flux(nl: Nonlinearity, values: np.ndarray, dealias: bool) -> np.ndarray:
-    if dealias and nl.degree >= 3:
+def _eval_flux(nl: Nonlinearity, values: np.ndarray) -> np.ndarray:
+    if nl.degree >= 3:
         return _dealiased_apply(values, nl.f, nl.degree)
     return nl.f(values)
 
@@ -268,7 +273,6 @@ def solve_newton(
     tol: float = 1e-10,
     max_iter: int = 50,
     variant: str = "standard",
-    dealias: bool = True,
 ) -> TravelingWave:
     """Newton iteration for the profile equation on the cosine subspace.
 
@@ -276,7 +280,7 @@ def solve_newton(
     ``fixed_mean`` A joins the unknowns and the mean of phi supplies the
     extra equation.  The guess is symmetrized about x = 0 first; an even
     profile makes the translation mode phi' odd, hence invisible to the
-    reduced Jacobian.
+    reduced Jacobian.  Fluxes of degree 3 and up are evaluated alias-free.
     """
     grid = guess.grid
     N = grid.size
@@ -304,7 +308,7 @@ def solve_newton(
     for _ in range(max_iter):
         phi = _embed_even(v, N)
         with np.errstate(over="ignore", invalid="ignore"):
-            res_full = lin_mat @ phi - _eval_flux(nonlinearity, phi, dealias) + A
+            res_full = lin_mat @ phi - _eval_flux(nonlinearity, phi) + A
         sup = float(np.abs(res_full).max())
         if not np.isfinite(sup):
             raise ConvergenceError(f"Newton iterates diverged (omega={omega})")
@@ -372,6 +376,16 @@ def solve_newton(
 # closed-form reference waves
 # ---------------------------------------------------------------------------
 
+def _certified(wave: TravelingWave, residual_tol: float, name: str) -> TravelingWave:
+    """The closed-form wave with its residual attached, if within residual_tol."""
+    res_norm = residual(wave).sup_norm()
+    if res_norm > residual_tol:
+        raise ResolutionError(
+            f"{name} residual {res_norm:.3e} above {residual_tol:.1e}; increase N"
+        )
+    return replace(wave, residual_norm=res_norm)
+
+
 def _dn_squared_profile(L: float, k: float, N: int):
     """Samples of dn^2(2K x / L, k) - E/K on the standard grid, plus constants."""
     K = elliptic.complete_K(k)
@@ -412,12 +426,7 @@ def cnoidal_wave(L: float, k, N: int, residual_tol: float = 1e-9) -> TravelingWa
         nonlinearity=Nonlinearity.kdv(),
         constraint="zero_mean",
     )
-    res_norm = residual(wave).sup_norm()
-    if res_norm > residual_tol:
-        raise ResolutionError(
-            f"cnoidal residual {res_norm:.3e} above {residual_tol:.1e}; increase N"
-        )
-    return replace(wave, residual_norm=res_norm)
+    return _certified(wave, residual_tol, "cnoidal")
 
 
 def bbm_dnoidal_wave(L: float, k, N: int, residual_tol: float = 1e-9) -> TravelingWave:
@@ -451,12 +460,7 @@ def bbm_dnoidal_wave(L: float, k, N: int, residual_tol: float = 1e-9) -> Traveli
         variant="regularized",
         constraint="zero_mean",
     )
-    res_norm = residual(wave).sup_norm()
-    if res_norm > residual_tol:
-        raise ResolutionError(
-            f"dnoidal residual {res_norm:.3e} above {residual_tol:.1e}; increase N"
-        )
-    return replace(wave, residual_norm=res_norm)
+    return _certified(wave, residual_tol, "dnoidal")
 
 
 def ilw_wave(
@@ -465,7 +469,6 @@ def ilw_wave(
     k,
     N: int,
     residual_tol: float = 1e-8,
-    tail_tol: float = 1e-12,
 ) -> TravelingWave:
     """Zero-mean intermediate-long-wave profile from the Jacobi Zeta series.
 
@@ -499,9 +502,9 @@ def ilw_wave(
     d = (8.0 * math.pi / L) * q**n * np.sinh(2.0 * math.pi * n * delta / L) / (1.0 - q ** (2 * n))
     scale = np.abs(d).max()
     tail = abs(d[-1]) * growth / (1.0 - growth)
-    if tail > tail_tol * scale:
+    if tail > 1e-12 * scale:
         raise ResolutionError(
-            f"cosine-series tail {tail:.2e} above {tail_tol:.1e} x max coefficient; increase N"
+            f"cosine-series tail {tail:.2e} above 1.0e-12 x max coefficient; increase N"
         )
     spectrum = np.zeros(N, dtype=complex)
     spectrum[1 : n_cut + 1] = 0.5 * d * N
@@ -522,12 +525,7 @@ def ilw_wave(
         nonlinearity=nl,
         constraint="zero_mean",
     )
-    res_norm = residual(wave).sup_norm()
-    if res_norm > residual_tol:
-        raise ResolutionError(
-            f"ilw residual {res_norm:.3e} above {residual_tol:.1e}; increase N"
-        )
-    return replace(wave, residual_norm=res_norm)
+    return _certified(wave, residual_tol, "ilw")
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +575,8 @@ def continue_family(
     """Natural-parameter continuation: each converged wave seeds the next.
 
     ``parameter`` is "omega" (constraint carried along), "A" (fixed-A
-    solves at the seed speed), or "xi" with explicit omega/A maps.
+    solves at the seed speed), or "xi" with explicit omega/A maps.  A failed
+    solve raises its SolverError with the converged prefix as ``family``.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
@@ -620,7 +619,9 @@ def continue_family(
                 variant=seed.variant,
             )
         except SolverError as exc:
-            raise type(exc)(f"continuation failed at {parameter}={value}: {exc}") from exc
+            err = type(exc)(f"continuation failed at {parameter}={value}: {exc}")
+            err.family = WaveFamily(tuple(waves), parameter, values[: len(waves)], max_jump)
+            raise err from exc
         if waves:
             max_jump = max(max_jump, (w.profile - waves[-1].profile).sup_norm())
         waves.append(w)
@@ -657,6 +658,8 @@ def param_derivatives(w: TravelingWave, lin, zero_tol: float | None = None) -> t
             f"second-smallest |eigenvalue| {lam[1]:.3e} within the kernel band"
         )
     g = speed_gradient_field(w)
-    eta = lin.solve_on_complement(-g, zero_tol=tol)
-    beta = lin.solve_on_complement(Field.constant(w.grid, -1.0), zero_tol=tol)
+    from .linop import solve_on_complement  # linop imports this module
+
+    eta = solve_on_complement(lin, -g, zero_tol=tol)
+    beta = solve_on_complement(lin, Field.constant(w.grid, -1.0), zero_tol=tol)
     return eta, beta

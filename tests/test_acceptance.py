@@ -195,9 +195,7 @@ def test_criterion_5_dynamics_falsification(kdv_stable):
         mu, nu = cert.verdict.mu_nu
         sigma, _ = lyapunov_sigma(w, assemble(w), mu, nu)
         cfg = EvolutionConfig(dt=2e-4, T=50.0, sample_interval=0.5)
-        (trace,) = stability_experiment(
-            w, [1e-3], 50.0, cfg, seed=7, sigma=sigma, mu=mu, nu=nu
-        )
+        (trace,) = stability_experiment(w, [1e-3], cfg, seed=7, sigma=sigma, mu=mu, nu=nu)
         # frozen regression bound: first certified run gave sup_ratio = 1.6094
         assert trace.sup_ratio() < 1.6094 * 1.5
         assert trace.drift(trace.energy) < 1e-7

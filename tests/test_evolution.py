@@ -260,13 +260,13 @@ class TestStabilityExperiment:
     def test_zero_amplitude_stays_on_orbit(self, kdv_midk):
         w = kdv_midk
         cfg = EvolutionConfig(dt=5e-4, T=2.0, sample_interval=0.5)
-        traces = stability_experiment(w, [0.0], 2.0, cfg, seed=3)
+        traces = stability_experiment(w, [0.0], cfg, seed=3)
         assert traces[0].d_orbit.max() < 1e-6
 
     def test_small_perturbation_trace(self, kdv_midk):
         w = kdv_midk
         cfg = EvolutionConfig(dt=5e-4, T=2.0, sample_interval=0.5)
-        (trace,) = stability_experiment(w, [1e-3], 2.0, cfg, seed=3, sigma=1.0)
+        (trace,) = stability_experiment(w, [1e-3], cfg, seed=3, sigma=1.0)
         assert trace.d_orbit[0] == pytest.approx(1e-3, rel=0.3)
         assert trace.sup_ratio() < 20.0
         assert trace.drift(trace.mass) < 1e-12
@@ -275,4 +275,4 @@ class TestStabilityExperiment:
     def test_negative_amplitude_rejected(self, kdv_midk):
         cfg = EvolutionConfig(dt=5e-4, T=1.0)
         with pytest.raises(ValueError):
-            stability_experiment(kdv_midk, [-1e-3], 1.0, cfg)
+            stability_experiment(kdv_midk, [-1e-3], cfg)

@@ -104,6 +104,12 @@ class TestCli:
     def test_requires_some_input(self, capsys):
         assert self.run("solve") == 1
 
+    def test_wave_alone_needs_config(self, tmp_path, kdv_stable, capsys):
+        base = str(tmp_path / "w")
+        save_wave(kdv_stable, base)
+        assert self.run("certify", "--wave", base, "--out", str(tmp_path / "run")) == 1
+        assert "need --config or --preset" in capsys.readouterr().err
+
     def test_solve_from_config_file(self, tmp_path):
         cfg = {
             "equation": {
@@ -250,6 +256,31 @@ class TestCli:
         assert cert["conclusion"] == "inconclusive"
         assert cert["h0"]["h0_pass"] is False
 
+    def test_certify_recomputes_saved_residual(self, tmp_path):
+        src = str(tmp_path / "src")
+        assert self.run("solve", "--preset", "kdv-cnoidal", "--out", src) == 0
+        base = os.path.join(src, "wave")
+        meta = json.loads(open(base + ".json").read())
+        meta["omega"] += 0.5
+        meta["residual_norm"] = 0.0
+        open(base + ".json", "w").write(json.dumps(meta))
+        assert load_wave(base).residual_norm > 0.1
+        out = str(tmp_path / "run")
+        self.run("certify", "--wave", base, "--preset", "kdv-cnoidal", "--out", out)
+        cert = json.loads(open(os.path.join(out, "certify.json")).read())
+        assert cert["wave"]["residual_norm"] > 0.1
+
+    def test_certify_rejects_short_profile(self, tmp_path, kdv_stable, capsys):
+        base = str(tmp_path / "w")
+        save_wave(kdv_stable, base)
+        rows = open(base + ".csv").read().splitlines()
+        open(base + ".csv", "w").write("\n".join(rows[:-1]) + "\n")
+        code = self.run("certify", "--wave", base, "--preset", "kdv-cnoidal",
+                        "--out", str(tmp_path / "run"))
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error: cannot load wave") and "\n" not in err
+
     def test_certify_reproducible_byte_identical(self, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         for out in (out1, out2):
@@ -297,6 +328,17 @@ class TestCli:
             "--override", "sweep.start=0.46", "--override", "sweep.stop=-40",
         )
         assert code == 4
+        # member 0 converged before member 1 collapsed: it is kept
+        sweep = json.loads(open(os.path.join(out, "sweep.json")).read())
+        assert sweep["partial"] is True
+        assert len(sweep["members"]) == 1
+        assert sweep["members"][0]["xi"] == 0.46
+        assert sweep["members"][0]["verdict"] == "orbitally_stable"
+        assert sweep["curve_criterion"] is None
+        lines = open(os.path.join(out, "family.csv")).read().strip().split("\n")
+        assert len(lines) == 2 and float(lines[1].split(",")[0]) == 0.46
+        assert os.path.exists(os.path.join(out, "wave_000.json"))
+        assert not os.path.exists(os.path.join(out, "wave_001.json"))
 
     def test_evolve_short(self, tmp_path):
         out = str(tmp_path / "run")

@@ -1,10 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from periwave.evolution import momentum
-from periwave.linop import SpectralReport, assemble, check_H0, constrained_min_rayleigh
+from periwave.linop import (
+    SpectralReport,
+    assemble,
+    check_H0,
+    constrained_min_rayleigh,
+    h1_constants,
+)
 from periwave.spectral import DispersionSymbol, Field, PeriodicGrid, derivative
 from periwave.stability import (
     INCONCLUSIVE,
@@ -22,7 +29,6 @@ from periwave.stability import (
     mean_criterion,
     resolvent_consistency,
     surface_derivatives,
-    verdict,
 )
 from periwave.waves import (
     Nonlinearity,
@@ -170,6 +176,29 @@ class TestDecide:
         assert v.K_Ham == 1
         assert v.D == pytest.approx(1.0)
 
+    def test_delta_witness_fourth(self):
+        # M_A, F_omega and the determinant condition all negative, yet the
+        # form is positive along (1, 1): the general witness fires
+        sd = SurfaceDerivatives(0.0, -1.0, -1.0, 3.0)
+        v = decide(sd, _passing_h0(), True)
+        assert v.conclusion == ORBITALLY_STABLE
+        assert v.fired_criterion == "delta_witness"
+        assert np.abs(v.mu_nu) == pytest.approx([math.sqrt(0.5)] * 2, rel=1e-12)
+        assert v.mu_nu == v.delta_witness
+        assert v.K_Ham is None
+        assert v.reason is None
+
+    def test_premises_unmet_inconclusive(self):
+        # M_A = 0: no criterion fires and the Krein count is undefined
+        sd = SurfaceDerivatives(0.0, 0.0, -1.0, 0.0)
+        v = decide(sd, _passing_h0(), True)
+        assert v.conclusion == INCONCLUSIVE
+        assert v.fired_criterion is None
+        assert v.mu_nu is None
+        assert v.K_Ham is None
+        assert v.D is None
+        assert v.reason == "no stability criterion fired and instability premises unmet"
+
     def test_remark_det_premises_checked(self):
         # determinant condition positive: not the Remark's case (and (iii) fires)
         sd = SurfaceDerivatives(M_omega=2.0, M_A=-1.0, F_omega=-1.0, F_A=2.0)
@@ -195,7 +224,7 @@ class TestVerdictOnWaves:
         lin = assemble(kdv_stable)
         eta, beta = param_derivatives(kdv_stable, lin)
         sd = surface_derivatives(kdv_stable, eta, beta)
-        v = verdict(kdv_stable, lin, sd)
+        v = decide(sd, check_H0(lin, kdv_stable), h1_constants(lin)[0] > 0.0)
         assert v.conclusion == ORBITALLY_STABLE
         assert v.fired_criterion == "F_omega"
 
@@ -216,6 +245,34 @@ class TestVerdictOnWaves:
         c = certify(w, compute_spectrum=False)
         assert c.verdict.conclusion == INCONCLUSIVE
         assert not c.verdict.prerequisites["h0_pass"]
+
+    def test_double_kernel_is_near_singular(self):
+        # L = -d^2/dx^2 + 0.1 - 1.1 vanishes at kappa = +-1: a double zero
+        # eigenvalue fails H0 and makes the kernel solve near-singular; the
+        # near-singular reason wins
+        grid = PeriodicGrid(TWO_PI, 64)
+        w = constant_state(grid, 1.1, 0.1, DispersionSymbol.second_derivative(TWO_PI),
+                           Nonlinearity.kdv())
+        c = certify(w, compute_spectrum=False)
+        v = c.verdict
+        assert v.conclusion == INCONCLUSIVE
+        assert v.fired_criterion is None
+        assert v.mu_nu is None
+        assert v.K_Ham is None
+        assert v.criteria == {}
+        assert v.reason == "kernel solve for the surface derivatives is near-singular"
+        assert c.surface is None
+        assert c.spectral_report.zero_dim == 2
+        assert v.prerequisites == {"h0_pass": False, "h1_pass": True}
+
+    def test_h1_checks_symbol_bounds(self, kdv_stable):
+        # a lower growth constant above the symbol's true one fails H1
+        sym = dataclasses.replace(kdv_stable.symbol, lower_bound=2.0)
+        c = certify(dataclasses.replace(kdv_stable, symbol=sym), compute_spectrum=False)
+        assert c.c1 > 0.0
+        assert c.verdict.prerequisites["h1_pass"] is False
+        assert c.verdict.conclusion == INCONCLUSIVE
+        assert "h1=False" in c.verdict.reason
 
     def test_zero_tol_override_near_bifurcation(self):
         # at small modulus the default kernel band swallows the physical
@@ -259,7 +316,7 @@ class TestCurveCriterion:
     def test_cnoidal_branch_negative(self, kdv_stable):
         w = kdv_stable
         fam = continue_family(w, "omega", np.linspace(w.omega, w.omega + 0.2, 5))
-        value = curve_criterion(fam)
+        value, _ = curve_criterion(fam)
         assert value < 0.0
         # on the zero-mean branch it reduces to -dF/domega
         Fs = np.array([momentum(m.profile) for m in fam])
@@ -273,7 +330,7 @@ class TestCurveCriterion:
         assert max(abs(m.A) for m in fam) == 0.0
         Fs = np.array([momentum(m.profile) for m in fam])
         dF = np.gradient(Fs, fam.values)[1:-1]
-        assert curve_criterion(fam) == pytest.approx(-dF.min(), rel=1e-6)
+        assert curve_criterion(fam)[0] == pytest.approx(-dF.min(), rel=1e-6)
 
 
 class TestHamiltonianSpectrum:
