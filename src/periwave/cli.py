@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -31,6 +32,8 @@ from .evolution import (
     stability_experiment,
 )
 from .io import (
+    _nonlinearity_to_dict,
+    _symbol_to_dict,
     atomic_write_text,
     canonical_json,
     config_hash,
@@ -122,12 +125,41 @@ def _solve_wave(config: dict) -> TravelingWave:
 
 
 def _load_or_solve(args, config: dict) -> TravelingWave:
+    """The configured wave, or the saved one given by --wave.
+
+    A saved wave must match the config's grid and equation (ConfigError
+    otherwise) and must solve its equation to roundoff: a recomputed residual
+    above 1e3 eps max|theta| sup|phi| raises SolverError.
+    """
     if not getattr(args, "wave", None):
         return _solve_wave(config)
     try:
-        return load_wave(args.wave)
+        wave = load_wave(args.wave)
     except ValueError as exc:
         raise ConfigError(f"cannot load wave {args.wave}: {exc}") from None
+    grid = grid_from_config(config)
+    for name, saved, configured in (
+        ("grid.L", wave.grid.length, grid.length),
+        ("grid.N", wave.grid.size, grid.size),
+        ("equation.symbol", _symbol_to_dict(wave.symbol),
+         _symbol_to_dict(symbol_from_config(config))),
+        ("equation.nonlinearity", _nonlinearity_to_dict(wave.nonlinearity),
+         _nonlinearity_to_dict(nonlinearity_from_config(config))),
+        ("equation.variant", wave.variant, config["equation"]["variant"]),
+    ):
+        if saved != configured:
+            raise ConfigError(
+                f"wave {args.wave} does not match the config: {name} is {saved!r} "
+                f"in the wave, {configured!r} in the config"
+            )
+    theta_max = float(np.abs(wave.symbol.values_on(wave.grid)).max())
+    floor = 1e3 * np.finfo(float).eps * theta_max * wave.profile.sup_norm()
+    if not wave.residual_norm <= floor:
+        raise SolverError(
+            f"wave {args.wave} does not solve its equation: recomputed residual "
+            f"{wave.residual_norm:.3e} above the roundoff bound {floor:.3e}"
+        )
+    return wave
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +314,7 @@ def cmd_evolve(args, config: dict) -> int:
             sigma, _ = lyapunov_sigma(wave, cert.operator, mu, nu)
         except SolverError:
             sigma = 1.0
+    start = time.perf_counter()
     try:
         traces = stability_experiment(
             wave, ev["amplitudes"], cfg, seed=ev["seed"], sigma=sigma, mu=mu, nu=nu
@@ -294,6 +327,7 @@ def cmd_evolve(args, config: dict) -> int:
         )
         print(f"blowup detected: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
+    seconds = time.perf_counter() - start
 
     summary = []
     for trace in traces:
@@ -323,6 +357,12 @@ def cmd_evolve(args, config: dict) -> int:
             + ("inf" if ratio is None else format_float(ratio))
             + f" drift_P={format_float(item['drift_P'])}"
         )
+    n_steps = int(round(cfg.T / cfg.dt))
+    print(
+        f"evolved {len(traces)} amplitudes x {n_steps} steps in {seconds:.3f} s "
+        f"({len(traces) * n_steps / seconds:.0f} steps/s)",
+        file=sys.stderr,
+    )
     return EXIT_OK
 
 

@@ -9,6 +9,10 @@ and the regularized one divides the whole right-hand side by 1 + theta
 integrator is ETDRK4 with contour-evaluated phi-functions, which treats the
 stiff dispersive part exactly; an implicit-midpoint step is available as a
 conservation-favoring alternative.
+
+Both integrators work on the N//2 + 1 modes of the real transform, and
+``integrate`` evolves several states together as the rows of one array:
+``stability_experiment`` advances all its amplitudes as one such batch.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .spectral import (
     DispersionSymbol,
     Field,
     PeriodicGrid,
+    _check_same_grid,
     _sobolev_weights,
     apply_multiplier,
     integral,
@@ -48,9 +53,13 @@ __all__ = [
 
 
 class BlowupError(RuntimeError):
-    def __init__(self, message: str, time: float):
+    """Raised at the first sample where an evolved state leaves its ball;
+    ``row`` is the index of that state among the ones evolved together."""
+
+    def __init__(self, message: str, time: float, row: int = 0):
         super().__init__(message)
         self.time = time
+        self.row = row
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +137,8 @@ def orbital_distance(v: Field, w: TravelingWave, s: float | None = None) -> tupl
     translates are scanned at once through one transform of the weighted
     cross-spectrum, then the best one is refined by Newton on h'(r) = 0
     (with a shrinking-step fallback).  At the optimum the deviation is
-    H^s-orthogonal to the translated phi'.
+    H^s-orthogonal to the translated phi'.  The distance is the weighted norm
+    of v - phi(. + r) at the refined r.
     """
     s = w.sobolev_index if s is None else s
     g = v.grid
@@ -167,8 +177,10 @@ def orbital_distance(v: Field, w: TravelingWave, s: float | None = None) -> tupl
         else:  # fall back to a golden-section-style shrink around the node
             r += 0.5 * span * (1.0 if c1 > 0 else -1.0)
             span *= 0.6
-    c0, _, _ = corr_derivs(r)
-    d2 = max(vv - 2.0 * c0 + pp, 0.0)
+    # d from the deviation itself: vv - 2 c0 + pp cancels away the digits of
+    # a small distance
+    dev = v.spectrum - phi.spectrum * np.exp(1j * g.frequencies * r)
+    d2 = scale * float(np.sum(weights * np.abs(dev) ** 2))
     return math.sqrt(d2), r % g.length
 
 
@@ -206,7 +218,11 @@ class Trajectory:
 
 
 def _etdrk4_coefficients(z: np.ndarray, dt: float):
-    """phi-function coefficients by 32-point contour averaging (stable for small |z|)."""
+    """phi-function coefficients by 32-point contour averaging (stable for small |z|).
+
+    Returns (exp_full, exp_half, Q, f1, 2 f2, f3); the doubled f2 is the
+    weight of na + nb in the step.
+    """
     roots = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
     LR = z[:, None] + roots[None, :]
     exp_half = np.exp(z / 2.0)
@@ -215,101 +231,130 @@ def _etdrk4_coefficients(z: np.ndarray, dt: float):
     f1 = dt * np.mean((-4.0 - LR + np.exp(LR) * (4.0 - 3.0 * LR + LR**2)) / LR**3, axis=1)
     f2 = dt * np.mean((2.0 + LR + np.exp(LR) * (LR - 2.0)) / LR**3, axis=1)
     f3 = dt * np.mean((-4.0 - 3.0 * LR - LR**2 + np.exp(LR) * (4.0 - LR)) / LR**3, axis=1)
-    return exp_full, exp_half, Q, f1, f2, f3
+    return exp_full, exp_half, Q, f1, 2.0 * f2, f3
 
 
 class _Semidiscretization:
-    """Fourier-space right-hand side split into linear symbol and nonlinear term."""
+    """Right-hand side on the N//2 + 1 rfft modes, split into the linear symbol
+    and the nonlinear term; arrays of states carry one row per state.
+
+    The Nyquist mode is zeroed in both parts, and the dealias mask is folded
+    into ``nl_scale``.
+    """
 
     def __init__(self, grid: PeriodicGrid, symbol: DispersionSymbol, nl: Nonlinearity,
                  variant: str, dealias: bool):
-        self.grid = grid
-        self.nl = nl
-        self.dealias = dealias
-        xi = grid.frequencies.copy()
-        xi[grid.nyquist_index] = 0.0
-        theta = symbol.values_on(grid).copy()
-        theta[grid.nyquist_index] = 0.0
+        half = grid.size // 2
+        self.size = grid.size
+        self.f = nl.f
+        xi = grid.frequencies[: half + 1].copy()
+        xi[half] = 0.0  # zeroes both parts at Nyquist
+        theta = symbol.values_on(grid)[: half + 1]
         if variant == "standard":
             self.linear = 1j * xi * theta
             self.nl_scale = -1j * xi
         else:
             self.linear = -1j * xi / (1.0 + theta)
             self.nl_scale = -1j * xi / (1.0 + theta)
-        half = grid.size // 2
-        kap = grid.wavenumbers
-        self.mask = np.abs(kap) <= (2 * half) // 3 if dealias else np.ones_like(kap, bool)
+        if dealias:
+            self.nl_scale[np.arange(half + 1) > (2 * half) // 3] = 0.0
 
     def nonlinear(self, uh: np.ndarray) -> np.ndarray:
-        # blowing-up iterates produce transient overflow before the sample
-        # check raises BlowupError; keep those warnings quiet
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = np.fft.ifft(uh).real
-            fh = np.fft.fft(self.nl.f(u))
-            return self.nl_scale * np.where(self.mask, fh, 0.0)
+        fh = np.fft.rfft(self.f(np.fft.irfft(uh, self.size)))
+        fh *= self.nl_scale
+        return fh
 
 
 def integrate(
-    u0: Field,
+    u0,
     cfg: EvolutionConfig,
     symbol: DispersionSymbol,
     nl: Nonlinearity,
-) -> Trajectory:
+) -> Trajectory | list[Trajectory]:
     """Evolve u0 over [0, T]; returns states at the sampling cadence.
 
-    Raises BlowupError (with the detection time) if the solution leaves a
-    large ball or develops non-finite values.
+    ``u0`` is one Field, which gives one Trajectory, or a sequence of Fields
+    on one grid, which gives one Trajectory per Field.  A sequence is evolved
+    as the rows of one half-spectrum array, and each row follows the same
+    arithmetic as it would alone.
+
+    Raises BlowupError (with the detection time and the row) at the first
+    sample where a row leaves the ball of radius blowup_factor (1 + sup|row
+    at t = 0|) or develops non-finite values.
     """
-    grid = u0.grid
+    fields = [u0] if isinstance(u0, Field) else list(u0)
+    if not fields:
+        return []
+    grid = fields[0].grid
+    for u in fields:
+        _check_same_grid(fields[0], u)
     sd = _Semidiscretization(grid, symbol, nl, cfg.variant, cfg.dealias)
     n_steps = int(round(cfg.T / cfg.dt))
     dt = cfg.T / n_steps
     sample_every = (
         max(1, int(round((cfg.sample_interval or cfg.T / 200) / dt)))
     )
-    bound = cfg.blowup_factor * (1.0 + u0.sup_norm())
+    bound = cfg.blowup_factor * (1.0 + np.array([u.sup_norm() for u in fields]))
 
-    uh = u0.spectrum.astype(complex)
+    uh = np.fft.rfft(np.stack([u.values for u in fields]))
     times = [0.0]
-    states = [u0]
+    samples = []
 
     if cfg.integrator == "etdrk4":
         exp_full, exp_half, Q, f1, f2, f3 = _etdrk4_coefficients(dt * sd.linear, dt)
 
         def step(uh):
             n0 = sd.nonlinear(uh)
-            a = exp_half * uh + Q * n0
+            half_uh = exp_half * uh
+            a = half_uh + Q * n0
             na = sd.nonlinear(a)
-            b = exp_half * uh + Q * na
+            b = half_uh + Q * na
             nb = sd.nonlinear(b)
             c = exp_half * a + Q * (2.0 * nb - n0)
             nc = sd.nonlinear(c)
-            return exp_full * uh + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
+            out = exp_full * uh
+            out += f1 * n0
+            out += f2 * (na + nb)
+            out += f3 * nc
+            return out
 
     else:  # implicit midpoint; the diagonal linear part is inverted exactly
         lin_minus = 1.0 - 0.5 * dt * sd.linear
+        half_dt = 0.5 * dt
 
         def step(uh):
+            # each row iterates until its own fixed-point update settles
             mid = uh.copy()
+            rows = np.arange(len(uh))
             for _ in range(50):
-                new_mid = (uh + 0.5 * dt * sd.nonlinear(mid)) / lin_minus
-                if np.max(np.abs(new_mid - mid)) <= 1e-13 * (1.0 + np.max(np.abs(new_mid))):
-                    mid = new_mid
+                new_mid = (uh[rows] + half_dt * sd.nonlinear(mid[rows])) / lin_minus
+                moving = (np.abs(new_mid - mid[rows]).max(axis=1)
+                          > 1e-13 * (1.0 + np.abs(new_mid).max(axis=1)))
+                mid[rows] = new_mid
+                rows = rows[moving]
+                if not rows.size:
                     break
-                mid = new_mid
             return 2.0 * mid - uh
 
+    # blowing-up iterates produce transient overflow before the sample
+    # check raises BlowupError; keep those warnings quiet
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
             uh = step(uh)
             if (i + 1) % sample_every == 0 or i == n_steps - 1:
-                u = Field.from_spectrum(grid, uh)
+                u = np.fft.irfft(uh, grid.size)
                 t = (i + 1) * dt
-                if not np.isfinite(u.values).all() or u.sup_norm() > bound:
-                    raise BlowupError(f"solution blew up by t = {t:.6g}", time=t)
+                failed = ~np.isfinite(u).all(axis=1) | (np.abs(u).max(axis=1) > bound)
+                if failed.any():
+                    row = int(np.argmax(failed))
+                    raise BlowupError(f"solution blew up by t = {t:.6g}", time=t, row=row)
                 times.append(t)
-                states.append(u)
-    return Trajectory(np.asarray(times), tuple(states), cfg)
+                samples.append(u)
+    trajectories = [
+        Trajectory(np.asarray(times), (start,) + tuple(Field(grid, u[row]) for u in samples), cfg)
+        for row, start in enumerate(fields)
+    ]
+    return trajectories[0] if isinstance(u0, Field) else trajectories
 
 
 # ---------------------------------------------------------------------------
@@ -355,17 +400,25 @@ def stability_experiment(
     The perturbation direction is one fixed seeded mean-free random field of
     unit H^(m/2) norm shared by all amplitudes, so traces are comparable.
     Finite-horizon runs can only falsify stability, never prove it; the
-    metadata carries that caveat.  The run uses cfg with the wave's variant.
+    metadata carries that caveat.  The run uses cfg with the wave's variant,
+    and all amplitudes are evolved together by one ``integrate`` call.
     """
     s = w.sobolev_index if s is None else s
     cfg = replace(cfg, variant=w.variant)
+    amplitudes = [float(a) for a in amplitudes]
+    if any(a < 0 for a in amplitudes):
+        raise ValueError("amplitudes must be nonnegative")
     direction = random_smooth_field(w.grid, seed, mean_free=True, norm_s=s)
+    try:
+        trajectories = integrate(
+            [w.profile + direction * a for a in amplitudes], cfg, w.symbol, w.nonlinearity
+        )
+    except BlowupError as exc:
+        raise BlowupError(
+            f"{exc} at amplitude {amplitudes[exc.row]:g}", exc.time, exc.row
+        ) from None
     traces = []
-    for a in amplitudes:
-        if a < 0:
-            raise ValueError("amplitudes must be nonnegative")
-        u0 = w.profile + direction * a
-        traj = integrate(u0, cfg, w.symbol, w.nonlinearity)
+    for a, traj in zip(amplitudes, trajectories):
         ds, rs, Ps, Fs, Ms, Vs = [], [], [], [], [], []
         for u in traj.states:
             d, r = orbital_distance(u, w, s)
@@ -377,7 +430,7 @@ def stability_experiment(
             Vs.append(lyapunov_value(u, w, sigma, mu, nu))
         traces.append(
             EvolutionTrace(
-                amplitude=float(a),
+                amplitude=a,
                 times=traj.times,
                 d_orbit=np.asarray(ds),
                 r_star=np.asarray(rs),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from periwave import evolution
 from periwave.evolution import (
     BlowupError,
     EvolutionConfig,
@@ -25,9 +26,67 @@ from periwave.spectral import (
     sobolev_inner,
     sobolev_norm,
 )
-from periwave.waves import Nonlinearity
+from periwave.waves import Nonlinearity, cnoidal_wave
 
 TWO_PI = 2.0 * math.pi
+
+
+def _full_spectrum_reference(u0, cfg, symbol, nl, n_steps):
+    """Reference integrators on all N complex modes, with an explicit dealias
+    mask, applied n_steps times at step cfg.dt; returns the final values."""
+    g = u0.grid
+    xi = g.frequencies.copy()
+    xi[g.nyquist_index] = 0.0
+    theta = symbol.values_on(g).copy()
+    theta[g.nyquist_index] = 0.0
+    if cfg.variant == "standard":
+        linear, nl_scale = 1j * xi * theta, -1j * xi
+    else:
+        linear = nl_scale = -1j * xi / (1.0 + theta)
+    half = g.size // 2
+    mask = np.abs(g.wavenumbers) <= (2 * half) // 3 if cfg.dealias else np.ones(g.size, bool)
+
+    def nonlinear(uh):
+        fh = np.fft.fft(nl.f(np.fft.ifft(uh).real))
+        return nl_scale * np.where(mask, fh, 0.0)
+
+    dt = cfg.dt
+    if cfg.integrator == "etdrk4":
+        z = dt * linear
+        LR = z[:, None] + np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)[None, :]
+        E, E2 = np.exp(z), np.exp(z / 2.0)
+        Q = dt * np.mean((np.exp(LR / 2.0) - 1.0) / LR, axis=1)
+        f1 = dt * np.mean((-4.0 - LR + np.exp(LR) * (4.0 - 3.0 * LR + LR**2)) / LR**3, axis=1)
+        f2 = dt * np.mean((2.0 + LR + np.exp(LR) * (LR - 2.0)) / LR**3, axis=1)
+        f3 = dt * np.mean((-4.0 - 3.0 * LR - LR**2 + np.exp(LR) * (4.0 - LR)) / LR**3, axis=1)
+
+        def step(uh):
+            n0 = nonlinear(uh)
+            a = E2 * uh + Q * n0
+            na = nonlinear(a)
+            b = E2 * uh + Q * na
+            nb = nonlinear(b)
+            c = E2 * a + Q * (2.0 * nb - n0)
+            nc = nonlinear(c)
+            return E * uh + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
+
+    else:
+        lin_minus = 1.0 - 0.5 * dt * linear
+
+        def step(uh):
+            mid = uh.copy()
+            for _ in range(50):
+                new_mid = (uh + 0.5 * dt * nonlinear(mid)) / lin_minus
+                done = np.max(np.abs(new_mid - mid)) <= 1e-13 * (1.0 + np.max(np.abs(new_mid)))
+                mid = new_mid
+                if done:
+                    break
+            return 2.0 * mid - uh
+
+    uh = u0.spectrum.astype(complex)
+    for _ in range(n_steps):
+        uh = step(uh)
+    return np.fft.ifft(uh).real
 
 
 @pytest.fixture
@@ -161,6 +220,15 @@ class TestOrbitalDistance:
         resid = abs(sobolev_inner(v - phi_r, pp_r, s))
         assert resid < 1e-8 * sobolev_norm(v, s) * sobolev_norm(pp_r, s)
 
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6])
+    def test_constant_offset_distance_has_no_cancellation(self, kdv_stable, eps):
+        # the offset is H^s-orthogonal to the zero-mean orbit: d = eps sqrt(L)
+        w = kdv_stable
+        v = shift(w.profile, 0.3 * TWO_PI) + eps
+        d, _ = orbital_distance(v, w)
+        exact = eps * math.sqrt(w.grid.length)
+        assert abs(d - exact) < 1e-9 * exact
+
     def test_pseudometric_shift_invariance(self, kdv_stable):
         w = kdv_stable
         p = random_smooth_field(w.grid, seed=9, norm_s=1.0)
@@ -249,6 +317,55 @@ class TestIntegrate:
             integrate(u0, cfg, sym, Nonlinearity.kdv())
         assert info.value.time > 0
 
+    @pytest.mark.parametrize("integrator", ["etdrk4", "implicit_midpoint"])
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("wave", ["kdv_midk", "bbm_wave"])
+    def test_half_spectrum_steps_match_full_spectrum(self, request, wave, dealias, integrator):
+        w = request.getfixturevalue(wave)
+        g = w.grid
+        # a rough perturbation and a Nyquist component make the dealias mask
+        # and the Nyquist convention visible above roundoff
+        u0 = (w.profile + random_smooth_field(g, seed=5, norm_s=0.0) * 0.1
+              + Field(g, 1e-3 * (-1.0) ** np.arange(g.size)))
+        dt = 1e-3
+        cfg = EvolutionConfig(dt=dt, T=2 * dt, integrator=integrator, dealias=dealias,
+                              variant=w.variant, sample_interval=dt)
+        traj = integrate(u0, cfg, w.symbol, w.nonlinearity)
+        for n_steps in (1, 2):
+            ref = _full_spectrum_reference(u0, cfg, w.symbol, w.nonlinearity, n_steps)
+            got = traj.states[n_steps].values
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("integrator", ["etdrk4", "implicit_midpoint"])
+    def test_sequence_gives_one_trajectory_per_field(self, kdv_midk, integrator):
+        # the rows differ enough that implicit midpoint iterates them apart
+        w = kdv_midk
+        p = random_smooth_field(w.grid, seed=2, norm_s=1.0)
+        starts = [p * 1e-6, w.profile + p * 1e-1]
+        cfg = EvolutionConfig(dt=5e-4, T=0.1, sample_interval=0.05, integrator=integrator)
+        trajs = integrate(starts, cfg, w.symbol, w.nonlinearity)
+        assert len(trajs) == 2
+        for start, traj in zip(starts, trajs):
+            alone = integrate(start, cfg, w.symbol, w.nonlinearity)
+            assert traj.states[0] is start
+            assert np.array_equal(traj.times, alone.times)
+            for a, b in zip(traj.states, alone.states):
+                assert np.array_equal(a.values, b.values)
+        assert integrate([], cfg, w.symbol, w.nonlinearity) == []
+
+    def test_each_row_keeps_its_own_blowup_bound(self, grid):
+        # a large constant row stays put; its wide bound must not delay the
+        # detection in the row that blows up
+        sym = DispersionSymbol.second_derivative(TWO_PI)
+        u_big = Field(grid, 80.0 * np.cos(grid.nodes))
+        cfg = EvolutionConfig(dt=0.05, T=5.0, dealias=False, blowup_factor=1e3)
+        with pytest.raises(BlowupError) as alone:
+            integrate(u_big, cfg, sym, Nonlinearity.kdv())
+        with pytest.raises(BlowupError) as batch:
+            integrate([Field.constant(grid, 1e4), u_big], cfg, sym, Nonlinearity.kdv())
+        assert batch.value.time == alone.value.time
+        assert batch.value.row == 1
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EvolutionConfig(dt=0.1, T=0.05)
@@ -271,6 +388,45 @@ class TestStabilityExperiment:
         assert trace.sup_ratio() < 20.0
         assert trace.drift(trace.mass) < 1e-12
         assert trace.metadata["note"].startswith("finite-horizon")
+
+    @pytest.mark.parametrize("integrator", ["etdrk4", "implicit_midpoint"])
+    def test_batch_equals_single_amplitude_runs(self, kdv_midk, integrator):
+        w = kdv_midk
+        cfg = EvolutionConfig(dt=5e-4, T=0.2, sample_interval=0.05, integrator=integrator)
+        both = stability_experiment(w, [1e-3, 1e-2], cfg, seed=3)
+        for trace in both:
+            (alone,) = stability_experiment(w, [trace.amplitude], cfg, seed=3)
+            for name in ("times", "d_orbit", "r_star", "energy", "momentum", "mass",
+                         "lyapunov"):
+                assert np.array_equal(getattr(trace, name), getattr(alone, name)), name
+            assert trace.metadata == alone.metadata
+
+    def test_one_integrate_call_for_all_amplitudes(self, kdv_midk, monkeypatch):
+        calls = []
+        original = evolution.integrate
+
+        def counting(u0, *args, **kwargs):
+            calls.append(len(u0))
+            return original(u0, *args, **kwargs)
+
+        monkeypatch.setattr(evolution, "integrate", counting)
+        cfg = EvolutionConfig(dt=5e-4, T=0.05)
+        traces = stability_experiment(kdv_midk, [1e-3, 1e-2], cfg, seed=3)
+        assert calls == [2]
+        assert [t.amplitude for t in traces] == [1e-3, 1e-2]
+
+    def test_batch_blowup_names_the_failing_amplitude(self):
+        # only the larger amplitude blows up; the batch stops at its time
+        w = cnoidal_wave(TWO_PI, 0.9, 128)
+        cfg = EvolutionConfig(dt=0.05, T=5.0, dealias=False, blowup_factor=1e3)
+        stability_experiment(w, [1e-3], cfg)
+        with pytest.raises(BlowupError) as alone:
+            stability_experiment(w, [20.0], cfg)
+        with pytest.raises(BlowupError) as batch:
+            stability_experiment(w, [1e-3, 20.0], cfg)
+        assert batch.value.time == alone.value.time > 1.0
+        assert batch.value.row == 1
+        assert str(batch.value).endswith("at amplitude 20")
 
     def test_negative_amplitude_rejected(self, kdv_midk):
         cfg = EvolutionConfig(dt=5e-4, T=1.0)

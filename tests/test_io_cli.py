@@ -256,7 +256,9 @@ class TestCli:
         assert cert["conclusion"] == "inconclusive"
         assert cert["h0"]["h0_pass"] is False
 
-    def test_certify_recomputes_saved_residual(self, tmp_path):
+    def test_certify_recomputes_saved_residual(self, tmp_path, capsys):
+        # the sidecar claims residual 0 for a shifted omega: the recomputed
+        # residual refuses the wave instead of certifying it
         src = str(tmp_path / "src")
         assert self.run("solve", "--preset", "kdv-cnoidal", "--out", src) == 0
         base = os.path.join(src, "wave")
@@ -266,9 +268,48 @@ class TestCli:
         open(base + ".json", "w").write(json.dumps(meta))
         assert load_wave(base).residual_norm > 0.1
         out = str(tmp_path / "run")
-        self.run("certify", "--wave", base, "--preset", "kdv-cnoidal", "--out", out)
-        cert = json.loads(open(os.path.join(out, "certify.json")).read())
-        assert cert["wave"]["residual_norm"] > 0.1
+        capsys.readouterr()
+        code = self.run("certify", "--wave", base, "--preset", "kdv-cnoidal", "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert "recomputed residual 4.751e+00 above the roundoff bound" in err
+        assert "\n" not in err
+        assert not os.path.exists(os.path.join(out, "certify.json"))
+
+    @pytest.mark.parametrize(
+        "preset", ["kdv-cnoidal", "gkdv-p", "bo", "ilw", "regularized-bbm-like"]
+    )
+    def test_every_preset_saved_wave_loads(self, tmp_path, preset):
+        src = str(tmp_path / "src")
+        assert self.run("solve", "--preset", preset, "--out", src) == 0
+        direct = self.run("certify", "--preset", preset, "--out", str(tmp_path / "a"))
+        code = self.run("certify", "--wave", os.path.join(src, "wave"), "--preset", preset,
+                        "--out", str(tmp_path / "b"))
+        assert code == direct
+        assert os.path.exists(os.path.join(tmp_path, "b", "certify.json"))
+
+    @pytest.mark.parametrize(
+        "preset,overrides,field",
+        [
+            ("bo", [], "grid.N"),
+            ("kdv-cnoidal", ["grid.L=6.0"], "grid.L"),
+            ("ilw", [], "equation.symbol"),
+            ("gkdv-p", ["grid.N=256"], "equation.nonlinearity"),
+            ("regularized-bbm-like", [], "equation.variant"),
+        ],
+    )
+    def test_wave_must_match_config(self, tmp_path, kdv_stable, capsys, preset, overrides,
+                                    field):
+        base = str(tmp_path / "w")
+        save_wave(kdv_stable, base)
+        argv = ["certify", "--wave", base, "--preset", preset, "--out", str(tmp_path / "run")]
+        for item in overrides:
+            argv += ["--override", item]
+        assert self.run(*argv) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error: wave ") and "\n" not in err
+        assert f"does not match the config: {field} is " in err
+        assert not os.path.exists(os.path.join(tmp_path, "run", "certify.json"))
 
     def test_certify_rejects_short_profile(self, tmp_path, kdv_stable, capsys):
         base = str(tmp_path / "w")
@@ -357,6 +398,25 @@ class TestCli:
         trace_file = os.path.join(out, pert["trace_file"])
         header = open(trace_file).readline().strip()
         assert header == "t,d_orbit,r_star,P,F,M,V"
+
+    def test_evolve_reports_throughput_on_stderr_only(self, tmp_path, capsys):
+        outputs = []
+        for run in ("a", "b"):
+            out = str(tmp_path / run)
+            code = self.run(
+                "evolve", "--preset", "kdv-cnoidal", "--out", out,
+                "--override", "evolve.T=0.1", "--override", "evolve.sample_interval=0.05",
+                "--override", "evolve.amplitudes=[0.001,0.01]",
+            )
+            assert code == 0
+            captured = capsys.readouterr()
+            err = captured.err.strip().splitlines()
+            assert len(err) == 1
+            assert err[0].startswith("evolved 2 amplitudes x 500 steps in ")
+            assert err[0].endswith(" steps/s)")
+            outputs.append((captured.out,
+                            open(os.path.join(out, "evolve_summary.json"), "rb").read()))
+        assert outputs[0] == outputs[1]
 
     def test_evolve_blowup_exit_5(self, tmp_path):
         out = str(tmp_path / "run")
