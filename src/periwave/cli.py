@@ -52,6 +52,7 @@ from .waves import (
     cnoidal_wave,
     continue_family,
     ilw_wave,
+    residual_bound,
     solve_newton,
 )
 
@@ -129,7 +130,7 @@ def _load_or_solve(args, config: dict) -> TravelingWave:
 
     A saved wave must match the config's grid and equation (ConfigError
     otherwise) and must solve its equation to roundoff: a recomputed residual
-    above 1e3 eps max|theta| sup|phi| raises SolverError.
+    above ``residual_bound`` raises SolverError.
     """
     if not getattr(args, "wave", None):
         return _solve_wave(config)
@@ -152,12 +153,11 @@ def _load_or_solve(args, config: dict) -> TravelingWave:
                 f"wave {args.wave} does not match the config: {name} is {saved!r} "
                 f"in the wave, {configured!r} in the config"
             )
-    theta_max = float(np.abs(wave.symbol.values_on(wave.grid)).max())
-    floor = 1e3 * np.finfo(float).eps * theta_max * wave.profile.sup_norm()
-    if not wave.residual_norm <= floor:
+    bound = residual_bound(wave.symbol, wave.profile)
+    if not wave.residual_norm <= bound:
         raise SolverError(
             f"wave {args.wave} does not solve its equation: recomputed residual "
-            f"{wave.residual_norm:.3e} above the roundoff bound {floor:.3e}"
+            f"{wave.residual_norm:.3e} above the roundoff bound {bound:.3e}"
         )
     return wave
 

@@ -16,6 +16,7 @@ from periwave.io import (
     save_wave,
 )
 from periwave.spectral import PeriodicGrid, random_smooth_field
+from periwave.waves import residual_bound
 
 TWO_PI = 2.0 * math.pi
 
@@ -277,13 +278,21 @@ class TestCli:
         assert not os.path.exists(os.path.join(out, "certify.json"))
 
     @pytest.mark.parametrize(
-        "preset", ["kdv-cnoidal", "gkdv-p", "bo", "ilw", "regularized-bbm-like"]
+        "preset,overrides",
+        [
+            pytest.param(p, [], id=p)
+            for p in ["kdv-cnoidal", "gkdv-p", "bo", "ilw", "regularized-bbm-like"]
+        ]
+        # small modulus: dn^2 - E/K samples once cancelled digits, and --wave
+        # refused the wave the direct path accepted
+        + [pytest.param("kdv-cnoidal", ["--override", "solve.guess.k=0.01"], id="k=0.01")],
     )
-    def test_every_preset_saved_wave_loads(self, tmp_path, preset):
+    def test_every_preset_saved_wave_loads(self, tmp_path, preset, overrides):
         src = str(tmp_path / "src")
-        assert self.run("solve", "--preset", preset, "--out", src) == 0
-        direct = self.run("certify", "--preset", preset, "--out", str(tmp_path / "a"))
-        code = self.run("certify", "--wave", os.path.join(src, "wave"), "--preset", preset,
+        cfg = ["--preset", preset, *overrides]
+        assert self.run("solve", *cfg, "--out", src) == 0
+        direct = self.run("certify", *cfg, "--out", str(tmp_path / "a"))
+        code = self.run("certify", "--wave", os.path.join(src, "wave"), *cfg,
                         "--out", str(tmp_path / "b"))
         assert code == direct
         assert os.path.exists(os.path.join(tmp_path, "b", "certify.json"))
@@ -321,6 +330,28 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith("config error: cannot load wave") and "\n" not in err
+
+    @pytest.mark.parametrize("preset", ["kdv-cnoidal", "gkdv-p", "regularized-bbm-like"])
+    def test_certify_at_n1024_matches_own_n(self, tmp_path, preset):
+        # the residual bound grows with N, so the closed forms and Newton
+        # still hand a wave to certify at N=1024, and the verdict holds
+        fields = []
+        for overrides in ([], ["--override", "grid.N=1024"]):
+            out = str(tmp_path / f"run{len(fields)}")
+            code = self.run("certify", "--preset", preset, "--out", out, *overrides)
+            cert = json.loads(open(os.path.join(out, "certify.json")).read())
+            fields.append((code, cert["conclusion"], cert["fired_criterion"],
+                           cert["h0"]["n_neg"], cert["h0"]["zero_dim"], cert["k_r"]))
+        assert fields[0][0] in (0, 3)
+        assert fields[1] == fields[0]
+
+    def test_newton_polish_at_roundoff_floor(self, tmp_path):
+        out = str(tmp_path / "run")
+        code = self.run("solve", "--preset", "kdv-cnoidal", "--override", "grid.N=512",
+                        "--override", "solve.guess.newton_polish=true", "--out", out)
+        assert code == 0
+        w = load_wave(os.path.join(out, "wave"))
+        assert w.residual_norm <= residual_bound(w.symbol, w.profile)
 
     def test_certify_reproducible_byte_identical(self, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

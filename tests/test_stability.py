@@ -279,7 +279,7 @@ class TestVerdictOnWaves:
         # near-zero even mode: ambiguous at default, resolvable by override
         from periwave.waves import bbm_dnoidal_wave
 
-        w = bbm_dnoidal_wave(TWO_PI, 0.1, 256, residual_tol=1e-8)
+        w = bbm_dnoidal_wave(TWO_PI, 0.1, 256)
         default = certify(w, compute_spectrum=False)
         assert default.verdict.conclusion == INCONCLUSIVE
         tightened = certify(w, zero_tol=1e-7, compute_spectrum=False)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,12 +19,15 @@ from periwave.waves import (
     Nonlinearity,
     ResolutionError,
     TravelingWave,
+    _certified,
+    bbm_dnoidal_wave,
     cnoidal_wave,
     constant_state,
     continue_family,
     ilw_wave,
     param_derivatives,
     residual,
+    residual_bound,
     solve_newton,
 )
 
@@ -86,6 +90,30 @@ class TestCnoidal:
     def test_domain(self):
         with pytest.raises(ValueError):
             cnoidal_wave(TWO_PI, 1.0, 256)
+
+    def test_underresolved_refused_naming_residual_and_bound(self):
+        # N=32 truncates the k=0.99 profile: residual 5.6e-7 against 5.4e-10
+        with pytest.raises(ResolutionError) as info:
+            cnoidal_wave(TWO_PI, 0.99, 32)
+        msg = str(info.value)
+        assert "cnoidal residual 5.594e-07 above the roundoff bound 5.401e-10" in msg
+        assert "increase N" not in msg
+
+    def test_wrong_speed_refused(self, kdv_stable):
+        moved = TravelingWave(
+            kdv_stable.profile, kdv_stable.omega + 0.5, kdv_stable.A,
+            kdv_stable.symbol, kdv_stable.nonlinearity,
+        )
+        with pytest.raises(ResolutionError, match="above the roundoff bound"):
+            _certified(moved, "cnoidal")
+
+    def test_nan_profile_refused(self, kdv_stable):
+        broken = TravelingWave(
+            kdv_stable.profile.with_values(np.full(kdv_stable.grid.size, np.nan)),
+            kdv_stable.omega, kdv_stable.A, kdv_stable.symbol, kdv_stable.nonlinearity,
+        )
+        with pytest.raises(ResolutionError):
+            _certified(broken, "cnoidal")
 
     def test_translation_covariance(self, kdv_stable, ilw_stable):
         # 1e-12 is attainable for the order-1 symbol; the KdV multiplier
@@ -166,6 +194,68 @@ class TestNewton:
                 w.profile + noise * 0.05, w.omega, Constraint.zero_mean(),
                 w.symbol, w.nonlinearity, tol=1e-12, max_iter=2,
             )
+
+    def test_no_convergence_names_roundoff_bound(self, kdv_stable):
+        w = kdv_stable
+        noise = random_smooth_field(w.grid, seed=4, norm_s=0.0)
+        with pytest.raises(ConvergenceError) as info:
+            solve_newton(
+                w.profile + noise * 0.05, w.omega, Constraint.zero_mean(),
+                w.symbol, w.nonlinearity, tol=1e-12, max_iter=2,
+            )
+        msg = str(info.value)
+        found = re.search(r"no convergence in 2 iterations .*last residual (\S+), "
+                          r"roundoff bound (\S+)\)", msg)
+        assert found is not None, msg
+        last, bound = float(found.group(1)), float(found.group(2))
+        floor = residual_bound(w.symbol, w.profile)
+        assert bound == pytest.approx(floor, rel=0.05)
+        assert last > bound
+
+    def test_residual_norm_is_last_history_entry(self, kdv_stable, gkdv2_wave):
+        w = kdv_stable
+        out = solve_newton(w.profile, w.omega, Constraint.zero_mean(), w.symbol, w.nonlinearity)
+        for wave in (out, gkdv2_wave):
+            assert wave.residual_norm == wave.newton_history[-1]
+            assert wave.residual_norm == residual(wave).sup_norm()
+
+    def test_accepts_stalled_residual_within_bound(self, kdv_stable):
+        # tol below the roundoff floor: the residual stops falling within the
+        # bound and the iterate is accepted instead of exhausting max_iter
+        w = kdv_stable
+        out = solve_newton(
+            w.profile, w.omega, Constraint.zero_mean(), w.symbol, w.nonlinearity, tol=1e-15
+        )
+        hist = out.newton_history
+        assert len(hist) < 50
+        assert hist[-1] > 0.5 * hist[-2]
+        bound = residual_bound(out.symbol, out.profile)
+        assert 1e-15 < out.residual_norm <= bound
+
+    @pytest.mark.parametrize(
+        "N, shift, omega0, amp",
+        [(256, 10.0, -0.99999999, 1.0), (1024, 10.0, -0.999999, 3.0)],
+    )
+    def test_slow_convergence_near_bifurcation_not_taken_for_a_stall(
+        self, N, shift, omega0, amp
+    ):
+        # The Stokes branch of test_stokes_branch_near_bifurcation, carried by
+        # the Galilean shift phi -> shift + phi (omega -> omega + shift,
+        # A -> shift^2/2 - omega shift).  So close to the bifurcation the
+        # Jacobian is nearly singular: the residual falls by less than half
+        # per step while already within residual_bound (the bound is 1e3
+        # times the roundoff floor).  Newton must go on to the floor.
+        grid = PeriodicGrid(TWO_PI, N)
+        omega = omega0 + shift
+        a_pred = math.sqrt(24.0 * abs(1.0 + omega0) / 5.0)
+        guess = Field(
+            grid, shift + amp * a_pred * np.cos(grid.nodes) + 1e-3 * np.cos(2 * grid.nodes)
+        )
+        w = solve_newton(
+            guess, omega, Constraint.fixed_A(0.5 * shift**2 - omega * shift),
+            DispersionSymbol.second_derivative(TWO_PI), Nonlinearity.kdv(),
+        )
+        assert w.residual_norm < 1e-2 * residual_bound(w.symbol, w.profile)
 
     def test_quadratic_convergence_history(self, bo_wave):
         # order estimate q_n = ln r_{n+1} / ln r_n on residuals inside the
@@ -287,3 +377,36 @@ class TestParamDerivatives:
         _, beta = param_derivatives(w, lin)
         expected = -1.0 / (omega - c)  # f'(c) = c for the KdV flux
         assert np.abs(beta.values - expected).max() < 1e-12
+
+
+class TestRefinement:
+    """Construction at growing N: residuals stay within the roundoff bound.
+
+    ILW at N=2048 used to overflow in sinh and return a NaN profile."""
+
+    @pytest.mark.parametrize("N", [512, 1024, 2048])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda N: cnoidal_wave(TWO_PI, 0.99, N),
+            lambda N: bbm_dnoidal_wave(TWO_PI, 0.99, N),
+            lambda N: ilw_wave(TWO_PI, 1.0, 0.97, N),
+        ],
+        ids=["cnoidal", "bbm_dnoidal", "ilw"],
+    )
+    def test_closed_forms(self, build, N):
+        w = build(N)
+        assert w.grid.size == N
+        assert np.all(np.isfinite(w.profile.values))
+        assert w.residual_norm <= residual_bound(w.symbol, w.profile)
+
+    @pytest.mark.parametrize("N", [1024, 2048])
+    def test_gkdv_newton(self, N):
+        # the gkdv-p preset's cosine guess for the p=2 flux at A = 0
+        grid = PeriodicGrid(TWO_PI, N)
+        w = solve_newton(
+            Field(grid, 1.4 * np.cos(grid.nodes)), -0.5, Constraint.fixed_A(0.0),
+            DispersionSymbol.second_derivative(TWO_PI), Nonlinearity.power_law(2),
+        )
+        assert len(w.newton_history) < 10
+        assert w.residual_norm <= residual_bound(w.symbol, w.profile)
