@@ -311,7 +311,7 @@ def cmd_evolve(args, config: dict) -> int:
     if cert.verdict.mu_nu is not None:
         mu, nu = cert.verdict.mu_nu
         try:
-            sigma, _ = lyapunov_sigma(wave, cert.operator, mu, nu)
+            sigma, _ = lyapunov_sigma(cert.core, cert.operator, mu, nu)
         except SolverError:
             sigma = 1.0
     start = time.perf_counter()

@@ -28,7 +28,7 @@ convention used here is the one that reproduces that conclusion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -46,6 +46,8 @@ from .linop import (
 )
 from .spectral import (
     Field,
+    PeriodicGrid,
+    _sobolev_weights,
     derivative,
     derivative_matrix,
     integral,
@@ -58,6 +60,7 @@ from .waves import (
     SolverError,
     TravelingWave,
     WaveFamily,
+    _linear_coefficients,
     param_derivatives,
     solve_newton,
     speed_gradient_field,
@@ -461,9 +464,61 @@ def lyapunov_sigma(
 # end-to-end certification
 # ---------------------------------------------------------------------------
 
+def _core(w: TravelingWave, zero_tol: float | None):
+    """The wave truncated to its low-mode core, with L and H1's (c1, c2) there.
+
+    J is the highest mode of f'(phi) above eps sup|f'(phi)|, and the core
+    size K the least power of two >= 16 above 3J (the 3/2 rule: f'(phi) v of
+    two band-J fields does not alias onto the band), capped at N.  K doubles
+    until the modes it drops, K/2 <= |kappa| <= N/2, are certified inert.
+    By Weyl their block of L is at least gamma = min(a theta + b) -
+    sup|f'(phi)| > 0, and by Haynsworth In L_N = In(that block) + In(Schur
+    complement).  The complement moves the core's eigenvalues by at most
+    delta = (sum_{j != 0} |f'(phi)^_j|)^2 / gamma, which must stay below the
+    gap, the least |eigenvalue| of L_K off the kernel band.  The dropped
+    block of L - c1 W must also stay above -c2, so c2 is set on the core.
+    With K = N the core is the wave itself.
+    """
+    grid, sym, N = w.grid, w.symbol, w.grid.size
+    v = w.nonlinearity.fprime(w.profile.values)
+    sup_v = float(np.abs(v).max())
+    v_hat = np.abs(np.fft.fft(v)) / N
+    kappa = np.abs(grid.wavenumbers)
+    modes = int(kappa[v_hat > np.finfo(float).eps * sup_v].max(initial=0))
+    coupling = float(v_hat[1:].sum())
+    a, b = _linear_coefficients(w.variant, w.omega)
+    level = a * sym.values_on(grid) + b - sup_v
+    weight = _sobolev_weights(grid, 0.5 * sym.order)
+    K = max(16, 2 ** (3 * modes).bit_length())
+    while True:
+        K = min(K, N)
+        core = w
+        if K < N:
+            spec = np.fft.rfft(w.profile.values)[: K // 2 + 1] * (K / N)
+            spec[-1] = 0.0
+            core = replace(w, profile=Field(PeriodicGrid(grid.length, K), np.fft.irfft(spec, K)))
+        lin = assemble(core)
+        c1, c2 = h1_constants(lin)
+        lam = np.abs(lin.eigenvalues)
+        band = lin.zero_tol if zero_tol is None else zero_tol
+        guard = {"N": N, "K": K, "modes": modes, "gamma": None, "delta": None,
+                 "gap": float(lam[lam > band].min(initial=math.inf))}
+        if K == N:
+            return core, lin, c1, c2, guard
+        dropped = kappa >= K // 2
+        gamma = float(level[dropped].min())
+        delta = coupling**2 / gamma if gamma > 0.0 else math.inf
+        if delta < guard["gap"] and (level - c1 * weight)[dropped].min() > -c2:
+            guard.update(gamma=gamma, delta=delta)
+            return core, lin, c1, c2, guard
+        K *= 2
+
+
 @dataclass(frozen=True)
 class Certification:
     wave: TravelingWave
+    core: TravelingWave
+    core_guard: dict
     operator: LinearizedOperator
     spectral_report: SpectralReport
     c1: float
@@ -486,6 +541,7 @@ class Certification:
                 "F_A": self.surface.F_A,
             },
             "c3": self.c3,
+            "core": dict(self.core_guard),
             "k_r": self.k_r,
             "wave": {
                 "omega": self.wave.omega,
@@ -505,20 +561,21 @@ def certify(
 ) -> Certification:
     """Full pipeline: assemble, H0/H1 checks, surface derivatives, verdict.
 
-    H1 needs c1 > 0 and the symbol's stored growth bounds on the grid.  The
-    constrained Rayleigh minimum c3 over {phi', mu + nu phi}^perp is
-    recorded for the (mu, nu) chosen by the verdict, and k_r from the
+    Every step past the symbol bounds runs on the wave's low-mode core (see
+    ``_core``); the operator, spectra and kernel band are the core's.  H1
+    needs c1 > 0 and the symbol's stored growth bounds on the wave's own
+    grid.  The constrained Rayleigh minimum c3 over {phi', mu + nu phi}^perp
+    is recorded for the (mu, nu) chosen by the verdict, and k_r from the
     Hamiltonian spectrum is attached for the standard variant.
     """
-    lin = assemble(w)
-    h0 = check_H0(lin, w, zero_tol)
-    c1, c2 = h1_constants(lin)
+    core, lin, c1, c2, guard = _core(w, zero_tol)
+    h0 = check_H0(lin, core, zero_tol)
     h1_pass = c1 > 0.0 and verify_symbol_bounds(w.symbol, w.grid).passed
 
     surface = None
     try:
-        eta, beta = param_derivatives(w, lin, zero_tol=zero_tol)
-        surface = surface_derivatives(w, eta, beta)
+        eta, beta = param_derivatives(core, lin, zero_tol=zero_tol)
+        surface = surface_derivatives(core, eta, beta)
     except NearSingularError:
         pass
 
@@ -527,8 +584,8 @@ def certify(
     c3 = None
     if vd.mu_nu is not None:
         mu, nu = vd.mu_nu
-        q_field = Field(w.grid, mu + nu * w.profile.values)
-        c3, _ = constrained_min_rayleigh(lin, [derivative(w.profile), q_field])
+        q_field = Field(core.grid, mu + nu * core.profile.values)
+        c3, _ = constrained_min_rayleigh(lin, [derivative(core.profile), q_field])
 
     k_r = None
     if compute_spectrum and w.variant == "standard":
@@ -536,6 +593,8 @@ def certify(
 
     return Certification(
         wave=w,
+        core=core,
+        core_guard=guard,
         operator=lin,
         spectral_report=h0,
         c1=c1,

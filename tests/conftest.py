@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from periwave import elliptic
+from periwave.cli import _solve_wave
+from periwave.config import load_config
 from periwave.spectral import DispersionSymbol, Field, PeriodicGrid
 from periwave.waves import (
     Constraint,
@@ -83,6 +85,37 @@ def make_bo_wave(N=128):
         Nonlinearity.quadratic(),
         tol=1e-11,
     )
+
+
+def make_gkdv5_wave(N, omega):
+    """gKdV p=5 wave at A = 0 from the solitary sech^(2/5) guess centred at 0."""
+    grid = PeriodicGrid(TWO_PI, N)
+    x = np.where(grid.nodes < math.pi, grid.nodes, grid.nodes - TWO_PI)
+    guess = (21.0 * omega) ** 0.2 / np.cosh(2.5 * math.sqrt(omega) * x) ** 0.4
+    return solve_newton(
+        Field(grid, guess),
+        omega,
+        Constraint.fixed_A(0.0),
+        DispersionSymbol.second_derivative(TWO_PI),
+        Nonlinearity.power_law(5),
+    )
+
+
+@pytest.fixture(scope="session")
+def preset_wave():
+    """preset_wave(name, N): the preset's wave at grid size N (None: its own N).
+
+    Each (name, N) is solved once per session.
+    """
+    cache = {}
+
+    def get(name, N=None):
+        if (name, N) not in cache:
+            overrides = [] if N is None else [f"grid.N={N}"]
+            cache[name, N] = _solve_wave(load_config(preset=name, overrides=overrides))
+        return cache[name, N]
+
+    return get
 
 
 @pytest.fixture(scope="session")

@@ -170,6 +170,18 @@ class TestCli:
         assert spectrum.shape == (256, 2)
         assert np.all(np.diff(spectrum[:, 1]) >= 0)
 
+    def test_certify_reports_its_core(self, tmp_path):
+        out = str(tmp_path / "run")
+        assert self.run("certify", "--preset", "kdv-cnoidal", "--out", out) == 0
+        cert = json.loads(open(os.path.join(out, "certify.json")).read())
+        core = cert["core"]
+        assert (core["N"], core["K"], core["modes"]) == (256, 128, 26)
+        assert core["gamma"] > 0.0 and 0.0 < core["delta"] < core["gap"]
+        spectrum = np.loadtxt(os.path.join(out, "spectrum.csv"), delimiter=",", skiprows=1)
+        assert spectrum.shape == (128, 2)
+        lam = np.abs(spectrum[:, 1])
+        assert core["gap"] == lam[lam > cert["h0"]["zero_tol"]].min()
+
     @pytest.mark.parametrize(
         "preset", ["kdv-cnoidal", "gkdv-p", "bo", "ilw", "regularized-bbm-like"]
     )

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import make_gkdv5_wave
 from periwave.evolution import momentum
 from periwave.linop import (
     SpectralReport,
@@ -275,16 +276,28 @@ class TestVerdictOnWaves:
         assert "h1=False" in c.verdict.reason
 
     def test_zero_tol_override_near_bifurcation(self):
-        # at small modulus the default kernel band swallows the physical
-        # near-zero even mode: ambiguous at default, resolvable by override
+        # at small modulus the physical near-zero even mode (2.94e-6 at
+        # k = 0.05) lies within a decade of the default kernel band (3.2e-7
+        # on the K = 16 core): ambiguous at default, resolvable by override
         from periwave.waves import bbm_dnoidal_wave
 
-        w = bbm_dnoidal_wave(TWO_PI, 0.1, 256)
+        w = bbm_dnoidal_wave(TWO_PI, 0.05, 256)
         default = certify(w, compute_spectrum=False)
         assert default.verdict.conclusion == INCONCLUSIVE
         tightened = certify(w, zero_tol=1e-7, compute_spectrum=False)
         assert tightened.verdict.conclusion == ORBITALLY_STABLE
         assert tightened.spectral_report.zero_dim == 1
+
+    @pytest.mark.parametrize("N", [128, 256, 1024])
+    def test_near_bifurcation_band_does_not_grow_with_N(self, N):
+        # the physical mode 4.73e-5 at k = 0.1 lies above the band of the
+        # K = 32 core (1.3e-6) at every N; a band of 1e-8 ||L_N|| would
+        # swallow it (2.0e-5 at N = 128, 1.3e-3 at N = 1024)
+        from periwave.waves import bbm_dnoidal_wave
+
+        c = certify(bbm_dnoidal_wave(TWO_PI, 0.1, N), compute_spectrum=False)
+        assert c.verdict.conclusion == ORBITALLY_STABLE
+        assert c.spectral_report.zero_dim == 1
 
 
 class TestMeanCriterion:
@@ -415,3 +428,56 @@ class TestCertify:
         value, _ = constrained_min_rayleigh(lin, [derivative(ilw_stable.profile), q])
         assert value == pytest.approx(c.c3)
         assert value > 0
+
+
+PRESETS = ["kdv-cnoidal", "gkdv-p", "bo", "ilw", "regularized-bbm-like"]
+
+
+class TestCore:
+    def test_guard_raises_K(self):
+        # f'(phi) = 91 has no modes, so the resolution rule gives K = 16, but
+        # modes 8..15 of L = kappa^2 + 0.5 - 91 are negative: the guard must
+        # keep them, and n_neg counts every kappa^2 < 90.5 of the grid
+        grid = PeriodicGrid(TWO_PI, 64)
+        w = constant_state(grid, 91.0, 0.5, DispersionSymbol.second_derivative(TWO_PI),
+                           Nonlinearity.kdv())
+        c = certify(w)
+        assert c.operator.size == 32
+        assert c.to_dict()["core"]["K"] == 32
+        assert c.spectral_report.n_negative == int(np.sum(grid.wavenumbers**2 < 90.5)) == 19
+
+    def test_core_sizes(self, preset_wave):
+        c = certify(preset_wave("kdv-cnoidal", 1024))
+        assert c.operator.size == 128 and c.core.grid.size == 128
+        core = c.to_dict()["core"]
+        assert (core["N"], core["K"], core["modes"]) == (1024, 128, 26)
+        assert 0.0 < core["delta"] < core["gap"] and core["gamma"] > 0.0
+        bo = certify(preset_wave("bo"))
+        assert bo.operator.size == bo.wave.grid.size == 128
+        assert bo.core is bo.wave
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_same_results_at_own_N_and_1024(self, preset_wave, name):
+        own, big = certify(preset_wave(name)), certify(preset_wave(name, 1024))
+        assert big.wave.grid.size == 1024 != own.wave.grid.size
+        d_own, d_big = own.to_dict(), big.to_dict()
+        for f in ("conclusion", "fired_criterion", "k_r"):
+            assert d_own[f] == d_big[f]
+        for f in ("n_neg", "zero_dim"):
+            assert d_own["h0"][f] == d_big["h0"][f]
+        for f in ("M_omega", "M_A", "F_omega", "F_A"):
+            # gkdv-p's M_omega = F_A is a roundoff zero, hence the absolute term
+            assert getattr(big.surface, f) == pytest.approx(
+                getattr(own.surface, f), rel=1e-9, abs=1e-10
+            )
+        assert (own.c3 is None) == (big.c3 is None)
+        if own.c3 is not None:
+            assert big.c3 == pytest.approx(own.c3, rel=1e-9)
+
+    @pytest.mark.parametrize("N", [256, 512, 1024])
+    def test_unstable_gkdv5_k_r_independent_of_N(self, N):
+        # near det_condition's sign change (omega ~ 2.643) max Re lambda is
+        # 0.14; a real-axis threshold of 1e-6 ||L_N|| reached 0.26 at N = 1024
+        c = certify(make_gkdv5_wave(N, 2.644))
+        assert c.verdict.conclusion == SPECTRALLY_UNSTABLE
+        assert c.k_r == 1
