@@ -230,9 +230,17 @@ def cmd_sweep(args, config: dict) -> int:
             return EXIT_CONFIG
         kwargs["omega_map"] = lambda x: float(np.polyval(om_coeffs[::-1], x))
         kwargs["A_map"] = lambda x: float(np.polyval(a_coeffs[::-1], x))
+    solve = config.get("solve", {})
     partial = False
     try:
-        family = continue_family(seed_wave, sweep["parameter"], values, **kwargs)
+        family = continue_family(
+            seed_wave,
+            sweep["parameter"],
+            values,
+            tol=solve.get("tol", 1e-10),
+            max_iter=solve.get("max_iter", 50),
+            **kwargs,
+        )
     except SolverError as exc:
         print(f"sweep aborted: {exc}", file=sys.stderr)
         family, partial = exc.family, True
@@ -307,7 +315,7 @@ def cmd_evolve(args, config: dict) -> int:
         sample_interval=ev.get("sample_interval"),
     )
     sigma, mu, nu = 1.0, 0.0, 1.0
-    cert = certify(wave, compute_spectrum=False)
+    cert = certify(wave)
     if cert.verdict.mu_nu is not None:
         mu, nu = cert.verdict.mu_nu
         try:

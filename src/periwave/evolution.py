@@ -390,7 +390,6 @@ def stability_experiment(
     amplitudes,
     cfg: EvolutionConfig,
     seed: int = 0,
-    s: float | None = None,
     sigma: float = 1.0,
     mu: float = 0.0,
     nu: float = 1.0,
@@ -398,17 +397,18 @@ def stability_experiment(
     """Perturb, evolve, and record orbital distance plus conserved monitors.
 
     The perturbation direction is one fixed seeded mean-free random field of
-    unit H^(m/2) norm shared by all amplitudes, so traces are comparable.
+    unit H^(m/2) norm shared by all amplitudes, so traces are comparable;
+    orbital distances are measured in the same norm.
     Finite-horizon runs can only falsify stability, never prove it; the
     metadata carries that caveat.  The run uses cfg with the wave's variant,
     and all amplitudes are evolved together by one ``integrate`` call.
     """
-    s = w.sobolev_index if s is None else s
+    s = w.sobolev_index
     cfg = replace(cfg, variant=w.variant)
     amplitudes = [float(a) for a in amplitudes]
     if any(a < 0 for a in amplitudes):
         raise ValueError("amplitudes must be nonnegative")
-    direction = random_smooth_field(w.grid, seed, mean_free=True, norm_s=s)
+    direction = random_smooth_field(w.grid, seed, norm_s=s)
     try:
         trajectories = integrate(
             [w.profile + direction * a for a in amplitudes], cfg, w.symbol, w.nonlinearity

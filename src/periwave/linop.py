@@ -120,7 +120,7 @@ class SpectralReport:
         }
 
 
-def check_H0(lin: LinearizedOperator, w: "TravelingWave", zero_tol: float | None = None) -> SpectralReport:
+def check_H0(lin: LinearizedOperator, w: "TravelingWave") -> SpectralReport:
     """Count negative/zero eigenvalues and test the translation-kernel shape.
 
     Passes iff there is exactly one negative eigenvalue, the zero eigenvalue
@@ -128,7 +128,7 @@ def check_H0(lin: LinearizedOperator, w: "TravelingWave", zero_tol: float | None
     within a decade above the zero band are reported as ambiguous (a warning,
     never a silent resolution).
     """
-    tol = lin.zero_tol if zero_tol is None else float(zero_tol)
+    tol = lin.zero_tol
     lam = lin.eigenvalues
     n_neg = int(np.sum(lam < -tol))
     kernel = np.flatnonzero(np.abs(lam) <= tol)
@@ -199,7 +199,7 @@ def constrained_min_rayleigh(lin: LinearizedOperator, constraints: list) -> tupl
     return float(lam[0]), Field(lin.grid, B @ vec[:, 0])
 
 
-def solve_on_complement(lin: LinearizedOperator, b: Field, zero_tol: float | None = None) -> Field:
+def solve_on_complement(lin: LinearizedOperator, b: Field) -> Field:
     """Solve L x = b on the orthogonal complement of the numerical kernel.
 
     With no numerical kernel the solve is plain (L invertible).  A right-hand
@@ -209,8 +209,7 @@ def solve_on_complement(lin: LinearizedOperator, b: Field, zero_tol: float | Non
     """
     if not b.grid.same_as(lin.grid):
         raise ValueError("field grid does not match operator grid")
-    tol = lin.zero_tol if zero_tol is None else float(zero_tol)
-    kernel = np.flatnonzero(np.abs(lin.eigenvalues) <= tol)
+    kernel = np.flatnonzero(np.abs(lin.eigenvalues) <= lin.zero_tol)
     coeff = lin.eigenvectors.T @ b.values
     b_norm = np.linalg.norm(b.values)
     if kernel.size == 0:

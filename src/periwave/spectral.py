@@ -214,12 +214,9 @@ class DispersionSymbol:
         v = (2.0 * math.pi / length) ** m
         return cls("power", length, float(m), v, v, 1)
 
-    def value(self, kappa, length: float | None = None):
+    def value(self, kappa):
         """theta(kappa) for integer kappa (scalar or array)."""
-        L = self.length if length is None else float(length)
-        kappa = np.asarray(kappa, dtype=float)
-        absk = np.abs(kappa)
-        xi = 2.0 * math.pi * absk / L
+        xi = 2.0 * math.pi * np.abs(np.asarray(kappa, dtype=float)) / self.length
         if self.kind == "second_derivative":
             out = xi**2
         elif self.kind == "hilbert_derivative":
@@ -310,14 +307,8 @@ def shift(u: Field, r: float) -> Field:
     return Field.from_spectrum(g, u.spectrum * phase)
 
 
-def random_smooth_field(
-    grid: PeriodicGrid,
-    seed: int,
-    decay: float = 4.0,
-    mean_free: bool = True,
-    norm_s: float | None = None,
-) -> Field:
-    """Seeded random real field with spectrum decaying like (1+|kappa|)^-decay.
+def random_smooth_field(grid: PeriodicGrid, seed: int, norm_s: float | None = None) -> Field:
+    """Seeded random mean-free real field with spectrum decaying like (1+|kappa|)^-4.
 
     With ``norm_s`` given, the result is normalized to unit H^s norm.
     """
@@ -325,11 +316,9 @@ def random_smooth_field(
     N = grid.size
     half = N // 2
     coeff = np.zeros(N, dtype=complex)
-    mags = (1.0 + np.arange(1, half)) ** (-decay)
+    mags = (1.0 + np.arange(1, half)) ** -4.0
     coeff[1:half] = (rng.standard_normal(half - 1) + 1j * rng.standard_normal(half - 1)) * mags
     coeff[-1 : -half : -1] = np.conj(coeff[1:half])
-    if not mean_free:
-        coeff[0] = rng.standard_normal() * N
     u = Field.from_spectrum(grid, coeff * N)
     if norm_s is not None:
         u = u * (1.0 / sobolev_norm(u, norm_s))

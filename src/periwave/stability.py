@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -119,23 +120,18 @@ def surface_derivatives(w: TravelingWave, eta: Field, beta: Field) -> SurfaceDer
     )
 
 
-def finite_difference_surface_derivatives(
-    w: TravelingWave,
-    h_omega: float | None = None,
-    h_A: float | None = None,
-    tol: float | None = None,
-) -> SurfaceDerivatives:
+def finite_difference_surface_derivatives(w: TravelingWave) -> SurfaceDerivatives:
     """Surface derivatives from re-solved fixed-A neighbors (central differences).
 
     This is the path independent of the kernel solve: four Newton solves
-    seeded by the wave itself, then difference quotients of the mass and
-    momentum functionals.  The solver tolerance floor accounts for the
-    roundoff level of the multiplier application at the wave's resolution.
+    seeded by the wave itself, with steps 1e-4 max(1, |omega|) and
+    1e-4 max(1, |A|), then difference quotients of the mass and momentum
+    functionals.  The solver tolerance floor accounts for the roundoff level
+    of the multiplier application at the wave's resolution.
     """
-    h_omega = 1e-4 * max(1.0, abs(w.omega)) if h_omega is None else h_omega
-    h_A = 1e-4 * max(1.0, abs(w.A)) if h_A is None else h_A
-    if tol is None:
-        tol = max(1e-10, 5.0 * w.residual_norm)
+    h_omega = 1e-4 * max(1.0, abs(w.omega))
+    h_A = 1e-4 * max(1.0, abs(w.A))
+    tol = max(1e-10, 5.0 * w.residual_norm)
 
     def resolve(omega, A):
         return solve_newton(
@@ -188,13 +184,12 @@ def resolvent_consistency(
     w: TravelingWave,
     lin: LinearizedOperator,
     sd: SurfaceDerivatives,
-    zero_tol: float | None = None,
 ) -> ResolventReport:
     """Evaluate -(L^-1 g, 1), -(L^-1 1, 1), -(L^-1 g, g) and compare with sd."""
     g = speed_gradient_field(w)
     ones = Field.constant(w.grid, 1.0)
-    x_g = solve_on_complement(lin, g, zero_tol=zero_tol)
-    x_1 = solve_on_complement(lin, ones, zero_tol=zero_tol)
+    x_g = solve_on_complement(lin, g)
+    x_1 = solve_on_complement(lin, ones)
     M_omega = -integral(x_g)
     M_A = -integral(x_1)
     F_omega = -integral(g * x_g)
@@ -477,7 +472,8 @@ def _core(w: TravelingWave, zero_tol: float | None):
     delta = (sum_{j != 0} |f'(phi)^_j|)^2 / gamma, which must stay below the
     gap, the least |eigenvalue| of L_K off the kernel band.  The dropped
     block of L - c1 W must also stay above -c2, so c2 is set on the core.
-    With K = N the core is the wave itself.
+    With K = N the core is the wave itself.  A given ``zero_tol`` replaces
+    the operator's kernel band, which every later step reads from L_K.
     """
     grid, sym, N = w.grid, w.symbol, w.grid.size
     v = w.nonlinearity.fprime(w.profile.values)
@@ -498,11 +494,12 @@ def _core(w: TravelingWave, zero_tol: float | None):
             spec[-1] = 0.0
             core = replace(w, profile=Field(PeriodicGrid(grid.length, K), np.fft.irfft(spec, K)))
         lin = assemble(core)
+        if zero_tol is not None:
+            lin = replace(lin, zero_tol=float(zero_tol))
         c1, c2 = h1_constants(lin)
         lam = np.abs(lin.eigenvalues)
-        band = lin.zero_tol if zero_tol is None else zero_tol
         guard = {"N": N, "K": K, "modes": modes, "gamma": None, "delta": None,
-                 "gap": float(lam[lam > band].min(initial=math.inf))}
+                 "gap": float(lam[lam > lin.zero_tol].min(initial=math.inf))}
         if K == N:
             return core, lin, c1, c2, guard
         dropped = kappa >= K // 2
@@ -525,8 +522,24 @@ class Certification:
     c2: float
     surface: Optional[SurfaceDerivatives]
     verdict: StabilityVerdict
-    c3: Optional[float]
-    k_r: Optional[int]
+
+    @cached_property
+    def c3(self) -> Optional[float]:
+        """Least Rayleigh quotient of L over {phi', mu + nu phi}^perp for the
+        verdict's (mu, nu); None when the verdict chose none."""
+        if self.verdict.mu_nu is None:
+            return None
+        mu, nu = self.verdict.mu_nu
+        phi = self.core.profile
+        q_field = Field(phi.grid, mu + nu * phi.values)
+        return constrained_min_rayleigh(self.operator, [derivative(phi), q_field])[0]
+
+    @cached_property
+    def k_r(self) -> Optional[int]:
+        """Real-axis count of the Hamiltonian spectrum (standard variant only)."""
+        if self.wave.variant != "standard":
+            return None
+        return hamiltonian_spectrum(self.operator).k_r
 
     def to_dict(self) -> dict:
         out = {
@@ -554,42 +567,25 @@ class Certification:
         return out
 
 
-def certify(
-    w: TravelingWave,
-    zero_tol: float | None = None,
-    compute_spectrum: bool = True,
-) -> Certification:
+def certify(w: TravelingWave, zero_tol: float | None = None) -> Certification:
     """Full pipeline: assemble, H0/H1 checks, surface derivatives, verdict.
 
     Every step past the symbol bounds runs on the wave's low-mode core (see
-    ``_core``); the operator, spectra and kernel band are the core's.  H1
-    needs c1 > 0 and the symbol's stored growth bounds on the wave's own
-    grid.  The constrained Rayleigh minimum c3 over {phi', mu + nu phi}^perp
-    is recorded for the (mu, nu) chosen by the verdict, and k_r from the
-    Hamiltonian spectrum is attached for the standard variant.
+    ``_core``); the operator, spectra and kernel band are the core's, and a
+    given ``zero_tol`` is set once as that operator's band.  H1 needs c1 > 0
+    and the symbol's stored growth bounds on the wave's own grid.  The
+    cross-checks c3 and k_r are computed when first read.
     """
     core, lin, c1, c2, guard = _core(w, zero_tol)
-    h0 = check_H0(lin, core, zero_tol)
+    h0 = check_H0(lin, core)
     h1_pass = c1 > 0.0 and verify_symbol_bounds(w.symbol, w.grid).passed
 
     surface = None
     try:
-        eta, beta = param_derivatives(core, lin, zero_tol=zero_tol)
+        eta, beta = param_derivatives(core, lin)
         surface = surface_derivatives(core, eta, beta)
     except NearSingularError:
         pass
-
-    vd = decide(surface, h0, h1_pass)
-
-    c3 = None
-    if vd.mu_nu is not None:
-        mu, nu = vd.mu_nu
-        q_field = Field(core.grid, mu + nu * core.profile.values)
-        c3, _ = constrained_min_rayleigh(lin, [derivative(core.profile), q_field])
-
-    k_r = None
-    if compute_spectrum and w.variant == "standard":
-        k_r = hamiltonian_spectrum(lin).k_r
 
     return Certification(
         wave=w,
@@ -600,7 +596,5 @@ def certify(
         c1=c1,
         c2=c2,
         surface=surface,
-        verdict=vd,
-        c3=c3,
-        k_r=k_r,
+        verdict=decide(surface, h0, h1_pass),
     )

@@ -22,6 +22,7 @@ from .spectral import (
     PeriodicGrid,
     apply_multiplier,
     integral,
+    mean_value,
     multiplier_matrix,
 )
 
@@ -217,18 +218,15 @@ def constant_state(
     omega: float,
     symbol: DispersionSymbol,
     nonlinearity: Nonlinearity,
-    variant: str = "standard",
 ) -> TravelingWave:
-    """The trivial branch phi == c with A chosen so the profile equation holds."""
-    _, b = _linear_coefficients(variant, omega)
-    A = float(nonlinearity.f(np.asarray(c)) - b * c)
+    """The trivial branch phi == c of the standard variant, with A chosen so
+    the profile equation holds."""
     w = TravelingWave(
         profile=Field.constant(grid, c),
         omega=omega,
-        A=A,
+        A=float(nonlinearity.f(np.asarray(c)) - omega * c),
         symbol=symbol,
         nonlinearity=nonlinearity,
-        variant=variant,
         residual_norm=0.0,
         constraint="constant",
     )
@@ -405,11 +403,12 @@ def cnoidal_wave(L: float, k, N: int) -> TravelingWave:
     matched, which forces
 
         beta  = 12 alpha^2,           alpha = 2K/L,
-        omega = 4 alpha^2 (2 - k^2 - 3 E/K),
-        A     = -2 beta alpha^2 (1 - k^2) + omega beta E/K + beta^2 E^2 / (2 K^2).
+        omega = 4 alpha^2 (2 - k^2 - 3 E/K).
 
-    These relations are certified here by the pointwise residual check; A
-    also equals (1/2L) integral phi^2 because the profile has zero mean.
+    A is the zero mode of the profile equation, mean(phi^2/2 - omega phi),
+    since theta(0) = 0; summing the samples avoids the cancellation of
+    terms of size beta^2 that its closed form suffers at small k.  The
+    wave is certified by the pointwise residual check.
     """
     k = float(k)
     if not (0.0 < k < 1.0):
@@ -417,11 +416,11 @@ def cnoidal_wave(L: float, k, N: int) -> TravelingWave:
     grid, shape, alpha, e = _dn_squared_profile(L, k, N)
     beta = 12.0 * alpha**2
     omega = 4.0 * alpha**2 * (2.0 - k * k - 3.0 * e)
-    A = -2.0 * beta * alpha**2 * (1.0 - k * k) + omega * beta * e + 0.5 * (beta * e) ** 2
+    phi = beta * shape
     wave = TravelingWave(
-        profile=Field(grid, beta * shape),
+        profile=Field(grid, phi),
         omega=omega,
-        A=A,
+        A=float(np.mean(0.5 * phi**2 - omega * phi)),
         symbol=DispersionSymbol.second_derivative(L),
         nonlinearity=Nonlinearity.kdv(),
         constraint="zero_mean",
@@ -435,7 +434,7 @@ def bbm_dnoidal_wave(L: float, k, N: int) -> TravelingWave:
     Same ansatz as ``cnoidal_wave`` applied to
     omega M phi + (omega - 1) phi - phi^2/2 + A = 0 with M = -d^2/dx^2,
     which yields omega = 1 / (1 - 4 alpha^2 (2 - k^2 - 3E/K)) and
-    beta = 12 omega alpha^2.
+    beta = 12 omega alpha^2; A is the zero mode mean(phi^2/2 - (omega - 1) phi).
     """
     k = float(k)
     if not (0.0 < k < 1.0):
@@ -446,15 +445,11 @@ def bbm_dnoidal_wave(L: float, k, N: int) -> TravelingWave:
         raise SolverError("degenerate dnoidal speed (denominator vanished)")
     omega = 1.0 / denom
     beta = 12.0 * omega * alpha**2
-    A = (
-        -2.0 * omega * beta * alpha**2 * (1.0 - k * k)
-        + (omega - 1.0) * beta * e
-        + 0.5 * (beta * e) ** 2
-    )
+    phi = beta * shape
     wave = TravelingWave(
-        profile=Field(grid, beta * shape),
+        profile=Field(grid, phi),
         omega=omega,
-        A=A,
+        A=float(np.mean(0.5 * phi**2 - (omega - 1.0) * phi)),
         symbol=DispersionSymbol.second_derivative(L),
         nonlinearity=Nonlinearity.kdv(),
         variant="regularized",
@@ -564,7 +559,6 @@ def continue_family(
     seed: TravelingWave,
     parameter: str,
     values: Sequence[float],
-    constraint: Constraint | None = None,
     omega_map: Callable[[float], float] | None = None,
     A_map: Callable[[float], float] | None = None,
     tol: float = 1e-10,
@@ -572,21 +566,21 @@ def continue_family(
 ) -> WaveFamily:
     """Natural-parameter continuation: each converged wave seeds the next.
 
-    ``parameter`` is "omega" (constraint carried along), "A" (fixed-A
-    solves at the seed speed), or "xi" with explicit omega/A maps.  A failed
-    solve raises its SolverError with the converged prefix as ``family``.
+    ``parameter`` is "omega" (the seed's constraint carried along: its A,
+    zero mean, or its mean), "A" (fixed-A solves at the seed speed), or
+    "xi" with explicit omega/A maps.  A failed solve raises its SolverError
+    with the converged prefix as ``family``.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("parameter grid must be a nonempty 1-D sequence")
 
     if parameter == "omega":
-        if constraint is None:
-            constraint = (
-                Constraint.fixed_A(seed.A)
-                if seed.constraint == "fixed_A"
-                else Constraint.zero_mean()
-            )
+        constraint = Constraint.zero_mean()
+        if seed.constraint == "fixed_A":
+            constraint = Constraint.fixed_A(seed.A)
+        elif seed.constraint == "fixed_mean":
+            constraint = Constraint.fixed_mean(mean_value(seed.profile))
     elif parameter == "A":
         pass
     elif parameter == "xi":
@@ -639,25 +633,23 @@ def speed_gradient_field(w: TravelingWave) -> Field:
     return apply_multiplier(w.symbol, w.profile) + w.profile
 
 
-def param_derivatives(w: TravelingWave, lin, zero_tol: float | None = None) -> tuple[Field, Field]:
+def param_derivatives(w: TravelingWave, lin) -> tuple[Field, Field]:
     """Surface derivatives eta = d phi/d omega and beta = d phi/d A.
 
     Obtained from the linear solves L eta = -(speed gradient) and
     L beta = -1 on the orthogonal complement of the translation kernel.
     Requires the zero eigenvalue (when present) to be simple; a second
-    near-zero eigenvalue raises NearSingularError.  ``zero_tol`` overrides
-    the operator's kernel band (useful near bifurcation points, where the
-    default band can swallow a physical small eigenvalue).
+    near-zero eigenvalue, within ten times the operator's kernel band,
+    raises NearSingularError.
     """
-    tol = lin.zero_tol if zero_tol is None else float(zero_tol)
     lam = np.sort(np.abs(lin.eigenvalues))
-    if lam.size >= 2 and lam[1] <= 10.0 * tol:
+    if lam.size >= 2 and lam[1] <= 10.0 * lin.zero_tol:
         raise NearSingularError(
             f"second-smallest |eigenvalue| {lam[1]:.3e} within the kernel band"
         )
     g = speed_gradient_field(w)
     from .linop import solve_on_complement  # linop imports this module
 
-    eta = solve_on_complement(lin, -g, zero_tol=tol)
-    beta = solve_on_complement(lin, Field.constant(w.grid, -1.0), zero_tol=tol)
+    eta = solve_on_complement(lin, -g)
+    beta = solve_on_complement(lin, Field.constant(w.grid, -1.0))
     return eta, beta

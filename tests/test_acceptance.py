@@ -105,13 +105,13 @@ def test_criterion_1_closed_form_certification():
             slopes = np.gradient(momenta, fam.values)
             assert np.all(slopes > 0.0), (k, slopes)
 
-            cert = certify(w, compute_spectrum=False)
+            cert = certify(w)
             assert cert.verdict.conclusion == "orbitally_stable", (k, cert.verdict)
             assert cert.c3 > 0.0
 
         # large modulus: the surface quantity itself is positive (criterion ii)
         w = cnoidal_wave(TWO_PI, 0.99, 256)
-        cert = certify(w, compute_spectrum=False)
+        cert = certify(w)
         assert cert.verdict.fired_criterion == "F_omega"
         assert cert.surface.F_omega > 0.0
 
@@ -147,7 +147,7 @@ def test_criterion_3_ilw_reproduction():
             bounds = verify_symbol_bounds(w.symbol, grid)
             assert bounds.passed, (delta, bounds)
 
-            cert = certify(w, compute_spectrum=False)
+            cert = certify(w)
             assert cert.verdict.conclusion == "orbitally_stable", (delta, cert.verdict)
 
             span = 0.3 * (w.omega + float(w.symbol.value(1)))
@@ -160,7 +160,7 @@ def test_criterion_4_lyapunov_properties(kdv_stable):
     """Coercivity of V near a certified-stable wave; V vanishes on the orbit."""
     with _Criterion(4, "lyapunov properties", 60.0):
         w = kdv_stable
-        cert = certify(w, compute_spectrum=False)
+        cert = certify(w)
         assert cert.verdict.conclusion == "orbitally_stable"
         mu, nu = cert.verdict.mu_nu
         sigma, margin = lyapunov_sigma(w, assemble(w), mu, nu)
@@ -191,7 +191,7 @@ def test_criterion_5_dynamics_falsification(kdv_stable):
     """Perturbed evolution over T = 50: bounded orbit drift, conserved monitors."""
     with _Criterion(5, "dynamics falsification", 300.0):
         w = kdv_stable
-        cert = certify(w, compute_spectrum=False)
+        cert = certify(w)
         mu, nu = cert.verdict.mu_nu
         sigma, _ = lyapunov_sigma(w, assemble(w), mu, nu)
         cfg = EvolutionConfig(dt=2e-4, T=50.0, sample_interval=0.5)
@@ -208,7 +208,7 @@ def test_criterion_6_hamiltonian_spectrum(kdv_stable, ilw_stable):
     """k_r = 0 for certified-stable waves; eigenvalues in Hamiltonian quadruples."""
     with _Criterion(6, "hamiltonian spectrum", 60.0):
         for w in (kdv_stable, ilw_stable):
-            cert = certify(w, compute_spectrum=False)
+            cert = certify(w)
             assert cert.verdict.conclusion == "orbitally_stable"
             spec = hamiltonian_spectrum(assemble(w))
             assert spec.k_r == 0

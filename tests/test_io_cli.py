@@ -15,7 +15,7 @@ from periwave.io import (
     save_field_csv,
     save_wave,
 )
-from periwave.spectral import PeriodicGrid, random_smooth_field
+from periwave.spectral import PeriodicGrid, mean_value, random_smooth_field
 from periwave.waves import residual_bound
 
 TWO_PI = 2.0 * math.pi
@@ -423,6 +423,29 @@ class TestCli:
         assert len(lines) == 2 and float(lines[1].split(",")[0]) == 0.46
         assert os.path.exists(os.path.join(out, "wave_000.json"))
         assert not os.path.exists(os.path.join(out, "wave_001.json"))
+
+    def test_sweep_carries_fixed_mean(self, tmp_path):
+        out = str(tmp_path / "run")
+        code = self.run(
+            "sweep", "--preset", "bo", "--out", out,
+            "--override", 'solve.constraint={"mode":"fixed_mean","value":0.1}',
+        )
+        assert code == 0
+        sweep = json.loads(open(os.path.join(out, "sweep.json")).read())
+        assert len(sweep["members"]) == 7
+        for i in range(7):
+            w = load_wave(os.path.join(out, f"wave_{i:03d}"))
+            assert w.constraint == "fixed_mean"
+            assert abs(mean_value(w.profile) - 0.1) < 1e-12
+
+    def test_sweep_honors_solver_settings(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        code = self.run(
+            "sweep", "--preset", "kdv-cnoidal", "--out", out,
+            "--override", "solve.max_iter=1",
+        )
+        assert code == 4
+        assert "no convergence in 1 iterations" in capsys.readouterr().err
 
     def test_evolve_short(self, tmp_path):
         out = str(tmp_path / "run")

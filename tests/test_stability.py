@@ -230,20 +230,20 @@ class TestVerdictOnWaves:
         assert v.fired_criterion == "F_omega"
 
     def test_midk_cnoidal_fires_det_condition(self, kdv_midk):
-        c = certify(kdv_midk, compute_spectrum=False)
+        c = certify(kdv_midk)
         assert c.verdict.conclusion == ORBITALLY_STABLE
         assert c.verdict.fired_criterion == "det_condition"
         assert c.c3 > 0.0
 
     def test_ilw_stable(self, ilw_stable):
-        c = certify(ilw_stable, compute_spectrum=False)
+        c = certify(ilw_stable)
         assert c.verdict.conclusion == ORBITALLY_STABLE
 
     def test_constant_state_inconclusive(self):
         grid = PeriodicGrid(TWO_PI, 64)
         w = constant_state(grid, 0.1, 1.0, DispersionSymbol.second_derivative(TWO_PI),
                            Nonlinearity.kdv())
-        c = certify(w, compute_spectrum=False)
+        c = certify(w)
         assert c.verdict.conclusion == INCONCLUSIVE
         assert not c.verdict.prerequisites["h0_pass"]
 
@@ -254,7 +254,7 @@ class TestVerdictOnWaves:
         grid = PeriodicGrid(TWO_PI, 64)
         w = constant_state(grid, 1.1, 0.1, DispersionSymbol.second_derivative(TWO_PI),
                            Nonlinearity.kdv())
-        c = certify(w, compute_spectrum=False)
+        c = certify(w)
         v = c.verdict
         assert v.conclusion == INCONCLUSIVE
         assert v.fired_criterion is None
@@ -269,7 +269,7 @@ class TestVerdictOnWaves:
     def test_h1_checks_symbol_bounds(self, kdv_stable):
         # a lower growth constant above the symbol's true one fails H1
         sym = dataclasses.replace(kdv_stable.symbol, lower_bound=2.0)
-        c = certify(dataclasses.replace(kdv_stable, symbol=sym), compute_spectrum=False)
+        c = certify(dataclasses.replace(kdv_stable, symbol=sym))
         assert c.c1 > 0.0
         assert c.verdict.prerequisites["h1_pass"] is False
         assert c.verdict.conclusion == INCONCLUSIVE
@@ -282,11 +282,14 @@ class TestVerdictOnWaves:
         from periwave.waves import bbm_dnoidal_wave
 
         w = bbm_dnoidal_wave(TWO_PI, 0.05, 256)
-        default = certify(w, compute_spectrum=False)
+        default = certify(w)
         assert default.verdict.conclusion == INCONCLUSIVE
-        tightened = certify(w, zero_tol=1e-7, compute_spectrum=False)
+        tightened = certify(w, zero_tol=1e-7)
         assert tightened.verdict.conclusion == ORBITALLY_STABLE
         assert tightened.spectral_report.zero_dim == 1
+        # the override is the operator's own band, read by every later step
+        assert tightened.operator.zero_tol == 1e-7
+        assert tightened.spectral_report.zero_tol == 1e-7
 
     @pytest.mark.parametrize("N", [128, 256, 1024])
     def test_near_bifurcation_band_does_not_grow_with_N(self, N):
@@ -295,7 +298,7 @@ class TestVerdictOnWaves:
         # swallow it (2.0e-5 at N = 128, 1.3e-3 at N = 1024)
         from periwave.waves import bbm_dnoidal_wave
 
-        c = certify(bbm_dnoidal_wave(TWO_PI, 0.1, N), compute_spectrum=False)
+        c = certify(bbm_dnoidal_wave(TWO_PI, 0.1, N))
         assert c.verdict.conclusion == ORBITALLY_STABLE
         assert c.spectral_report.zero_dim == 1
 
@@ -404,7 +407,7 @@ class TestLyapunovSigma:
         assert sigma > 0 and margin > 0
 
     def test_witness_direction_at_midk(self, kdv_midk):
-        c = certify(kdv_midk, compute_spectrum=False)
+        c = certify(kdv_midk)
         mu, nu = c.verdict.mu_nu
         sigma, margin = lyapunov_sigma(kdv_midk, assemble(kdv_midk), mu, nu)
         assert margin > 0
@@ -421,13 +424,53 @@ class TestCertify:
         assert d["k_r"] == 0
 
     def test_verdict_constraints_rayleigh_positive(self, ilw_stable):
-        c = certify(ilw_stable, compute_spectrum=False)
+        c = certify(ilw_stable)
         mu, nu = c.verdict.mu_nu
         lin = assemble(ilw_stable)
         q = Field(ilw_stable.grid, mu + nu * ilw_stable.profile.values)
         value, _ = constrained_min_rayleigh(lin, [derivative(ilw_stable.profile), q])
         assert value == pytest.approx(c.c3)
         assert value > 0
+
+
+class TestCrossChecksOnRead:
+    """c3 and k_r are computed when first read, and only then."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from periwave import stability
+
+        counts = {"hamiltonian_spectrum": 0, "constrained_min_rayleigh": 0}
+        for name in counts:
+            original = getattr(stability, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(stability, name, counted)
+        return counts
+
+    def test_computed_once_on_first_read(self, kdv_stable, calls):
+        c = certify(kdv_stable)
+        assert c.verdict.conclusion == ORBITALLY_STABLE
+        assert calls == {"hamiltonian_spectrum": 0, "constrained_min_rayleigh": 0}
+        first = (c.k_r, c.c3)
+        assert (c.k_r, c.c3) == first
+        assert first[0] == 0 and first[1] > 0.0
+        assert calls == {"hamiltonian_spectrum": 1, "constrained_min_rayleigh": 1}
+
+    def test_sweep_computes_neither(self, tmp_path, calls):
+        from periwave.cli import main
+
+        assert main(["sweep", "--preset", "gkdv-p", "--out", str(tmp_path)]) == 0
+        assert calls == {"hamiltonian_spectrum": 0, "constrained_min_rayleigh": 0}
+
+    def test_regularized_k_r_is_none_without_a_call(self, bbm_wave, calls):
+        c = certify(bbm_wave)
+        assert c.verdict.mu_nu is not None
+        assert c.k_r is None
+        assert calls == {"hamiltonian_spectrum": 0, "constrained_min_rayleigh": 0}
 
 
 PRESETS = ["kdv-cnoidal", "gkdv-p", "bo", "ilw", "regularized-bbm-like"]

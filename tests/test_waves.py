@@ -83,8 +83,15 @@ class TestCnoidal:
         A_from_profile = 0.5 * (w.grid.spacing * (w.profile.values**2).sum()) / TWO_PI
         assert w.A == pytest.approx(A_from_profile, rel=1e-10)
 
-    def test_small_k_limit(self):
-        w = cnoidal_wave(TWO_PI, 1e-2, 256)
+    @pytest.mark.parametrize("k, N", [(1e-2, 256), (1e-3, 16), (1e-3, 32), (1e-3, 64)])
+    @pytest.mark.parametrize(
+        "closed_form", [cnoidal_wave, bbm_dnoidal_wave], ids=["cnoidal", "bbm_dnoidal"]
+    )
+    def test_small_k_limit(self, closed_form, k, N):
+        # a hand-expanded A cancels terms of size beta^2, which the roundoff
+        # bound refused at k = 1e-3, N <= 64 (cnoidal N=16: 7.1e-16 against
+        # 2.1e-17); the zero mode of the profile equation does not
+        w = closed_form(TWO_PI, k, N)
         assert w.profile.sup_norm() < 1e-3
 
     def test_domain(self):
