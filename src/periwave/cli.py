@@ -85,14 +85,12 @@ def _solve_wave(config: dict) -> TravelingWave:
     grid = grid_from_config(config)
     symbol = symbol_from_config(config)
     nl = nonlinearity_from_config(config)
-    solve = config.get("solve", {})
+    solve = config["solve"]
     guess_spec = solve.get("guess")
     if guess_spec is None:
         raise ConfigError("solve.guess section is required")
-    variant = config["equation"].get("variant", "standard")
+    variant = config["equation"]["variant"]
     kind = guess_spec["type"]
-    tol = solve.get("tol", 1e-10)
-    max_iter = solve.get("max_iter", 50)
 
     if kind == "cosine":
         if "omega" not in solve:
@@ -119,8 +117,8 @@ def _solve_wave(config: dict) -> TravelingWave:
         constraint_from_config(config),
         symbol,
         nl,
-        tol=tol,
-        max_iter=max_iter,
+        tol=solve["tol"],
+        max_iter=solve["max_iter"],
         variant=variant,
     )
 
@@ -230,15 +228,14 @@ def cmd_sweep(args, config: dict) -> int:
             return EXIT_CONFIG
         kwargs["omega_map"] = lambda x: float(np.polyval(om_coeffs[::-1], x))
         kwargs["A_map"] = lambda x: float(np.polyval(a_coeffs[::-1], x))
-    solve = config.get("solve", {})
     partial = False
     try:
         family = continue_family(
             seed_wave,
             sweep["parameter"],
             values,
-            tol=solve.get("tol", 1e-10),
-            max_iter=solve.get("max_iter", 50),
+            tol=config["solve"]["tol"],
+            max_iter=config["solve"]["max_iter"],
             **kwargs,
         )
     except SolverError as exc:
@@ -312,7 +309,7 @@ def cmd_evolve(args, config: dict) -> int:
         integrator=ev["integrator"],
         dealias=ev["dealias"],
         variant=wave.variant,
-        sample_interval=ev.get("sample_interval"),
+        sample_interval=ev["sample_interval"],
     )
     sigma, mu, nu = 1.0, 0.0, 1.0
     cert = certify(wave)

@@ -1,19 +1,17 @@
-"""Run configuration: JSON schema, presets, validation, overrides."""
+"""Run configuration: presets, overrides, validation against one spec."""
 
 from __future__ import annotations
 
 import copy
 import json
+import sys
 from importlib import resources
-
-import jsonschema
 
 from .io import nonlinearity_from_dict, symbol_from_dict
 from .spectral import DispersionSymbol, PeriodicGrid
 from .waves import Constraint, Nonlinearity
 
 __all__ = [
-    "CONFIG_SCHEMA",
     "ConfigError",
     "load_config",
     "list_presets",
@@ -28,122 +26,106 @@ class ConfigError(ValueError):
     pass
 
 
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["equation", "grid"],
-    "additionalProperties": False,
-    "properties": {
-        "equation": {
-            "type": "object",
-            "required": ["symbol", "nonlinearity"],
-            "additionalProperties": False,
-            "properties": {
-                "symbol": {
-                    "type": "object",
-                    "required": ["kind"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "kind": {
-                            "enum": [
-                                "second_derivative",
-                                "hilbert_derivative",
-                                "ilw",
-                                "power",
-                            ]
-                        },
-                        "delta": {"type": "number", "exclusiveMinimum": 0},
-                        "m": {"type": "number", "exclusiveMinimum": 0},
-                    },
-                },
-                "nonlinearity": {
-                    "type": "object",
-                    "required": ["kind"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "kind": {"enum": ["power", "quadratic"]},
-                        "p": {"type": "integer", "minimum": 1},
-                        "c": {"type": "number"},
-                    },
-                },
-                "variant": {"enum": ["standard", "regularized"]},
-            },
+def _is_number(x) -> bool:
+    # type() leaves out booleans; NaN, +-Infinity and ints beyond any float fail the bound
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
+_NUMBER = (_is_number, "a finite number")
+_POSITIVE = (lambda x: _is_number(x) and x > 0, "a finite number > 0")
+_BOOLEAN = (lambda x: isinstance(x, bool), "true or false")
+
+
+def _integer(least: int, step: int = 1):
+    return (lambda x: _is_number(x) and x % step == 0 and x >= least,
+            f"an integer >= {least}" + (f" divisible by {step}" if step > 1 else ""))
+
+
+def _one_of(*names: str):
+    return (lambda x: x in names, "one of " + ", ".join(names))
+
+
+# Nested spec of the run config.  A dict is an object, a one-item list a list
+# of its item, a (predicate, description) pair a leaf; "*" marks a required key.
+_SPEC = {
+    "equation*": {
+        "symbol*": {
+            "kind*": _one_of("second_derivative", "hilbert_derivative", "ilw", "power"),
+            "delta": _POSITIVE,
+            "m": _POSITIVE,
         },
-        "grid": {
-            "type": "object",
-            "required": ["L", "N"],
-            "additionalProperties": False,
-            "properties": {
-                "L": {"type": "number", "exclusiveMinimum": 0},
-                "N": {"type": "integer", "minimum": 16, "multipleOf": 2},
-            },
+        "nonlinearity*": {
+            "kind*": _one_of("power", "quadratic"),
+            "p": _integer(1),
+            "c": _NUMBER,
         },
-        "solve": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "constraint": {
-                    "type": "object",
-                    "required": ["mode"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "mode": {"enum": ["fixed_A", "zero_mean", "fixed_mean"]},
-                        "value": {"type": "number"},
-                    },
-                },
-                "tol": {"type": "number", "exclusiveMinimum": 0},
-                "max_iter": {"type": "integer", "minimum": 1},
-                "omega": {"type": "number"},
-                "guess": {
-                    "type": "object",
-                    "required": ["type"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "type": {"enum": ["cnoidal", "ilw", "bbm_dnoidal", "cosine"]},
-                        "k": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                        "delta": {"type": "number", "exclusiveMinimum": 0},
-                        "amplitude": {"type": "number"},
-                        "mode": {"type": "integer", "minimum": 1},
-                        "newton_polish": {"type": "boolean"},
-                    },
-                },
-            },
+        "variant": _one_of("standard", "regularized"),
+    },
+    "grid*": {"L*": _POSITIVE, "N*": _integer(16, step=2)},
+    "solve": {
+        "constraint": {
+            "mode*": _one_of("fixed_A", "zero_mean", "fixed_mean"),
+            "value": _NUMBER,
         },
-        "sweep": {
-            "type": "object",
-            "required": ["parameter", "start", "stop", "count"],
-            "additionalProperties": False,
-            "properties": {
-                "parameter": {"enum": ["omega", "A", "xi"]},
-                "start": {"type": "number"},
-                "stop": {"type": "number"},
-                "count": {"type": "integer", "minimum": 1},
-                "omega_coeffs": {"type": "array", "items": {"type": "number"}},
-                "A_coeffs": {"type": "array", "items": {"type": "number"}},
-            },
-        },
-        "evolve": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "dt": {"type": "number", "exclusiveMinimum": 0},
-                "T": {"type": "number", "exclusiveMinimum": 0},
-                "integrator": {"enum": ["etdrk4", "implicit_midpoint"]},
-                "amplitudes": {"type": "array", "items": {"type": "number", "minimum": 0}},
-                "seed": {"type": "integer", "minimum": 0},
-                "sample_interval": {"type": "number", "exclusiveMinimum": 0},
-                "dealias": {"type": "boolean"},
-            },
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "directory": {"type": "string"},
-            },
+        "tol": _POSITIVE,
+        "max_iter": _integer(1),
+        "omega": _NUMBER,
+        "guess": {
+            "type*": _one_of("cnoidal", "ilw", "bbm_dnoidal", "cosine"),
+            "k": (lambda x: _is_number(x) and 0 < x < 1, "a number in (0, 1)"),
+            "delta": _POSITIVE,
+            "amplitude": _NUMBER,
+            "mode": _integer(1),
+            "newton_polish": _BOOLEAN,
         },
     },
+    "sweep": {
+        "parameter*": _one_of("omega", "A", "xi"),
+        "start*": _NUMBER,
+        "stop*": _NUMBER,
+        "count*": _integer(1),
+        "omega_coeffs": [_NUMBER],
+        "A_coeffs": [_NUMBER],
+    },
+    "evolve": {
+        "dt": _POSITIVE,
+        "T": _POSITIVE,
+        "integrator": _one_of("etdrk4", "implicit_midpoint"),
+        "amplitudes": [(lambda x: _is_number(x) and x >= 0, "a finite number >= 0")],
+        "seed": _integer(0),
+        "sample_interval": _POSITIVE,
+        "dealias": _BOOLEAN,
+    },
+    "output": {"directory": (lambda x: isinstance(x, str), "a string")},
 }
+
+
+def _validate(value, spec, path: tuple = ()):
+    """Check ``value`` against a ``_SPEC`` node; ConfigError names the path."""
+    def fail(message):
+        location = "/".join(str(p) for p in path) or "<root>"
+        raise ConfigError(f"config schema violation at {location}: {message}")
+
+    if isinstance(spec, dict):
+        if not isinstance(value, dict):
+            fail(f"{value!r} is not an object")
+        keys = {key.rstrip("*"): key for key in spec}
+        for name in value:
+            if name not in keys:
+                fail(f"unknown key {name!r}")
+        for name, key in keys.items():
+            if name in value:
+                _validate(value[name], spec[key], path + (name,))
+            elif key.endswith("*"):
+                fail(f"missing required key {name!r}")
+    elif isinstance(spec, list):
+        if not isinstance(value, list):
+            fail(f"{value!r} is not a list")
+        for i, item in enumerate(value):
+            _validate(item, spec[0], path + (i,))
+    elif not spec[0](value):
+        fail(f"{value!r} is not {spec[1]}")
+
 
 _DEFAULTS = {
     "equation": {"variant": "standard"},
@@ -180,13 +162,12 @@ def _load_preset(name: str) -> dict:
         ) from None
 
 
-def _deep_update(base: dict, extra: dict) -> dict:
+def _deep_update(base: dict, extra: dict):
     for key, value in extra.items():
         if isinstance(value, dict) and isinstance(base.get(key), dict):
             _deep_update(base[key], value)
         else:
             base[key] = value
-    return base
 
 
 def _apply_override(config: dict, spec: str):
@@ -228,11 +209,7 @@ def load_config(
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
     for spec in overrides or []:
         _apply_override(config, spec)
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        location = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config schema violation at {location}: {exc.message}") from None
+    _validate(config, _SPEC)
     return config
 
 

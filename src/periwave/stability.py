@@ -63,6 +63,8 @@ from .waves import (
     WaveFamily,
     _linear_coefficients,
     param_derivatives,
+    residual,
+    residual_bound,
     solve_newton,
     speed_gradient_field,
 )
@@ -224,8 +226,6 @@ def find_delta_witness(sd: SurfaceDerivatives) -> Optional[tuple[float, float]]:
     if lam[-1] <= 0.0:
         return None
     a, b = vec[:, -1]
-    if delta_form(sd, a, b) <= 0.0:
-        return None
     return float(a), float(b)
 
 
@@ -260,20 +260,19 @@ class StabilityVerdict:
 
 
 def decide(
-    sd: Optional[SurfaceDerivatives], h0: SpectralReport, h1_pass: bool
+    sd: Optional[SurfaceDerivatives], h0: SpectralReport, h1_pass: bool,
+    wave_residual: tuple[float, float] = (0.0, 0.0),
 ) -> StabilityVerdict:
     """Pure decision function; deterministic in its inputs.
 
-    ``sd`` is None when the kernel solve for the surface derivatives was
-    near-singular, which leaves the verdict inconclusive whatever the
-    prerequisites say.
+    A wave residual above its roundoff bound (or NaN), or ``sd`` None after a
+    near-singular kernel solve, leaves the verdict inconclusive whatever the
+    prerequisites say.  ``wave_residual`` is (residual, roundoff bound).
     """
     criteria, witness, D = {}, None, None
     fired = mu_nu = k_ham = reason = None
     conclusion = INCONCLUSIVE
-    if sd is None:
-        reason = "kernel solve for the surface derivatives is near-singular"
-    else:
+    if sd is not None:
         det_cond = sd.det_condition()
         criteria = {
             "M_A": sd.M_A,
@@ -283,27 +282,32 @@ def decide(
         }
         witness = find_delta_witness(sd)
         D = det_cond / sd.M_A if sd.M_A != 0.0 else None
-        if not (h0.h0_pass and h1_pass):
-            reason = (
-                "spectral prerequisites failed "
-                f"(n_neg={h0.n_negative}, zero_dim={h0.zero_dim}, h1={h1_pass})"
-            )
-        elif sd.M_A > 0.0:
-            fired, mu_nu = "M_A", (1.0, 0.0)
-        elif sd.F_omega > 0.0:
-            fired, mu_nu = "F_omega", (0.0, 1.0)
-        elif det_cond > 0.0:
-            fired, mu_nu = "det_condition", witness
-        elif witness is not None:
-            fired, mu_nu = "delta_witness", witness
-        elif sd.M_A < 0.0 and sd.F_omega < 0.0 and det_cond < 0.0 and h0.n_negative == 1:
-            # no positive direction: the Krein-Hamiltonian count n(L) -
-            # neg(-M_A) - neg(D) is 1 - 0 - 0 here, since -M_A > 0 and D > 0
-            conclusion, k_ham = SPECTRALLY_UNSTABLE, 1
-        else:
-            reason = "no stability criterion fired and instability premises unmet"
-        if fired is not None:
-            conclusion = ORBITALLY_STABLE
+    res, bound = wave_residual
+    if not res <= bound:
+        reason = f"wave residual {res:.3e} above the roundoff bound {bound:.3e}"
+    elif sd is None:
+        reason = "kernel solve for the surface derivatives is near-singular"
+    elif not (h0.h0_pass and h1_pass):
+        reason = (
+            "spectral prerequisites failed "
+            f"(n_neg={h0.n_negative}, zero_dim={h0.zero_dim}, h1={h1_pass})"
+        )
+    elif sd.M_A > 0.0:
+        fired, mu_nu = "M_A", (1.0, 0.0)
+    elif sd.F_omega > 0.0:
+        fired, mu_nu = "F_omega", (0.0, 1.0)
+    elif det_cond > 0.0:
+        fired, mu_nu = "det_condition", witness
+    elif witness is not None:
+        fired, mu_nu = "delta_witness", witness
+    elif sd.M_A < 0.0 and sd.F_omega < 0.0 and det_cond < 0.0 and h0.n_negative == 1:
+        # no positive direction: the Krein-Hamiltonian count n(L) -
+        # neg(-M_A) - neg(D) is 1 - 0 - 0 here, since -M_A > 0 and D > 0
+        conclusion, k_ham = SPECTRALLY_UNSTABLE, 1
+    else:
+        reason = "no stability criterion fired and instability premises unmet"
+    if fired is not None:
+        conclusion = ORBITALLY_STABLE
     return StabilityVerdict(
         conclusion=conclusion,
         fired_criterion=fired,
@@ -573,10 +577,12 @@ def certify(w: TravelingWave, zero_tol: float | None = None) -> Certification:
     Every step past the symbol bounds runs on the wave's low-mode core (see
     ``_core``); the operator, spectra and kernel band are the core's, and a
     given ``zero_tol`` is set once as that operator's band.  H1 needs c1 > 0
-    and the symbol's stored growth bounds on the wave's own grid.  The
+    and the symbol's stored growth bounds on the wave's own grid, and the
+    residual, recomputed at N, must be within ``residual_bound``.  The
     cross-checks c3 and k_r are computed when first read.
     """
     core, lin, c1, c2, guard = _core(w, zero_tol)
+    res = residual(w).sup_norm(), residual_bound(w.symbol, w.profile)
     h0 = check_H0(lin, core)
     h1_pass = c1 > 0.0 and verify_symbol_bounds(w.symbol, w.grid).passed
 
@@ -596,5 +602,5 @@ def certify(w: TravelingWave, zero_tol: float | None = None) -> Certification:
         c1=c1,
         c2=c2,
         surface=surface,
-        verdict=decide(surface, h0, h1_pass),
+        verdict=decide(surface, h0, h1_pass, res),
     )

@@ -267,9 +267,9 @@ def solve_newton(
 
     The residual is the one ``residual`` evaluates; the dense multiplier
     matrix enters only the Jacobian.  An iterate is accepted once its
-    residual is below ``tol``, or once it has stalled within
-    ``residual_bound``: its residual is above half the previous one and its
-    Newton step is no smaller than the previous step.
+    residual is below both ``tol`` and ``residual_bound``, or once it has
+    stalled within ``residual_bound``: its residual is above half the
+    previous one and its Newton step is no smaller than the previous step.
     """
     grid = guess.grid
     N = grid.size
@@ -306,7 +306,8 @@ def solve_newton(
         if solve_A:
             mean_defect = float(grid.spacing * phi.values.sum() / grid.length - target_mean)
         mean_ok = abs(mean_defect) <= tol
-        if sup <= tol and mean_ok:
+        bound = residual_bound(symbol, phi)
+        if sup <= min(tol, bound) and mean_ok:
             break
 
         with np.errstate(over="ignore", invalid="ignore"):
@@ -332,7 +333,7 @@ def solve_newton(
         # approach (near-singular Jacobian) still shrinks its step
         size = float(np.abs(step).max())
         stalled = len(history) > 1 and sup > 0.5 * history[-2] and size >= last_step
-        if stalled and mean_ok and sup <= residual_bound(symbol, phi):
+        if stalled and mean_ok and sup <= bound:
             break
         last_step = size
         v -= step[:K]
@@ -343,8 +344,7 @@ def solve_newton(
     else:
         raise ConvergenceError(
             f"no convergence in {max_iter} iterations (omega={omega}, "
-            f"last residual {history[-1]:.3e}, roundoff bound "
-            f"{residual_bound(symbol, phi):.3e})"
+            f"last residual {history[-1]:.3e}, roundoff bound {bound:.3e})"
         )
 
     if np.ptp(phi.values) < 1e-10 * (1.0 + phi.sup_norm()):

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -81,6 +83,109 @@ class TestConfig:
     def test_schema_rejects_odd_N(self):
         with pytest.raises(ConfigError, match="grid"):
             load_config(preset="kdv-cnoidal", overrides=["grid.N=255"])
+
+    # (override, path of the violation, or None when the config is accepted);
+    # each case decides the same way on every preset
+    ACCEPT_REJECT = [
+        ("grid.N=255", "grid/N"),
+        ("grid.N=256.0", None),
+        ("grid.N=8", "grid/N"),
+        ("grid.N=true", "grid/N"),
+        ("grid.L=0", "grid/L"),
+        ("grid.L=-1", "grid/L"),
+        ("grid.L=six", "grid/L"),
+        ("grid.L=3", None),
+        ("equation.symbol.kind=airy", "equation/symbol/kind"),
+        ("equation.symbol.delta=0", "equation/symbol/delta"),
+        ("equation.symbol.m=1.5", None),
+        ('equation.nonlinearity={"kind":"power","p":0}', "equation/nonlinearity/p"),
+        ('equation.nonlinearity={"kind":"power","p":1.5}', "equation/nonlinearity/p"),
+        ('equation.nonlinearity={"kind":"power","p":2.0}', None),
+        ('equation.nonlinearity={"kind":"cubic"}', "equation/nonlinearity/kind"),
+        ('equation.nonlinearity={"p":2}', "equation/nonlinearity"),
+        ("equation.nonlinearity.c=x", "equation/nonlinearity/c"),
+        ("equation.variant=modified", "equation/variant"),
+        ("equation.variant=regularized", None),
+        ("solve.tol=0", "solve/tol"),
+        ("solve.tol=1e-8", None),
+        ("solve.max_iter=0", "solve/max_iter"),
+        ("solve.max_iter=3.0", None),
+        ('solve.guess={"type":"cnoidal","k":0}', "solve/guess/k"),
+        ('solve.guess={"type":"cnoidal","k":1}', "solve/guess/k"),
+        ('solve.guess={"type":"cnoidal","k":0.5}', None),
+        ('solve.guess={"type":"cosine","newton_polish":"yes"}', "solve/guess/newton_polish"),
+        ('solve.guess={"type":"cosine","mode":0}', "solve/guess/mode"),
+        ('solve.guess={"k":0.5}', "solve/guess"),
+        ('solve.guess={"type":"sech"}', "solve/guess/type"),
+        ("solve.guess=null", "solve/guess"),
+        ('solve.constraint={"mode":"fixed_A","value":0.5}', None),
+        ('solve.constraint={"mode":"fixed_omega"}', "solve/constraint/mode"),
+        ('solve.constraint={"value":0.5}', "solve/constraint"),
+        ("solve.omega=true", "solve/omega"),
+        ("solve.omega=2", None),
+        ('sweep={"parameter":"omega","start":0,"stop":1,"count":0}', "sweep/count"),
+        ('sweep={"parameter":"xi","start":0,"stop":1,"count":3,'
+         '"omega_coeffs":[1,2.5],"A_coeffs":[0]}', None),
+        ('sweep={"parameter":"omega","start":0}', "sweep"),
+        ('sweep={"parameter":"k","start":0,"stop":1,"count":3}', "sweep/parameter"),
+        ('sweep={"parameter":"xi","start":0,"stop":1,"count":3,"A_coeffs":[0,"a"]}',
+         "sweep/A_coeffs/1"),
+        ('sweep={"parameter":"xi","start":0,"stop":1,"count":3,"A_coeffs":2}',
+         "sweep/A_coeffs"),
+        ("evolve.amplitudes=[0.001,-0.01]", "evolve/amplitudes/1"),
+        ("evolve.amplitudes=0.001", "evolve/amplitudes"),
+        ("evolve.amplitudes=[0,0.001]", None),
+        ("evolve.seed=-1", "evolve/seed"),
+        ("evolve.integrator=rk4", "evolve/integrator"),
+        ("evolve.integrator=implicit_midpoint", None),
+        ("evolve.sample_interval=null", "evolve/sample_interval"),
+        ("evolve.dealias=1", "evolve/dealias"),
+        ("evolve.dt=0", "evolve/dt"),
+        ("output.directory=5", "output/directory"),
+        ("output.directory=runs", None),
+        ("colour=red", "<root>"),
+        ("grid.spacing=0.1", "grid"),
+        ("evolve.steps=10", "evolve"),
+        ("grid=5", "grid"),
+    ]
+
+    @pytest.mark.parametrize("preset", ["kdv-cnoidal", "gkdv-p", "bo", "ilw",
+                                        "regularized-bbm-like"])
+    @pytest.mark.parametrize("override, path", ACCEPT_REJECT)
+    def test_accept_reject_table(self, preset, override, path):
+        if path is None:
+            load_config(preset=preset, overrides=[override])
+        else:
+            with pytest.raises(ConfigError,
+                               match=f"^config schema violation at {path}: "):
+                load_config(preset=preset, overrides=[override])
+
+    @pytest.mark.parametrize("override, path", [
+        ("grid.L=NaN", "grid/L"),
+        ("evolve.T=Infinity", "evolve/T"),
+        ("solve.omega=-Infinity", "solve/omega"),
+        ("solve.tol=NaN", "solve/tol"),
+        ('solve.constraint={"mode":"fixed_A","value":NaN}', "solve/constraint/value"),
+        ("evolve.amplitudes=[0.001,Infinity]", "evolve/amplitudes/1"),
+        ('sweep={"parameter":"omega","start":0,"stop":NaN,"count":3}', "sweep/stop"),
+        ("grid.L=1" + "0" * 400, "grid/L"),
+    ])
+    def test_non_finite_numbers_rejected(self, override, path):
+        with pytest.raises(ConfigError, match=f"^config schema violation at {path}: "):
+            load_config(preset="kdv-cnoidal", overrides=[override])
+
+    def test_cli_imports_only_numpy(self):
+        # the package and its CLI need nothing beyond the standard library and numpy
+        code = (
+            "import sys; before = set(sys.modules); import periwave.cli; "
+            "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            sys.modules["periwave.cli"].__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        assert set(out) - set(sys.stdlib_module_names) - {"numpy", "periwave"} == set()
 
     def test_override_parsing(self):
         cfg = load_config(preset="kdv-cnoidal", overrides=["evolve.T=5.0", "solve.guess.k=0.5"])
@@ -446,6 +551,32 @@ class TestCli:
         )
         assert code == 4
         assert "no convergence in 1 iterations" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, override, path", [
+        ("certify", "grid.L=NaN", "grid/L"),
+        ("evolve", "evolve.T=Infinity", "evolve/T"),
+    ])
+    def test_non_finite_config_exit_1(self, tmp_path, capsys, command, override, path):
+        out = str(tmp_path / "run")
+        assert self.run(command, "--preset", "kdv-cnoidal", "--out", out,
+                        "--override", override) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"config error: config schema violation at {path}: ")
+        assert not os.path.exists(out)
+
+    def test_sweep_members_solve_to_roundoff(self, tmp_path):
+        # a tol above the roundoff bound does not let Newton stop early, so
+        # every member passes certify's residual gate
+        out = str(tmp_path / "run")
+        code = self.run("sweep", "--preset", "kdv-cnoidal", "--out", out,
+                        "--override", "solve.tol=1e-3")
+        assert code == 0
+        members = json.loads(open(os.path.join(out, "sweep.json")).read())["members"]
+        assert len(members) == 10
+        for i, member in enumerate(members):
+            w = load_wave(os.path.join(out, f"wave_{i:03d}"))
+            assert w.residual_norm <= residual_bound(w.symbol, w.profile)
+            assert member["verdict"] == "orbitally_stable"
 
     def test_evolve_short(self, tmp_path):
         out = str(tmp_path / "run")

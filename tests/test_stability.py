@@ -36,6 +36,8 @@ from periwave.waves import (
     constant_state,
     continue_family,
     param_derivatives,
+    residual,
+    residual_bound,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -210,6 +212,15 @@ class TestDecide:
         v2 = decide(sd2, _passing_h0(n_neg=2), True)
         assert v2.conclusion == INCONCLUSIVE
 
+    def test_residual_above_bound_forces_inconclusive(self):
+        sd = SurfaceDerivatives(M_omega=0.0, M_A=1.0, F_omega=1.0, F_A=0.0)
+        for res in (2e-12, math.nan):
+            v = decide(sd, _passing_h0(), True, (res, 1e-12))
+            assert v.conclusion == INCONCLUSIVE and v.mu_nu is None
+            assert v.reason == f"wave residual {res:.3e} above the roundoff bound 1.000e-12"
+            assert v.criteria["M_A"] == 1.0
+        assert decide(sd, _passing_h0(), True, (1e-12, 1e-12)).conclusion == ORBITALLY_STABLE
+
     def test_determinism(self, kdv_stable):
         lin = assemble(kdv_stable)
         eta, beta = param_derivatives(kdv_stable, lin)
@@ -238,6 +249,23 @@ class TestVerdictOnWaves:
     def test_ilw_stable(self, ilw_stable):
         c = certify(ilw_stable)
         assert c.verdict.conclusion == ORBITALLY_STABLE
+
+    def test_certify_recomputes_residual(self, kdv_stable):
+        # the perturbed profile passes every spectral check, but it no longer
+        # solves its equation; the stored residual_norm is not trusted
+        phi = kdv_stable.profile
+        w = dataclasses.replace(
+            kdv_stable, profile=phi.with_values(phi.values + 1e-6 * np.cos(phi.grid.nodes))
+        )
+        assert w.residual_norm == kdv_stable.residual_norm
+        c = certify(w)
+        res, bound = residual(w).sup_norm(), residual_bound(w.symbol, w.profile)
+        assert res > 100 * bound
+        assert c.verdict.conclusion == INCONCLUSIVE
+        assert c.verdict.reason == (
+            f"wave residual {res:.3e} above the roundoff bound {bound:.3e}"
+        )
+        assert c.verdict.prerequisites == {"h0_pass": True, "h1_pass": True}
 
     def test_constant_state_inconclusive(self):
         grid = PeriodicGrid(TWO_PI, 64)

@@ -226,6 +226,16 @@ class TestNewton:
             assert wave.residual_norm == wave.newton_history[-1]
             assert wave.residual_norm == residual(wave).sup_norm()
 
+    def test_tol_above_bound_does_not_stop_early(self, kdv_stable):
+        w = kdv_stable
+        # the perturbed guess already meets tol, but not the roundoff bound
+        guess = w.profile + random_smooth_field(w.grid, seed=4, norm_s=0.0) * 1e-6
+        out = solve_newton(
+            guess, w.omega, Constraint.fixed_A(w.A), w.symbol, w.nonlinearity, tol=1e-3
+        )
+        assert out.newton_history[0] <= 1e-3 and len(out.newton_history) > 1
+        assert out.residual_norm <= residual_bound(out.symbol, out.profile)
+
     def test_accepts_stalled_residual_within_bound(self, kdv_stable):
         # tol below the roundoff floor: the residual stops falling within the
         # bound and the iterate is accepted instead of exhausting max_iter
