@@ -202,11 +202,14 @@ def load_config(
     if path:
         try:
             with open(path) as handle:
-                _deep_update(config, json.load(handle))
+                data = json.load(handle)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ConfigError(f"config file {path} is not a JSON object")
+        _deep_update(config, data)
     for spec in overrides or []:
         _apply_override(config, spec)
     _validate(config, _SPEC)

@@ -175,21 +175,27 @@ def save_wave(w: TravelingWave, basepath: str, extra: dict | None = None):
 def load_wave(basepath: str) -> TravelingWave:
     """Read a saved wave, recomputing its residual instead of trusting the sidecar.
 
-    A profile whose length differs from the sidecar's N raises ValueError.
+    A profile whose length differs from the sidecar's N, or a sidecar that is
+    not a JSON object or lacks an entry, raises ValueError.
     """
     with open(basepath + ".json") as handle:
         meta = json.load(handle)
+    if not isinstance(meta, dict):
+        raise ValueError(f"sidecar {basepath}.json is not a JSON object")
     data = np.loadtxt(basepath + ".csv", delimiter=",", skiprows=1, ndmin=2)
-    grid = PeriodicGrid(float(meta["L"]), int(meta["N"]))
-    w = TravelingWave(
-        profile=Field(grid, data[:, 1]),
-        omega=float(meta["omega"]),
-        A=float(meta["A"]),
-        symbol=symbol_from_dict(meta["symbol"], grid.length),
-        nonlinearity=nonlinearity_from_dict(meta["nonlinearity"]),
-        variant=meta.get("variant", "standard"),
-        constraint=meta.get("constraint", ""),
-    )
+    try:
+        grid = PeriodicGrid(float(meta["L"]), int(meta["N"]))
+        w = TravelingWave(
+            profile=Field(grid, data[:, 1]),
+            omega=float(meta["omega"]),
+            A=float(meta["A"]),
+            symbol=symbol_from_dict(meta["symbol"], grid.length),
+            nonlinearity=nonlinearity_from_dict(meta["nonlinearity"]),
+            variant=meta.get("variant", "standard"),
+            constraint=meta.get("constraint", ""),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"sidecar {basepath}.json: bad or missing entry ({exc!r})") from None
     return replace(w, residual_norm=residual(w).sup_norm())
 
 

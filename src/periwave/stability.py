@@ -43,7 +43,6 @@ from .linop import (
     check_H0,
     constrained_min_rayleigh,
     h1_constants,
-    solve_on_complement,
 )
 from .spectral import (
     Field,
@@ -73,7 +72,6 @@ __all__ = [
     "SurfaceDerivatives",
     "StabilityVerdict",
     "HamiltonianSpectrum",
-    "MeanCriterionResult",
     "ResolventReport",
     "Certification",
     "surface_derivatives",
@@ -82,7 +80,6 @@ __all__ = [
     "delta_form",
     "find_delta_witness",
     "decide",
-    "mean_criterion",
     "curve_criterion",
     "hamiltonian_spectrum",
     "lyapunov_sigma",
@@ -187,21 +184,16 @@ def resolvent_consistency(
     lin: LinearizedOperator,
     sd: SurfaceDerivatives,
 ) -> ResolventReport:
-    """Evaluate -(L^-1 g, 1), -(L^-1 1, 1), -(L^-1 g, g) and compare with sd."""
-    g = speed_gradient_field(w)
-    ones = Field.constant(w.grid, 1.0)
-    x_g = solve_on_complement(lin, g)
-    x_1 = solve_on_complement(lin, ones)
-    M_omega = -integral(x_g)
-    M_A = -integral(x_1)
-    F_omega = -integral(g * x_g)
+    """-(L^-1 g, 1), -(L^-1 1, 1), -(L^-1 g, g) from ``param_derivatives``'s
+    kernel solves, compared with sd (independent when sd is finite-difference)."""
+    r = surface_derivatives(w, *param_derivatives(w, lin))
     return ResolventReport(
-        M_omega=M_omega,
-        M_A=M_A,
-        F_omega=F_omega,
-        dev_M_omega=_relative_deviation(M_omega, sd.M_omega),
-        dev_M_A=_relative_deviation(M_A, sd.M_A),
-        dev_F_omega=_relative_deviation(F_omega, sd.F_omega),
+        M_omega=r.M_omega,
+        M_A=r.M_A,
+        F_omega=r.F_omega,
+        dev_M_omega=_relative_deviation(r.M_omega, sd.M_omega),
+        dev_M_A=_relative_deviation(r.M_A, sd.M_A),
+        dev_F_omega=_relative_deviation(r.F_omega, sd.F_omega),
     )
 
 
@@ -325,32 +317,6 @@ def decide(
 # parametrization-free criteria
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MeanCriterionResult:
-    value: float      # M(phi) - omega L
-    fires: bool
-    mu: float
-    nu: float
-
-
-def mean_criterion(w: TravelingWave) -> MeanCriterionResult:
-    """Mass criterion for the quadratic flux u^2/2: fires when M(phi) > omega L.
-
-    Requires the symbol's growth bounds to hold from kappa0 = 0, i.e.
-    theta(0) = 0 and theta(kappa)/|kappa|^m bounded below by a positive
-    constant for every nonzero mode on the grid.
-    """
-    if not w.nonlinearity.is_kdv_flux():
-        raise ValueError("mean criterion applies only to the flux f(u) = u^2/2")
-    ks = np.arange(1, w.grid.size // 2 + 1, dtype=float)
-    theta = np.asarray(w.symbol.value(ks))
-    ratios = theta / ks**w.symbol.order
-    if abs(float(w.symbol.value(0))) > 1e-12 or ratios.min() <= 0.0:
-        raise ValueError("symbol growth bounds do not hold from kappa0 = 0")
-    value = mass(w.profile) - w.omega * w.grid.length
-    return MeanCriterionResult(value=value, fires=value > 0.0, mu=w.omega, nu=-1.0)
-
-
 def curve_criterion(fam: WaveFamily) -> tuple[float, tuple[float, float]]:
     """Curve form -A'(xi) dM/dxi - omega'(xi) dF/dxi by central differences.
 
@@ -423,40 +389,30 @@ def lyapunov_sigma(
 ) -> tuple[float, float]:
     """Penalty weight sigma making (Lv,v) + 2 sigma (q,v)^2 coercive on {phi'}^perp.
 
-    q = mu + nu phi and orthogonality is taken in the H^(m/2) inner
-    product, matching the Lyapunov function's second variation at the wave.
-    sigma runs through 1, 4, 16, ... (at most 40 steps).  Returns (sigma,
-    margin) where margin is the certified minimum of the generalized
-    Rayleigh quotient against the H^(m/2) norm.
+    q = mu + nu g is the gradient of mu M + nu F at the wave; orthogonality is
+    in the H^(m/2) inner product of the Lyapunov function's second variation.
+    With n(L) = 1, (L^-1 q, q) = -Delta(mu, nu), so the form is coercive
+    exactly when 2 sigma Delta > 1: sigma is the least of 1, 4, 16, ... above
+    1/(2 Delta).  Returns (sigma, margin), margin the least generalized Rayleigh
+    quotient against the H^(m/2) norm; Delta <= 0 or margin <= 0 raises SolverError.
     """
-    g = w.grid
-    h = g.spacing
-    s = w.sobolev_index
-    q = mu + nu * w.profile.values
-    W_half = sobolev_weight_matrix(g, 0.5 * s)
-    W_half_inv = sobolev_weight_matrix(g, -0.5 * s)
-
-    phi_prime = derivative(w.profile).values
-    y0 = W_half @ phi_prime
-    y0 /= np.linalg.norm(y0)
-    B = _complement_basis(y0[:, None])
-
-    core = W_half_inv @ lin.matrix @ W_half_inv
-    qy = W_half_inv @ q
+    delta = delta_form(surface_derivatives(w, *param_derivatives(w, lin)), mu, nu)
     sigma = 1.0
-    previous = -math.inf
-    for _ in range(40):
-        A = core + (2.0 * sigma * h) * np.outer(qy, qy)
-        margin = float(np.linalg.eigvalsh(B.T @ A @ B)[0])
-        if margin > 0.0:
-            return sigma, margin
-        if margin - previous < 1e-14 * max(1.0, abs(margin)):
-            break
-        previous = margin
+    while 0.0 < 2.0 * sigma * delta <= 1.0:
         sigma *= 4.0
-    raise SolverError(
-        f"no coercive penalty weight found up to sigma={sigma:.3e} (margin {margin:.3e})"
-    )
+    g, s = w.grid, w.sobolev_index
+    W_half_inv = sobolev_weight_matrix(g, -0.5 * s)
+    y0 = sobolev_weight_matrix(g, 0.5 * s) @ derivative(w.profile).values
+    B = _complement_basis((y0 / np.linalg.norm(y0))[:, None])
+    qy = W_half_inv @ (mu + nu * speed_gradient_field(w).values)
+    A = W_half_inv @ lin.matrix @ W_half_inv + (2.0 * sigma * g.spacing) * np.outer(qy, qy)
+    margin = float(np.linalg.eigvalsh(B.T @ A @ B)[0])
+    if not (delta > 0.0 and margin > 0.0):
+        raise SolverError(
+            f"no coercive penalty weight: Delta(mu, nu) = {delta:.3e}, "
+            f"sigma = {sigma:.3e}, margin {margin:.3e}"
+        )
+    return sigma, margin
 
 
 # ---------------------------------------------------------------------------
@@ -529,14 +485,13 @@ class Certification:
 
     @cached_property
     def c3(self) -> Optional[float]:
-        """Least Rayleigh quotient of L over {phi', mu + nu phi}^perp for the
-        verdict's (mu, nu); None when the verdict chose none."""
+        """Least Rayleigh quotient of L over {phi', mu + nu g}^perp (g the momentum
+        gradient) for the verdict's (mu, nu); None when the verdict chose none."""
         if self.verdict.mu_nu is None:
             return None
         mu, nu = self.verdict.mu_nu
-        phi = self.core.profile
-        q_field = Field(phi.grid, mu + nu * phi.values)
-        return constrained_min_rayleigh(self.operator, [derivative(phi), q_field])[0]
+        q = Field(self.core.grid, mu + nu * speed_gradient_field(self.core).values)
+        return constrained_min_rayleigh(self.operator, [derivative(self.core.profile), q])[0]
 
     @cached_property
     def k_r(self) -> Optional[int]:

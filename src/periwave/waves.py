@@ -124,9 +124,6 @@ class Nonlinearity:
             lambda u: u**3 / 3.0,
         )
 
-    def is_kdv_flux(self) -> bool:
-        return self.params == (1, 1.0)
-
 
 # ---------------------------------------------------------------------------
 # constraints and waves

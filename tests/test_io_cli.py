@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -234,6 +235,15 @@ class TestCli:
     def test_missing_config_file(self, tmp_path):
         assert self.run("solve", "--config", str(tmp_path / "nope.json")) == 1
 
+    def test_config_file_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigError, match="is not a JSON object"):
+            load_config(str(path))
+        assert self.run("solve", "--config", str(path), "--out", str(tmp_path / "x")) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error: config file ") and "\n" not in err
+
     def test_solve_writes_wave_and_report(self, tmp_path, capsys):
         out = str(tmp_path / "run")
         assert self.run("solve", "--preset", "kdv-cnoidal", "--out", out) == 0
@@ -447,6 +457,28 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith("config error: cannot load wave") and "\n" not in err
+
+    @pytest.mark.parametrize(
+        "sidecar,problem",
+        [([1, 2], "is not a JSON object"), ("drop omega", "KeyError('omega')")],
+        ids=["not-an-object", "no-omega"],
+    )
+    def test_certify_rejects_malformed_sidecar(self, tmp_path, kdv_stable, capsys,
+                                               sidecar, problem):
+        base = str(tmp_path / "w")
+        save_wave(kdv_stable, base)
+        if sidecar == "drop omega":
+            sidecar = json.loads(open(base + ".json").read())
+            del sidecar["omega"]
+        open(base + ".json", "w").write(json.dumps(sidecar))
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            load_wave(base)
+        code = self.run("certify", "--wave", base, "--preset", "kdv-cnoidal",
+                        "--out", str(tmp_path / "run"))
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error: cannot load wave") and "\n" not in err
+        assert problem in err
 
     @pytest.mark.parametrize("preset", ["kdv-cnoidal", "gkdv-p", "regularized-bbm-like"])
     def test_certify_at_n1024_matches_own_n(self, tmp_path, preset):

@@ -12,8 +12,16 @@ from periwave.linop import (
     check_H0,
     constrained_min_rayleigh,
     h1_constants,
+    solve_on_complement,
 )
-from periwave.spectral import DispersionSymbol, Field, PeriodicGrid, derivative
+from periwave.spectral import (
+    DispersionSymbol,
+    Field,
+    PeriodicGrid,
+    apply_multiplier,
+    derivative,
+    integral,
+)
 from periwave.stability import (
     INCONCLUSIVE,
     ORBITALLY_STABLE,
@@ -27,17 +35,18 @@ from periwave.stability import (
     finite_difference_surface_derivatives,
     hamiltonian_spectrum,
     lyapunov_sigma,
-    mean_criterion,
     resolvent_consistency,
     surface_derivatives,
 )
 from periwave.waves import (
     Nonlinearity,
+    SolverError,
     constant_state,
     continue_family,
     param_derivatives,
     residual,
     residual_bound,
+    speed_gradient_field,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -331,26 +340,6 @@ class TestVerdictOnWaves:
         assert c.spectral_report.zero_dim == 1
 
 
-class TestMeanCriterion:
-    def test_zero_mean_wave_does_not_fire(self, kdv_stable):
-        res = mean_criterion(kdv_stable)
-        assert not res.fires
-        assert res.value == pytest.approx(-kdv_stable.omega * TWO_PI, rel=1e-9)
-        assert (res.mu, res.nu) == (kdv_stable.omega, -1.0)
-
-    def test_constant_state_fires(self):
-        grid = PeriodicGrid(TWO_PI, 64)
-        w = constant_state(grid, 2.0, 1.0, DispersionSymbol.second_derivative(TWO_PI),
-                           Nonlinearity.kdv())
-        assert mean_criterion(w).fires
-
-    def test_wrong_flux_rejected(self, gkdv2_wave, bo_wave):
-        with pytest.raises(ValueError):
-            mean_criterion(gkdv2_wave)
-        with pytest.raises(ValueError):
-            mean_criterion(bo_wave)  # quadratic flux u^2, not u^2/2
-
-
 class TestCurveCriterion:
     def test_needs_three_members(self, kdv_stable):
         fam = continue_family(kdv_stable, "omega", [kdv_stable.omega])
@@ -440,6 +429,38 @@ class TestLyapunovSigma:
         sigma, margin = lyapunov_sigma(kdv_midk, assemble(kdv_midk), mu, nu)
         assert margin > 0
 
+    @pytest.mark.parametrize("name", ["kdv-cnoidal", "bo", "ilw", "regularized-bbm-like"])
+    def test_sigma_is_least_power_of_4_above_half_inverse_delta(
+        self, preset_wave, monkeypatch, name
+    ):
+        eigvalsh_calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda a: eigvalsh_calls.append(1) or eigvalsh(a)
+        )
+        w = preset_wave(name)
+        c = certify(w)
+        mu, nu = c.verdict.mu_nu
+        for wave, lin in ((c.core, c.operator), (w, assemble(w))):
+            delta = delta_form(surface_derivatives(wave, *param_derivatives(wave, lin)), mu, nu)
+            # the identity behind the closed form: (L^-1 q, q) = -Delta(mu, nu)
+            q = Field(wave.grid, mu + nu * speed_gradient_field(wave).values)
+            assert integral(q * solve_on_complement(lin, q)) == pytest.approx(-delta, rel=1e-8)
+            eigvalsh_calls.clear()
+            sigma, margin = lyapunov_sigma(wave, lin, mu, nu)
+            assert len(eigvalsh_calls) == 1
+            assert margin > 0.0
+            assert sigma == 4.0 ** round(math.log(sigma, 4.0)) >= 1.0
+            assert 2.0 * sigma * delta > 1.0 and (sigma == 1.0 or 0.5 * sigma * delta <= 1.0)
+
+    def test_no_positive_delta_raises(self, kdv_stable):
+        # mu = 1, nu = 0 gives Delta = M_A < 0: no weight makes the form coercive
+        lin = assemble(kdv_stable)
+        sd = surface_derivatives(kdv_stable, *param_derivatives(kdv_stable, lin))
+        assert sd.M_A < 0.0
+        with pytest.raises(SolverError, match="Delta"):
+            lyapunov_sigma(kdv_stable, lin, 1.0, 0.0)
+
 
 class TestCertify:
     def test_full_audit_fields(self, kdv_stable):
@@ -459,6 +480,15 @@ class TestCertify:
         value, _ = constrained_min_rayleigh(lin, [derivative(ilw_stable.profile), q])
         assert value == pytest.approx(c.c3)
         assert value > 0
+
+    def test_regularized_c3_constrains_momentum_gradient(self, bbm_wave):
+        # the regularized momentum gradient is g = M phi + phi, not phi
+        c = certify(bbm_wave)
+        mu, nu = c.verdict.mu_nu
+        assert nu != 0.0
+        phi = c.core.profile
+        q = Field(phi.grid, mu + nu * (apply_multiplier(c.core.symbol, phi) + phi).values)
+        assert c.c3 == constrained_min_rayleigh(c.operator, [derivative(phi), q])[0]
 
 
 class TestCrossChecksOnRead:

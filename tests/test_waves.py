@@ -46,11 +46,6 @@ class TestNonlinearity:
         fd_fp = (nl.f(u + h) - nl.f(u - h)) / (2.0 * h)
         assert np.abs(fd_fp - nl.fprime(u)).max() < 1e-8 * (1.0 + np.abs(nl.fprime(u)).max())
 
-    def test_kdv_flux_detection(self):
-        assert Nonlinearity.kdv().is_kdv_flux()
-        assert not Nonlinearity.power_law(2).is_kdv_flux()
-        assert not Nonlinearity.quadratic().is_kdv_flux()
-
     def test_power_validation(self):
         with pytest.raises(ValueError):
             Nonlinearity.power_law(0)
