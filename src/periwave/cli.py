@@ -32,6 +32,7 @@ from .evolution import (
     stability_experiment,
 )
 from .io import (
+    _csv_text,
     _nonlinearity_to_dict,
     _symbol_to_dict,
     atomic_write_text,
@@ -74,22 +75,35 @@ def _write_json(payload: dict, config: dict, path: str):
     atomic_write_text(path, canonical_json(payload))
 
 
-def _outdir(config: dict, cli_out: str | None) -> str:
-    out = cli_out or config["output"]["directory"]
-    os.makedirs(out, exist_ok=True)
-    return out
+def _check_matches(wave: TravelingWave, config: dict, source: str):
+    """ConfigError naming the first field where ``wave``'s grid or equation
+    differs from the config's."""
+    grid = grid_from_config(config)
+    for name, theirs, configured in (
+        ("grid.L", wave.grid.length, grid.length),
+        ("grid.N", wave.grid.size, grid.size),
+        ("equation.symbol", _symbol_to_dict(wave.symbol),
+         _symbol_to_dict(symbol_from_config(config))),
+        ("equation.nonlinearity", _nonlinearity_to_dict(wave.nonlinearity),
+         _nonlinearity_to_dict(nonlinearity_from_config(config))),
+        ("equation.variant", wave.variant, config["equation"]["variant"]),
+    ):
+        if theirs != configured:
+            raise ConfigError(
+                f"{source} does not match the config: {name} is {theirs!r} "
+                f"in the wave, {configured!r} in the config"
+            )
 
 
 def _solve_wave(config: dict) -> TravelingWave:
-    """Build the configured wave: closed form, optionally Newton-polished."""
+    """Build the configured wave: a closed form, optionally Newton-polished, or
+    Newton from a cosine guess.  A closed form solves its own equation, so one
+    that does not match the config, or lacks its parameter, is a ConfigError."""
     grid = grid_from_config(config)
-    symbol = symbol_from_config(config)
-    nl = nonlinearity_from_config(config)
     solve = config["solve"]
     guess_spec = solve.get("guess")
     if guess_spec is None:
         raise ConfigError("solve.guess section is required")
-    variant = config["equation"]["variant"]
     kind = guess_spec["type"]
 
     if kind == "cosine":
@@ -100,26 +114,28 @@ def _solve_wave(config: dict) -> TravelingWave:
         values = amp * np.cos(2.0 * math.pi * mode * grid.nodes / grid.length)
         guess, omega = Field(grid, values), float(solve["omega"])
     else:
-        if kind == "cnoidal":
-            wave = cnoidal_wave(grid.length, guess_spec["k"], grid.size)
-        elif kind == "bbm_dnoidal":
-            wave = bbm_dnoidal_wave(grid.length, guess_spec["k"], grid.size)
-        else:
-            wave = ilw_wave(grid.length, guess_spec["delta"], guess_spec["k"], grid.size)
+        try:
+            if kind == "cnoidal":
+                wave = cnoidal_wave(grid.length, guess_spec["k"], grid.size)
+            elif kind == "bbm_dnoidal":
+                wave = bbm_dnoidal_wave(grid.length, guess_spec["k"], grid.size)
+            else:
+                wave = ilw_wave(grid.length, guess_spec["delta"], guess_spec["k"], grid.size)
+        except KeyError as exc:
+            raise ConfigError(f"{kind} guesses require solve.guess.{exc.args[0]}") from None
+        _check_matches(wave, config, f"the {kind} closed form")
         if not guess_spec.get("newton_polish", False):
             return wave
-        # polish the closed form within its own equation
         guess, omega = wave.profile, wave.omega
-        symbol, nl, variant = wave.symbol, wave.nonlinearity, wave.variant
     return solve_newton(
         guess,
         omega,
         constraint_from_config(config),
-        symbol,
-        nl,
+        symbol_from_config(config),
+        nonlinearity_from_config(config),
         tol=solve["tol"],
         max_iter=solve["max_iter"],
-        variant=variant,
+        variant=config["equation"]["variant"],
     )
 
 
@@ -136,21 +152,7 @@ def _load_or_solve(args, config: dict) -> TravelingWave:
         wave = load_wave(args.wave)
     except ValueError as exc:
         raise ConfigError(f"cannot load wave {args.wave}: {exc}") from None
-    grid = grid_from_config(config)
-    for name, saved, configured in (
-        ("grid.L", wave.grid.length, grid.length),
-        ("grid.N", wave.grid.size, grid.size),
-        ("equation.symbol", _symbol_to_dict(wave.symbol),
-         _symbol_to_dict(symbol_from_config(config))),
-        ("equation.nonlinearity", _nonlinearity_to_dict(wave.nonlinearity),
-         _nonlinearity_to_dict(nonlinearity_from_config(config))),
-        ("equation.variant", wave.variant, config["equation"]["variant"]),
-    ):
-        if saved != configured:
-            raise ConfigError(
-                f"wave {args.wave} does not match the config: {name} is {saved!r} "
-                f"in the wave, {configured!r} in the config"
-            )
+    _check_matches(wave, config, f"wave {args.wave}")
     bound = residual_bound(wave.symbol, wave.profile)
     if not wave.residual_norm <= bound:
         raise SolverError(
@@ -164,13 +166,7 @@ def _load_or_solve(args, config: dict) -> TravelingWave:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_solve(args, config: dict) -> int:
-    out = _outdir(config, args.out)
-    try:
-        wave = _solve_wave(config)
-    except SolverError as exc:
-        print(f"solve failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVE
+def cmd_solve(out: str, wave: TravelingWave, config: dict) -> int:
     base = os.path.join(out, "wave")
     save_wave(wave, base, extra=_stamp(config))
     _write_json(
@@ -188,13 +184,7 @@ def cmd_solve(args, config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_certify(args, config: dict) -> int:
-    out = _outdir(config, args.out)
-    try:
-        wave = _load_or_solve(args, config)
-    except SolverError as exc:
-        print(f"solve failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVE
+def cmd_certify(out: str, wave: TravelingWave, config: dict) -> int:
     cert = certify(wave)
     _write_json(cert.to_dict(), config, os.path.join(out, "certify.json"))
     save_eigenvalues_csv(cert.operator, os.path.join(out, "spectrum.csv"))
@@ -206,26 +196,15 @@ def cmd_certify(args, config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args, config: dict) -> int:
-    out = _outdir(config, args.out)
-    sweep = config.get("sweep")
-    if sweep is None:
-        print("config has no sweep section", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        seed_wave = _load_or_solve(args, config)
-    except SolverError as exc:
-        print(f"seed solve failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVE
-
+def cmd_sweep(out: str, seed_wave: TravelingWave, config: dict) -> int:
+    sweep = config["sweep"]
     values = np.linspace(sweep["start"], sweep["stop"], sweep["count"])
     kwargs = {}
     if sweep["parameter"] == "xi":
         om_coeffs = sweep.get("omega_coeffs")
         a_coeffs = sweep.get("A_coeffs")
         if not om_coeffs or not a_coeffs:
-            print("xi sweeps need omega_coeffs and A_coeffs", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError("xi sweeps need omega_coeffs and A_coeffs")
         kwargs["omega_map"] = lambda x: float(np.polyval(om_coeffs[::-1], x))
         kwargs["A_map"] = lambda x: float(np.polyval(a_coeffs[::-1], x))
     partial = False
@@ -259,22 +238,10 @@ def cmd_sweep(args, config: dict) -> int:
         )
         save_wave(w, os.path.join(out, f"wave_{len(rows) - 1:03d}"), extra=_stamp(config))
 
-    header = ["xi", "omega", "A", "M", "F", "verdict"]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    format_float(row["xi"]),
-                    format_float(row["omega"]),
-                    format_float(row["A"]),
-                    format_float(row["mass"]),
-                    format_float(row["momentum"]),
-                    row["verdict"],
-                ]
-            )
-        )
-    atomic_write_text(os.path.join(out, "family.csv"), "\n".join(lines) + "\n")
+    columns = [[row[key] for row in rows]
+               for key in ("xi", "omega", "A", "mass", "momentum", "verdict")]
+    atomic_write_text(os.path.join(out, "family.csv"),
+                      _csv_text(["xi", "omega", "A", "M", "F", "verdict"], columns))
 
     curve_value = None
     curve_mu_nu = None
@@ -295,20 +262,13 @@ def cmd_sweep(args, config: dict) -> int:
     return EXIT_SWEEP_PARTIAL if partial else EXIT_OK
 
 
-def cmd_evolve(args, config: dict) -> int:
-    out = _outdir(config, args.out)
-    try:
-        wave = _load_or_solve(args, config)
-    except SolverError as exc:
-        print(f"solve failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVE
+def cmd_evolve(out: str, wave: TravelingWave, config: dict) -> int:
     ev = config["evolve"]
     cfg = EvolutionConfig(
         dt=ev["dt"],
         T=ev["T"],
         integrator=ev["integrator"],
         dealias=ev["dealias"],
-        variant=wave.variant,
         sample_interval=ev["sample_interval"],
     )
     sigma, mu, nu = 1.0, 0.0, 1.0
@@ -419,11 +379,16 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         config = load_config(args.config, args.preset, args.override)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return _COMMANDS[args.command](args, config)
+        if args.command == "sweep" and "sweep" not in config:
+            raise ConfigError("config has no sweep section")
+        out = args.out or config["output"]["directory"]
+        os.makedirs(out, exist_ok=True)
+        try:
+            wave = _load_or_solve(args, config)
+        except SolverError as exc:
+            print(f"solve failed: {exc}", file=sys.stderr)
+            return EXIT_SOLVE
+        return _COMMANDS[args.command](out, wave, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

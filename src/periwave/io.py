@@ -107,10 +107,11 @@ def atomic_write_text(path: str, text: str):
         raise
 
 
-def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
+def _csv_text(header: list[str], columns: list) -> str:
+    """CSV table of the columns: numbers as .17g floats, strings unchanged."""
     rows = [",".join(header)]
-    for i in range(len(columns[0])):
-        rows.append(",".join(format_float(col[i]) for col in columns))
+    for cells in zip(*columns):
+        rows.append(",".join(c if isinstance(c, str) else format_float(c) for c in cells))
     return "\n".join(rows) + "\n"
 
 

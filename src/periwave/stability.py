@@ -28,7 +28,7 @@ convention used here is the one that reproduces that conclusion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -101,7 +101,6 @@ class SurfaceDerivatives:
     M_A: float
     F_omega: float
     F_A: float
-    variant: str = "standard"
 
     def det_condition(self) -> float:
         """The quantity M_omega^2 - F_omega * M_A (criterion (iii) when positive)."""
@@ -115,7 +114,6 @@ def surface_derivatives(w: TravelingWave, eta: Field, beta: Field) -> SurfaceDer
         M_A=integral(beta),
         F_omega=integral(g * eta),
         F_A=integral(g * beta),
-        variant=w.variant,
     )
 
 
@@ -162,7 +160,6 @@ def finite_difference_surface_derivatives(w: TravelingWave) -> SurfaceDerivative
         M_A=d_mass(w_ap, w_am, h_A),
         F_omega=d_momentum(w_op, w_om, h_omega),
         F_A=d_momentum(w_ap, w_am, h_A),
-        variant=w.variant,
     )
 
 
@@ -238,17 +235,7 @@ class StabilityVerdict:
     reason: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "conclusion": self.conclusion,
-            "fired_criterion": self.fired_criterion,
-            "criteria": dict(self.criteria),
-            "delta_witness": list(self.delta_witness) if self.delta_witness else None,
-            "D": self.D,
-            "K_Ham": self.K_Ham,
-            "mu_nu": list(self.mu_nu) if self.mu_nu else None,
-            "prerequisites": dict(self.prerequisites),
-            "reason": self.reason,
-        }
+        return asdict(self)
 
 
 def decide(
@@ -504,14 +491,7 @@ class Certification:
         out = {
             "h0": self.spectral_report.to_dict(),
             "h1": {"c1": self.c1, "c2": self.c2},
-            "surface_derivatives": None
-            if self.surface is None
-            else {
-                "M_omega": self.surface.M_omega,
-                "M_A": self.surface.M_A,
-                "F_omega": self.surface.F_omega,
-                "F_A": self.surface.F_A,
-            },
+            "surface_derivatives": None if self.surface is None else asdict(self.surface),
             "c3": self.c3,
             "core": dict(self.core_guard),
             "k_r": self.k_r,

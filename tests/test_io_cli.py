@@ -447,6 +447,44 @@ class TestCli:
         assert f"does not match the config: {field} is " in err
         assert not os.path.exists(os.path.join(tmp_path, "run", "certify.json"))
 
+    @pytest.mark.parametrize(
+        "command,preset,override,message",
+        [
+            ("solve", "ilw", 'solve.guess={"type":"cnoidal"}',
+             "cnoidal guesses require solve.guess.k"),
+            ("solve", "ilw", 'solve.guess={"type":"bbm_dnoidal"}',
+             "bbm_dnoidal guesses require solve.guess.k"),
+            ("solve", "ilw", 'solve.guess={"type":"ilw","k":0.9}',
+             "ilw guesses require solve.guess.delta"),
+            ("certify", "bo", 'solve.guess={"type":"cnoidal","k":0.9}',
+             "the cnoidal closed form does not match the config: equation.symbol is "),
+            ("certify", "regularized-bbm-like", 'solve.guess={"type":"cnoidal","k":0.99}',
+             "the cnoidal closed form does not match the config: equation.variant is "
+             "'standard' in the wave, 'regularized' in the config"),
+            ("certify", "ilw", "equation.symbol.delta=0.5",
+             "the ilw closed form does not match the config: equation.symbol is "),
+        ],
+        ids=["cnoidal-no-k", "bbm_dnoidal-no-k", "ilw-no-delta",
+             "cnoidal-under-bo", "cnoidal-under-regularized", "ilw-other-delta"],
+    )
+    def test_closed_form_must_fit_the_config(self, tmp_path, capsys, command, preset,
+                                             override, message):
+        # a closed form solves its own equation: under another config it
+        # would be certified under the wrong config hash
+        out = str(tmp_path / "run")
+        assert self.run(command, "--preset", preset, "--override", override,
+                        "--out", out) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error: ") and "\n" not in err
+        assert message in err
+        assert os.listdir(out) == []
+
+    def test_sweep_without_section_writes_nothing(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert self.run("sweep", "--preset", "regularized-bbm-like", "--out", out) == 1
+        assert capsys.readouterr().err.strip() == "config error: config has no sweep section"
+        assert not os.path.exists(out)
+
     def test_certify_rejects_short_profile(self, tmp_path, kdv_stable, capsys):
         base = str(tmp_path / "w")
         save_wave(kdv_stable, base)

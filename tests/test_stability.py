@@ -85,11 +85,6 @@ class TestSurfaceDerivatives:
     def test_resolvent_two_paths(self, kdv_stable):
         w = kdv_stable
         lin = assemble(w)
-        eta, beta = param_derivatives(w, lin)
-        sd = surface_derivatives(w, eta, beta)
-        # same computation by construction
-        rep = resolvent_consistency(w, lin, sd)
-        assert rep.max_deviation() < 1e-8
         # independent finite-difference path
         fd = finite_difference_surface_derivatives(w)
         rep_fd = resolvent_consistency(w, lin, fd)
@@ -100,8 +95,9 @@ class TestSurfaceDerivatives:
         eta, beta = param_derivatives(bbm_wave, lin)
         sd = surface_derivatives(bbm_wave, eta, beta)
         assert abs(sd.F_A - sd.M_omega) < 1e-5 * (1 + abs(sd.M_omega))
-        rep = resolvent_consistency(bbm_wave, lin, sd)
-        assert rep.max_deviation() < 1e-8
+        # independent finite-difference path for the regularized variant
+        rep = resolvent_consistency(bbm_wave, lin, finite_difference_surface_derivatives(bbm_wave))
+        assert rep.max_deviation() < 1e-4
 
 
 class TestDeltaForm:
