@@ -47,6 +47,7 @@ from .io import (
 from .spectral import Field
 from .stability import certify, curve_criterion, lyapunov_sigma
 from .waves import (
+    ConstantGuessError,
     SolverError,
     TravelingWave,
     bbm_dnoidal_wave,
@@ -127,16 +128,19 @@ def _solve_wave(config: dict) -> TravelingWave:
         if not guess_spec.get("newton_polish", False):
             return wave
         guess, omega = wave.profile, wave.omega
-    return solve_newton(
-        guess,
-        omega,
-        constraint_from_config(config),
-        symbol_from_config(config),
-        nonlinearity_from_config(config),
-        tol=solve["tol"],
-        max_iter=solve["max_iter"],
-        variant=config["equation"]["variant"],
-    )
+    try:
+        return solve_newton(
+            guess,
+            omega,
+            constraint_from_config(config),
+            symbol_from_config(config),
+            nonlinearity_from_config(config),
+            tol=solve["tol"],
+            max_iter=solve["max_iter"],
+            variant=config["equation"]["variant"],
+        )
+    except ConstantGuessError as exc:
+        raise ConfigError(f"solve.guess: {exc}") from None
 
 
 def _load_or_solve(args, config: dict) -> TravelingWave:
@@ -201,12 +205,8 @@ def cmd_sweep(out: str, seed_wave: TravelingWave, config: dict) -> int:
     values = np.linspace(sweep["start"], sweep["stop"], sweep["count"])
     kwargs = {}
     if sweep["parameter"] == "xi":
-        om_coeffs = sweep.get("omega_coeffs")
-        a_coeffs = sweep.get("A_coeffs")
-        if not om_coeffs or not a_coeffs:
-            raise ConfigError("xi sweeps need omega_coeffs and A_coeffs")
-        kwargs["omega_map"] = lambda x: float(np.polyval(om_coeffs[::-1], x))
-        kwargs["A_map"] = lambda x: float(np.polyval(a_coeffs[::-1], x))
+        kwargs["omega_map"] = lambda x: float(np.polyval(sweep["omega_coeffs"][::-1], x))
+        kwargs["A_map"] = lambda x: float(np.polyval(sweep["A_coeffs"][::-1], x))
     partial = False
     try:
         family = continue_family(

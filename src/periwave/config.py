@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import sys
 from importlib import resources
 
@@ -100,31 +101,32 @@ _SPEC = {
 }
 
 
+def _fail(path: tuple, message: str):
+    location = "/".join(str(p) for p in path) or "<root>"
+    raise ConfigError(f"config schema violation at {location}: {message}")
+
+
 def _validate(value, spec, path: tuple = ()):
     """Check ``value`` against a ``_SPEC`` node; ConfigError names the path."""
-    def fail(message):
-        location = "/".join(str(p) for p in path) or "<root>"
-        raise ConfigError(f"config schema violation at {location}: {message}")
-
     if isinstance(spec, dict):
         if not isinstance(value, dict):
-            fail(f"{value!r} is not an object")
+            _fail(path, f"{value!r} is not an object")
         keys = {key.rstrip("*"): key for key in spec}
         for name in value:
             if name not in keys:
-                fail(f"unknown key {name!r}")
+                _fail(path, f"unknown key {name!r}")
         for name, key in keys.items():
             if name in value:
                 _validate(value[name], spec[key], path + (name,))
             elif key.endswith("*"):
-                fail(f"missing required key {name!r}")
+                _fail(path, f"missing required key {name!r}")
     elif isinstance(spec, list):
         if not isinstance(value, list):
-            fail(f"{value!r} is not a list")
+            _fail(path, f"{value!r} is not a list")
         for i, item in enumerate(value):
             _validate(item, spec[0], path + (i,))
     elif not spec[0](value):
-        fail(f"{value!r} is not {spec[1]}")
+        _fail(path, f"{value!r} is not {spec[1]}")
 
 
 _DEFAULTS = {
@@ -213,6 +215,13 @@ def load_config(
     for spec in overrides or []:
         _apply_override(config, spec)
     _validate(config, _SPEC)
+    # relations between keys, which the spec's leaves cannot express
+    ev, sweep = config["evolve"], config.get("sweep", {})
+    if ev.get("dt", 0.0) >= ev.get("T", math.inf):
+        _fail(("evolve", "dt"), f"{ev['dt']!r} is not below evolve.T = {ev['T']!r}")
+    if sweep.get("parameter") == "xi" and not (sweep.get("omega_coeffs")
+                                               and sweep.get("A_coeffs")):
+        _fail(("sweep",), "xi sweeps need nonempty omega_coeffs and A_coeffs")
     return config
 
 

@@ -33,7 +33,7 @@ from .spectral import (
     random_smooth_field,
     sobolev_inner,
 )
-from .waves import Nonlinearity, TravelingWave
+from .waves import Nonlinearity, TravelingWave, _linear_coefficients
 
 __all__ = [
     "BlowupError",
@@ -94,13 +94,12 @@ def energy(u: Field, symbol: DispersionSymbol, nl: Nonlinearity) -> float:
 
 
 def constrained_energy(u: Field, w: TravelingWave) -> float:
-    """G(u) = P(u) + omega F(u) + A M(u); the regularized variant uses the
-    coefficient (omega - 1) with its own momentum."""
-    P = energy(u, w.symbol, w.nonlinearity)
-    if w.variant == "standard":
-        return P + w.omega * momentum(u) + w.A * mass(u)
-    F = momentum(u, symbol=w.symbol, variant="regularized")
-    return P + (w.omega - 1.0) * F + w.A * mass(u)
+    """G(u) = P(u) + b F(u) + A M(u) with the variant's momentum F, where b is
+    the identity coefficient of the profile map: omega, or omega - 1 in the
+    regularized variant."""
+    _, b = _linear_coefficients(w.variant, w.omega)
+    F = momentum(u, symbol=w.symbol, variant=w.variant)
+    return energy(u, w.symbol, w.nonlinearity) + b * F + w.A * mass(u)
 
 
 def auxiliary_quantity(

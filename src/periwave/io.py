@@ -12,6 +12,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -176,14 +177,19 @@ def save_wave(w: TravelingWave, basepath: str, extra: dict | None = None):
 def load_wave(basepath: str) -> TravelingWave:
     """Read a saved wave, recomputing its residual instead of trusting the sidecar.
 
-    A profile whose length differs from the sidecar's N, or a sidecar that is
-    not a JSON object or lacks an entry, raises ValueError.
+    A profile without x, u rows or whose length differs from the sidecar's N,
+    or a sidecar that is not a JSON object or lacks an entry, raises
+    ValueError.
     """
     with open(basepath + ".json") as handle:
         meta = json.load(handle)
     if not isinstance(meta, dict):
         raise ValueError(f"sidecar {basepath}.json is not a JSON object")
-    data = np.loadtxt(basepath + ".csv", delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():  # an empty table is refused just below
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(basepath + ".csv", delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] < 2:
+        raise ValueError(f"profile {basepath}.csv holds no x, u rows")
     try:
         grid = PeriodicGrid(float(meta["L"]), int(meta["N"]))
         w = TravelingWave(

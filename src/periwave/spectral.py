@@ -17,7 +17,7 @@ eigenvalue-stability check).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -181,15 +181,13 @@ class DispersionSymbol:
 
     @classmethod
     def second_derivative(cls, length: float) -> "DispersionSymbol":
-        """Symbol of -d^2/dx^2: theta(kappa) = (2 pi kappa / L)^2."""
-        v = (2.0 * math.pi / length) ** 2
-        return cls("second_derivative", length, 2.0, v, v, 1)
+        """Symbol of -d^2/dx^2: theta(kappa) = (2 pi kappa / L)^2, the power m = 2."""
+        return replace(cls.power(2.0, length), kind="second_derivative")
 
     @classmethod
     def hilbert_derivative(cls, length: float) -> "DispersionSymbol":
-        """Symbol of H d/dx: theta(kappa) = 2 pi |kappa| / L."""
-        v = 2.0 * math.pi / length
-        return cls("hilbert_derivative", length, 1.0, v, v, 1)
+        """Symbol of H d/dx: theta(kappa) = 2 pi |kappa| / L, the power m = 1."""
+        return replace(cls.power(1.0, length), kind="hilbert_derivative")
 
     @classmethod
     def ilw(cls, delta: float, length: float) -> "DispersionSymbol":
@@ -217,11 +215,7 @@ class DispersionSymbol:
     def value(self, kappa):
         """theta(kappa) for integer kappa (scalar or array)."""
         xi = 2.0 * math.pi * np.abs(np.asarray(kappa, dtype=float)) / self.length
-        if self.kind == "second_derivative":
-            out = xi**2
-        elif self.kind == "hilbert_derivative":
-            out = xi
-        elif self.kind == "power":
+        if self.kind in ("power", "second_derivative", "hilbert_derivative"):
             out = xi**self.order
         elif self.kind == "ilw":
             arg = xi * self.delta

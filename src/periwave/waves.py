@@ -37,6 +37,7 @@ __all__ = [
     "DegenerateBranchError",
     "ResolutionError",
     "NearSingularError",
+    "ConstantGuessError",
     "residual",
     "residual_bound",
     "solve_newton",
@@ -78,6 +79,10 @@ class NearSingularError(SolverError):
     """Linearized operator is numerically singular beyond its kernel."""
 
 
+class ConstantGuessError(ValueError):
+    """The Newton guess is constant; the trivial branch is excluded."""
+
+
 # ---------------------------------------------------------------------------
 # nonlinearities
 # ---------------------------------------------------------------------------
@@ -116,13 +121,8 @@ class Nonlinearity:
 
     @classmethod
     def quadratic(cls) -> "Nonlinearity":
-        """f(u) = u^2 (the ILW/BO convention)."""
-        return cls(
-            "quadratic",
-            lambda u: u * u,
-            lambda u: 2.0 * u,
-            lambda u: u**3 / 3.0,
-        )
+        """f(u) = u^2 (the ILW/BO convention): the power law p = 1, c = 2."""
+        return replace(cls.power_law(1, 2.0), name="quadratic")
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +275,7 @@ def solve_newton(
 
     v = _symmetrize(guess.values)[: K].copy()
     if np.ptp(v) < 1e-14 * (1.0 + np.abs(v).max()):
-        raise ValueError("guess is constant; the trivial branch is excluded")
+        raise ConstantGuessError("guess is constant; the trivial branch is excluded")
 
     a_M, b_lin = _linear_coefficients(variant, omega)
     lin_mat = a_M * multiplier_matrix(symbol, grid) + b_lin * np.eye(N)
@@ -376,83 +376,62 @@ def _certified(wave: TravelingWave, name: str) -> TravelingWave:
     return replace(wave, residual_norm=res_norm)
 
 
-def _dn_squared_profile(L: float, k: float, N: int):
-    """Samples of dn^2(2K x / L, k) - E/K on the standard grid, plus constants.
+def _dnoidal_wave(L: float, k, N: int, variant: str) -> TravelingWave:
+    """Zero-mean dnoidal-squared wave of the flux f(u) = u^2/2 with M = -d^2/dx^2.
 
-    The samples are formed as (1 - E/K) - k^2 sn^2: at small k, dn^2 - E/K
-    would cancel leading digits, while the rounding of the constant 1 - E/K
-    lands in the zero mode, which M does not amplify.
+    The ansatz phi = beta (dn^2(alpha x, k) - E/K), alpha = 2K/L, solves
+    a M phi + b phi - phi^2/2 + A = 0, with (a, b) from
+    ``_linear_coefficients``, once the dn^4, dn^2 and constant terms are
+    matched, which forces
+
+        b = s a,  beta = 12 a alpha^2,  s = 4 alpha^2 (2 - k^2 - 3 E/K),
+
+    so omega = s in the standard variant and omega = 1/(1 - s) in the
+    regularized one.  The samples are formed as (1 - E/K) - k^2 sn^2: at
+    small k, dn^2 - E/K would cancel leading digits, while the rounding of
+    the constant 1 - E/K lands in the zero mode, which M does not amplify.
+    A is the zero mode of the profile equation, mean(phi^2/2 - b phi), since
+    theta(0) = 0; summing the samples avoids the cancellation of terms of
+    size beta^2 that its closed form suffers at small k.  The wave is
+    certified by the pointwise residual check.
     """
+    name = "cnoidal" if variant == "standard" else "dnoidal"
+    k = float(k)
+    if not (0.0 < k < 1.0):
+        raise ValueError(f"{name} modulus must lie in (0, 1), got {k}")
     K = elliptic.complete_K(k)
-    E = elliptic.complete_E(k)
-    e = E / K
+    e = elliptic.complete_E(k) / K
     alpha = 2.0 * K / L
     grid = PeriodicGrid(L, N)
     sn, _, _ = elliptic.jacobi_sn_cn_dn(alpha * grid.nodes, k)
-    return grid, (1.0 - e) - k * k * sn**2, alpha, e
+    omega = s = 4.0 * alpha**2 * (2.0 - k * k - 3.0 * e)
+    if variant == "regularized":
+        if abs(1.0 - s) < 1e-12:
+            raise SolverError("degenerate dnoidal speed (denominator vanished)")
+        omega = 1.0 / (1.0 - s)
+    a, b = _linear_coefficients(variant, omega)
+    phi = 12.0 * a * alpha**2 * ((1.0 - e) - k * k * sn**2)
+    wave = TravelingWave(
+        profile=Field(grid, phi),
+        omega=omega,
+        A=float(np.mean(0.5 * phi**2 - b * phi)),
+        symbol=DispersionSymbol.second_derivative(L),
+        nonlinearity=Nonlinearity.kdv(),
+        variant=variant,
+        constraint="zero_mean",
+    )
+    return _certified(wave, name)
 
 
 def cnoidal_wave(L: float, k, N: int) -> TravelingWave:
-    """Zero-mean dnoidal-squared wave of the KdV flux f(u) = u^2/2.
-
-    The ansatz phi = beta (dn^2(2K x / L, k) - E/K) solves the profile
-    equation with M = -d^2/dx^2 once the dn^4, dn^2 and constant terms are
-    matched, which forces
-
-        beta  = 12 alpha^2,           alpha = 2K/L,
-        omega = 4 alpha^2 (2 - k^2 - 3 E/K).
-
-    A is the zero mode of the profile equation, mean(phi^2/2 - omega phi),
-    since theta(0) = 0; summing the samples avoids the cancellation of
-    terms of size beta^2 that its closed form suffers at small k.  The
-    wave is certified by the pointwise residual check.
-    """
-    k = float(k)
-    if not (0.0 < k < 1.0):
-        raise ValueError(f"cnoidal modulus must lie in (0, 1), got {k}")
-    grid, shape, alpha, e = _dn_squared_profile(L, k, N)
-    beta = 12.0 * alpha**2
-    omega = 4.0 * alpha**2 * (2.0 - k * k - 3.0 * e)
-    phi = beta * shape
-    wave = TravelingWave(
-        profile=Field(grid, phi),
-        omega=omega,
-        A=float(np.mean(0.5 * phi**2 - omega * phi)),
-        symbol=DispersionSymbol.second_derivative(L),
-        nonlinearity=Nonlinearity.kdv(),
-        constraint="zero_mean",
-    )
-    return _certified(wave, "cnoidal")
+    """Zero-mean dnoidal-squared wave of KdV (see ``_dnoidal_wave``)."""
+    return _dnoidal_wave(L, k, N, "standard")
 
 
 def bbm_dnoidal_wave(L: float, k, N: int) -> TravelingWave:
-    """Zero-mean dnoidal-squared wave of the regularized (BBM-type) equation.
-
-    Same ansatz as ``cnoidal_wave`` applied to
-    omega M phi + (omega - 1) phi - phi^2/2 + A = 0 with M = -d^2/dx^2,
-    which yields omega = 1 / (1 - 4 alpha^2 (2 - k^2 - 3E/K)) and
-    beta = 12 omega alpha^2; A is the zero mode mean(phi^2/2 - (omega - 1) phi).
-    """
-    k = float(k)
-    if not (0.0 < k < 1.0):
-        raise ValueError(f"dnoidal modulus must lie in (0, 1), got {k}")
-    grid, shape, alpha, e = _dn_squared_profile(L, k, N)
-    denom = 1.0 - 4.0 * alpha**2 * (2.0 - k * k - 3.0 * e)
-    if abs(denom) < 1e-12:
-        raise SolverError("degenerate dnoidal speed (denominator vanished)")
-    omega = 1.0 / denom
-    beta = 12.0 * omega * alpha**2
-    phi = beta * shape
-    wave = TravelingWave(
-        profile=Field(grid, phi),
-        omega=omega,
-        A=float(np.mean(0.5 * phi**2 - (omega - 1.0) * phi)),
-        symbol=DispersionSymbol.second_derivative(L),
-        nonlinearity=Nonlinearity.kdv(),
-        variant="regularized",
-        constraint="zero_mean",
-    )
-    return _certified(wave, "dnoidal")
+    """Zero-mean dnoidal-squared wave of the regularized (BBM-type) equation
+    (see ``_dnoidal_wave``)."""
+    return _dnoidal_wave(L, k, N, "regularized")
 
 
 def ilw_wave(L: float, delta: float, k, N: int) -> TravelingWave:

@@ -128,6 +128,9 @@ class TestConfig:
         ('sweep={"parameter":"xi","start":0,"stop":1,"count":3,'
          '"omega_coeffs":[1,2.5],"A_coeffs":[0]}', None),
         ('sweep={"parameter":"omega","start":0}', "sweep"),
+        ('sweep={"parameter":"xi","start":0,"stop":1,"count":3}', "sweep"),
+        ('sweep={"parameter":"xi","start":0,"stop":1,"count":3,'
+         '"omega_coeffs":[],"A_coeffs":[0]}', "sweep"),
         ('sweep={"parameter":"k","start":0,"stop":1,"count":3}', "sweep/parameter"),
         ('sweep={"parameter":"xi","start":0,"stop":1,"count":3,"A_coeffs":[0,"a"]}',
          "sweep/A_coeffs/1"),
@@ -142,6 +145,9 @@ class TestConfig:
         ("evolve.sample_interval=null", "evolve/sample_interval"),
         ("evolve.dealias=1", "evolve/dealias"),
         ("evolve.dt=0", "evolve/dt"),
+        ("evolve.dt=50", "evolve/dt"),
+        ("evolve.T=0.0001", "evolve/dt"),
+        ("evolve.dt=0.0001", None),
         ("output.directory=5", "output/directory"),
         ("output.directory=runs", None),
         ("colour=red", "<root>"),
@@ -479,17 +485,63 @@ class TestCli:
         assert message in err
         assert os.listdir(out) == []
 
-    def test_sweep_without_section_writes_nothing(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "preset,overrides,message",
+        [
+            ("regularized-bbm-like", [], "config error: config has no sweep section"),
+            ("gkdv-p", ["sweep.parameter=xi", "sweep.A_coeffs=[0]"],
+             "config error: config schema violation at sweep: "
+             "xi sweeps need nonempty omega_coeffs and A_coeffs"),
+        ],
+        ids=["no-section", "xi-without-coeffs"],
+    )
+    def test_sweep_without_section_writes_nothing(self, tmp_path, capsys, preset,
+                                                  overrides, message):
         out = str(tmp_path / "run")
-        assert self.run("sweep", "--preset", "regularized-bbm-like", "--out", out) == 1
-        assert capsys.readouterr().err.strip() == "config error: config has no sweep section"
+        argv = ["sweep", "--preset", preset, "--out", out]
+        for item in overrides:
+            argv += ["--override", item]
+        assert self.run(*argv) == 1
+        assert capsys.readouterr().err.strip() == message
         assert not os.path.exists(out)
 
-    def test_certify_rejects_short_profile(self, tmp_path, kdv_stable, capsys):
+    def test_xi_sweep_along_identity_map_is_the_omega_sweep(self, tmp_path):
+        # omega(xi) = xi and A(xi) = 0 give the fixed-A gkdv-p branch of the omega sweep
+        tables = []
+        for extra in ([], ["sweep.parameter=xi", "sweep.omega_coeffs=[0,1]", "sweep.A_coeffs=[0]"]):
+            out = str(tmp_path / f"run{len(tables)}")
+            argv = ["sweep", "--preset", "gkdv-p", "--out", out, "--override", "sweep.count=4"]
+            for item in extra:
+                argv += ["--override", item]
+            assert self.run(*argv) == 0
+            tables.append(open(os.path.join(out, "family.csv"), "rb").read())
+        assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize(
+        "override",
+        ["solve.guess.amplitude=0", "solve.guess.amplitude=1e-20", "solve.guess.mode=128"],
+    )
+    def test_constant_cosine_guess_is_a_config_error(self, tmp_path, capsys, override):
+        # mode N samples cos(2 pi N x / L) at its maxima only: the guess is constant
+        out = str(tmp_path / "run")
+        assert self.run("solve", "--preset", "bo", "--override", override, "--out", out) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error: solve.guess: guess is constant")
+        assert "\n" not in err and os.listdir(out) == []
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [lambda rows: rows[:-1], lambda rows: rows[:1],
+         lambda rows: [row.split(",")[0] for row in rows]],
+        ids=["short", "header-only", "one-column"],
+    )
+    def test_certify_rejects_short_profile(self, tmp_path, kdv_stable, capsys, rewrite):
         base = str(tmp_path / "w")
         save_wave(kdv_stable, base)
         rows = open(base + ".csv").read().splitlines()
-        open(base + ".csv", "w").write("\n".join(rows[:-1]) + "\n")
+        open(base + ".csv", "w").write("\n".join(rewrite(rows)) + "\n")
+        with pytest.raises(ValueError):
+            load_wave(base)
         code = self.run("certify", "--wave", base, "--preset", "kdv-cnoidal",
                         "--out", str(tmp_path / "run"))
         assert code == 1

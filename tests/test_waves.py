@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 
+from periwave import elliptic
+from periwave.evolution import constrained_energy, energy, mass, momentum
 from periwave.linop import assemble
 from periwave.spectral import (
     DispersionSymbol,
@@ -49,6 +51,67 @@ class TestNonlinearity:
     def test_power_validation(self):
         with pytest.raises(ValueError):
             Nonlinearity.power_law(0)
+
+
+class TestNamedCasesOfGeneralPath:
+    """The named flux, symbols, closed forms and energy are parameter values of
+    the general routines and give the dedicated formulas bit for bit."""
+
+    def test_quadratic_flux_is_power_law(self):
+        u = np.random.default_rng(5).uniform(-4.0, 4.0, size=500)
+        nl = Nonlinearity.quadratic()
+        assert np.array_equal(nl.f(u), u * u)
+        assert np.array_equal(nl.fprime(u), 2.0 * u)
+        assert np.array_equal(nl.primitive(u), u**3 / 3.0)
+
+    @pytest.mark.parametrize("L, N", [(TWO_PI, 64), (3.0, 256)])
+    def test_derivative_symbols_are_powers(self, L, N):
+        grid = PeriodicGrid(L, N)
+        xi = 2.0 * math.pi * np.abs(grid.wavenumbers) / L
+        second = DispersionSymbol.second_derivative(L)
+        hilbert = DispersionSymbol.hilbert_derivative(L)
+        assert np.array_equal(second.values_on(grid), xi**2)
+        assert np.array_equal(hilbert.values_on(grid), xi)
+        assert second.value(-3) == (2.0 * math.pi * 3 / L) ** 2
+        assert hilbert.value(-3) == 2.0 * math.pi * 3 / L
+        assert (second.order, second.lower_bound, second.upper_bound, second.threshold) == (
+            2.0, (2.0 * math.pi / L) ** 2, (2.0 * math.pi / L) ** 2, 1)
+        assert (hilbert.order, hilbert.lower_bound, hilbert.upper_bound, hilbert.threshold) == (
+            1.0, 2.0 * math.pi / L, 2.0 * math.pi / L, 1)
+
+    @pytest.mark.parametrize("k", [0.5, 0.9, 0.99])
+    def test_dnoidal_waves_match_their_closed_forms(self, k):
+        L, N = TWO_PI, 256
+        K = elliptic.complete_K(k)
+        e = elliptic.complete_E(k) / K
+        alpha = 2.0 * K / L
+        sn, _, _ = elliptic.jacobi_sn_cn_dn(alpha * PeriodicGrid(L, N).nodes, k)
+        shape = (1.0 - e) - k * k * sn**2
+
+        kdv = cnoidal_wave(L, k, N)
+        omega = 4.0 * alpha**2 * (2.0 - k * k - 3.0 * e)
+        phi = 12.0 * alpha**2 * shape
+        assert kdv.omega == omega and kdv.variant == "standard"
+        assert np.array_equal(kdv.profile.values, phi)
+        assert kdv.A == float(np.mean(0.5 * phi**2 - omega * phi))
+
+        bbm = bbm_dnoidal_wave(L, k, N)
+        omega = 1.0 / (1.0 - 4.0 * alpha**2 * (2.0 - k * k - 3.0 * e))
+        phi = 12.0 * omega * alpha**2 * shape
+        assert bbm.omega == omega and bbm.variant == "regularized"
+        assert np.array_equal(bbm.profile.values, phi)
+        assert bbm.A == float(np.mean(0.5 * phi**2 - (omega - 1.0) * phi))
+
+    def test_constrained_energy_of_both_variants(self, kdv_stable, bbm_wave):
+        for w in (kdv_stable, bbm_wave):
+            u = w.profile + random_smooth_field(w.grid, seed=2) * 1e-2
+            P = energy(u, w.symbol, w.nonlinearity)
+            if w.variant == "standard":
+                expected = P + w.omega * momentum(u) + w.A * mass(u)
+            else:
+                F = momentum(u, symbol=w.symbol, variant="regularized")
+                expected = P + (w.omega - 1.0) * F + w.A * mass(u)
+            assert constrained_energy(u, w) == expected
 
 
 class TestResidual:
