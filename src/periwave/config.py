@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 import sys
 from importlib import resources
 
@@ -48,6 +47,8 @@ def _one_of(*names: str):
 
 # Nested spec of the run config.  A dict is an object, a one-item list a list
 # of its item, a (predicate, description) pair a leaf; "*" marks a required key.
+# Every key _DEFAULTS supplies is required: only an override that replaces a
+# whole object can drop one, and it is refused with the key's name.
 _SPEC = {
     "equation*": {
         "symbol*": {
@@ -60,16 +61,16 @@ _SPEC = {
             "p": _integer(1),
             "c": _NUMBER,
         },
-        "variant": _one_of("standard", "regularized"),
+        "variant*": _one_of("standard", "regularized"),
     },
     "grid*": {"L*": _POSITIVE, "N*": _integer(16, step=2)},
-    "solve": {
-        "constraint": {
+    "solve*": {
+        "constraint*": {
             "mode*": _one_of("fixed_A", "zero_mean", "fixed_mean"),
-            "value": _NUMBER,
+            "value*": _NUMBER,
         },
-        "tol": _POSITIVE,
-        "max_iter": _integer(1),
+        "tol*": _POSITIVE,
+        "max_iter*": _integer(1),
         "omega": _NUMBER,
         "guess": {
             "type*": _one_of("cnoidal", "ilw", "bbm_dnoidal", "cosine"),
@@ -88,16 +89,16 @@ _SPEC = {
         "omega_coeffs": [_NUMBER],
         "A_coeffs": [_NUMBER],
     },
-    "evolve": {
-        "dt": _POSITIVE,
-        "T": _POSITIVE,
-        "integrator": _one_of("etdrk4", "implicit_midpoint"),
-        "amplitudes": [(lambda x: _is_number(x) and x >= 0, "a finite number >= 0")],
-        "seed": _integer(0),
-        "sample_interval": _POSITIVE,
-        "dealias": _BOOLEAN,
+    "evolve*": {
+        "dt*": _POSITIVE,
+        "T*": _POSITIVE,
+        "integrator*": _one_of("etdrk4", "implicit_midpoint"),
+        "amplitudes*": [(lambda x: _is_number(x) and x >= 0, "a finite number >= 0")],
+        "seed*": _integer(0),
+        "sample_interval*": _POSITIVE,
+        "dealias*": _BOOLEAN,
     },
-    "output": {"directory": (lambda x: isinstance(x, str), "a string")},
+    "output*": {"directory*": (lambda x: isinstance(x, str), "a string")},
 }
 
 
@@ -217,7 +218,7 @@ def load_config(
     _validate(config, _SPEC)
     # relations between keys, which the spec's leaves cannot express
     ev, sweep = config["evolve"], config.get("sweep", {})
-    if ev.get("dt", 0.0) >= ev.get("T", math.inf):
+    if ev["dt"] >= ev["T"]:
         _fail(("evolve", "dt"), f"{ev['dt']!r} is not below evolve.T = {ev['T']!r}")
     if sweep.get("parameter") == "xi" and not (sweep.get("omega_coeffs")
                                                and sweep.get("A_coeffs")):
@@ -246,4 +247,4 @@ def nonlinearity_from_config(config: dict) -> Nonlinearity:
 
 def constraint_from_config(config: dict) -> Constraint:
     con = config["solve"]["constraint"]
-    return Constraint(con["mode"], float(con.get("value", 0.0)))
+    return Constraint(con["mode"], float(con["value"]))

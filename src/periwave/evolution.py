@@ -210,7 +210,6 @@ class EvolutionConfig:
 class Trajectory:
     times: np.ndarray
     states: tuple  # Field at each sample time
-    config: EvolutionConfig
 
     def final(self) -> Field:
         return self.states[-1]
@@ -350,7 +349,7 @@ def integrate(
                 times.append(t)
                 samples.append(u)
     trajectories = [
-        Trajectory(np.asarray(times), (start,) + tuple(Field(grid, u[row]) for u in samples), cfg)
+        Trajectory(np.asarray(times), (start,) + tuple(Field(grid, u[row]) for u in samples))
         for row, start in enumerate(fields)
     ]
     return trajectories[0] if isinstance(u0, Field) else trajectories

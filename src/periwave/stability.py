@@ -11,18 +11,18 @@ g = M phi + phi for the regularized one).  They coincide with the resolvent
 pairings -(L^-1 g, 1), -(L^-1 1, 1), -(L^-1 g, g) whenever the kernel solve
 is well posed, and satisfy F_A = M_omega identically.
 
-The verdict logic follows the criterion precedence M_A > 0, then
-F_omega > 0, then M_omega^2 - F_omega M_A > 0, then a general positive
-direction of the quadratic form
+Delta(x, y) = x^2 M_A + x y (M_omega + F_A) + y^2 F_omega is the form of
+the symmetric matrix S = [[M_A, m], [m, F_omega]], m = (M_omega + F_A)/2.
+Once H0 (n(L) = 1), H1 and the residual gate hold, the verdict is the sign
+of S's top eigenvalue lambda:
 
-    Delta(x, y) = x^2 M_A + x y (M_omega + F_A) + y^2 F_omega.
-
-When all of these fail with M_A < 0 and F_omega < 0, the Krein-Hamiltonian
-count K_Ham = n(L) - neg(-M_A) - neg(D), D = (M_omega^2 - F_omega M_A)/M_A,
-signals spectral instability when it equals one.  Here neg(s) is the
-negative-sign indicator: the source text prints the indicator with the
-cases inverted, which contradicts its own worked conclusion; the sign
-convention used here is the one that reproduces that conclusion.
+- lambda > 0: orbitally stable.  The paper's criteria M_A > 0, F_omega > 0,
+  M_omega^2 - F_omega M_A > 0 and a Delta witness each exhibit a positive
+  direction; the first that holds is reported, with (mu, nu) = (1, 0),
+  (0, 1) or the top eigenvector.
+- lambda < 0: spectrally unstable, since n(L) - n_+(S) = 1 is odd
+  (Grillakis-Shatah-Strauss 1990).
+- lambda = 0: inconclusive.
 """
 
 from __future__ import annotations
@@ -105,6 +105,13 @@ class SurfaceDerivatives:
     def det_condition(self) -> float:
         """The quantity M_omega^2 - F_omega * M_A (criterion (iii) when positive)."""
         return self.M_omega**2 - self.F_omega * self.M_A
+
+    @cached_property
+    def _delta_eigh(self):
+        """Ascending eigenpairs of S, the matrix of Delta; one eigensolve serves
+        both ``find_delta_witness`` and ``decide``."""
+        m = 0.5 * (self.M_omega + self.F_A)
+        return np.linalg.eigh(np.array([[self.M_A, m], [m, self.F_omega]]))
 
 
 def surface_derivatives(w: TravelingWave, eta: Field, beta: Field) -> SurfaceDerivatives:
@@ -203,16 +210,10 @@ def delta_form(sd: SurfaceDerivatives, x: float, y: float) -> float:
 
 
 def find_delta_witness(sd: SurfaceDerivatives) -> Optional[tuple[float, float]]:
-    """Maximizing direction of the Delta quadratic form, if positive anywhere.
-
-    The form is (x, y) S (x, y)^T with symmetric S = [[M_A, m], [m, F_omega]],
-    m = (M_omega + F_A)/2; the leading eigenvector is returned when the top
-    eigenvalue is positive, else None.
-    """
-    m = 0.5 * (sd.M_omega + sd.F_A)
-    S = np.array([[sd.M_A, m], [m, sd.F_omega]])
-    lam, vec = np.linalg.eigh(S)
-    if lam[-1] <= 0.0:
+    """Maximizing direction of the Delta quadratic form, if positive anywhere:
+    the leading eigenvector of S when its eigenvalue is positive, else None."""
+    lam, vec = sd._delta_eigh
+    if not lam[-1] > 0.0:
         return None
     a, b = vec[:, -1]
     return float(a), float(b)
@@ -228,8 +229,6 @@ class StabilityVerdict:
     fired_criterion: Optional[str]
     criteria: dict
     delta_witness: Optional[tuple]
-    D: Optional[float]
-    K_Ham: Optional[int]
     mu_nu: Optional[tuple]
     prerequisites: dict
     reason: Optional[str] = None
@@ -248,19 +247,17 @@ def decide(
     near-singular kernel solve, leaves the verdict inconclusive whatever the
     prerequisites say.  ``wave_residual`` is (residual, roundoff bound).
     """
-    criteria, witness, D = {}, None, None
-    fired = mu_nu = k_ham = reason = None
+    criteria, witness = {}, None
+    fired = mu_nu = reason = None
     conclusion = INCONCLUSIVE
     if sd is not None:
-        det_cond = sd.det_condition()
         criteria = {
             "M_A": sd.M_A,
             "F_omega": sd.F_omega,
             "M_omega": sd.M_omega,
-            "det_condition": det_cond,
+            "det_condition": sd.det_condition(),
         }
         witness = find_delta_witness(sd)
-        D = det_cond / sd.M_A if sd.M_A != 0.0 else None
     res, bound = wave_residual
     if not res <= bound:
         reason = f"wave residual {res:.3e} above the roundoff bound {bound:.3e}"
@@ -271,29 +268,20 @@ def decide(
             "spectral prerequisites failed "
             f"(n_neg={h0.n_negative}, zero_dim={h0.zero_dim}, h1={h1_pass})"
         )
-    elif sd.M_A > 0.0:
-        fired, mu_nu = "M_A", (1.0, 0.0)
-    elif sd.F_omega > 0.0:
-        fired, mu_nu = "F_omega", (0.0, 1.0)
-    elif det_cond > 0.0:
-        fired, mu_nu = "det_condition", witness
     elif witness is not None:
-        fired, mu_nu = "delta_witness", witness
-    elif sd.M_A < 0.0 and sd.F_omega < 0.0 and det_cond < 0.0 and h0.n_negative == 1:
-        # no positive direction: the Krein-Hamiltonian count n(L) -
-        # neg(-M_A) - neg(D) is 1 - 0 - 0 here, since -M_A > 0 and D > 0
-        conclusion, k_ham = SPECTRALLY_UNSTABLE, 1
+        conclusion = ORBITALLY_STABLE
+        fired = next((c for c in ("M_A", "F_omega", "det_condition") if criteria[c] > 0.0),
+                     "delta_witness")
+        mu_nu = {"M_A": (1.0, 0.0), "F_omega": (0.0, 1.0)}.get(fired, witness)
+    elif sd._delta_eigh[0][-1] < 0.0:
+        conclusion = SPECTRALLY_UNSTABLE
     else:
         reason = "no stability criterion fired and instability premises unmet"
-    if fired is not None:
-        conclusion = ORBITALLY_STABLE
     return StabilityVerdict(
         conclusion=conclusion,
         fired_criterion=fired,
         criteria=criteria,
         delta_witness=witness,
-        D=D,
-        K_Ham=k_ham,
         mu_nu=mu_nu,
         prerequisites={"h0_pass": h0.h0_pass, "h1_pass": h1_pass},
         reason=reason,

@@ -267,6 +267,8 @@ def solve_newton(
     residual is below both ``tol`` and ``residual_bound``, or once it has
     stalled within ``residual_bound``: its residual is above half the
     previous one and its Newton step is no smaller than the previous step.
+    An iterate within max(tol, residual_bound) whose profile is constant raises
+    DegenerateBranchError; its residual_bound is 0, so it is never accepted.
     """
     grid = guess.grid
     N = grid.size
@@ -304,6 +306,10 @@ def solve_newton(
             mean_defect = float(grid.spacing * phi.values.sum() / grid.length - target_mean)
         mean_ok = abs(mean_defect) <= tol
         bound = residual_bound(symbol, phi)
+        if sup <= max(tol, bound) and np.ptp(phi.values) < 1e-10 * (1.0 + phi.sup_norm()):
+            raise DegenerateBranchError(
+                f"Newton collapsed to the constant branch (omega={omega})"
+            )
         if sup <= min(tol, bound) and mean_ok:
             break
 
@@ -344,10 +350,6 @@ def solve_newton(
             f"last residual {history[-1]:.3e}, roundoff bound {bound:.3e})"
         )
 
-    if np.ptp(phi.values) < 1e-10 * (1.0 + phi.sup_norm()):
-        raise DegenerateBranchError(
-            f"Newton collapsed to the constant branch (omega={omega})"
-        )
     return TravelingWave(
         profile=phi,
         omega=float(omega),
@@ -506,9 +508,7 @@ class WaveFamily:
     """Ordered waves along a one-parameter sweep sharing grid/symbol/flux."""
 
     waves: tuple
-    parameter: str
     values: np.ndarray
-    max_profile_jump: float
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -567,7 +567,6 @@ def continue_family(
 
     waves = []
     guess = seed.profile
-    max_jump = 0.0
     for value in values:
         if parameter == "omega":
             omega, con = float(value), constraint
@@ -588,13 +587,11 @@ def continue_family(
             )
         except SolverError as exc:
             err = type(exc)(f"continuation failed at {parameter}={value}: {exc}")
-            err.family = WaveFamily(tuple(waves), parameter, values[: len(waves)], max_jump)
+            err.family = WaveFamily(tuple(waves), values[: len(waves)])
             raise err from exc
-        if waves:
-            max_jump = max(max_jump, (w.profile - waves[-1].profile).sup_norm())
         waves.append(w)
         guess = w.profile
-    return WaveFamily(tuple(waves), parameter, values, max_jump)
+    return WaveFamily(tuple(waves), values)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,11 @@ class TestConfig:
         ("grid.spacing=0.1", "grid"),
         ("evolve.steps=10", "evolve"),
         ("grid=5", "grid"),
+        # an object override replaces the section, so it must give its required keys
+        ('evolve={"T":0.01}', "evolve"),
+        ('solve={"omega":-0.5,"guess":{"type":"cosine"}}', "solve"),
+        ('equation={"symbol":{"kind":"second_derivative"},'
+         '"nonlinearity":{"kind":"power","p":1}}', "equation"),
     ]
 
     @pytest.mark.parametrize("preset", ["kdv-cnoidal", "gkdv-p", "bo", "ilw",

@@ -176,13 +176,11 @@ class TestDecide:
         assert "prerequisites" in v.reason
 
     def test_remark_det_unstable_case(self):
-        # both negative with negative determinant condition: D > 0 and
-        # K_Ham = n(L) - neg(-M_A) - neg(D) = 1 - 0 - 0 = 1
+        # both negative with negative determinant condition: Delta is negative
+        # definite and n(L) - n_+(S) = 1 - 0 = 1
         sd = SurfaceDerivatives(M_omega=0.0, M_A=-1.0, F_omega=-1.0, F_A=0.0)
         v = decide(sd, _passing_h0(), True)
         assert v.conclusion == SPECTRALLY_UNSTABLE
-        assert v.K_Ham == 1
-        assert v.D == pytest.approx(1.0)
 
     def test_delta_witness_fourth(self):
         # M_A, F_omega and the determinant condition all negative, yet the
@@ -193,18 +191,15 @@ class TestDecide:
         assert v.fired_criterion == "delta_witness"
         assert np.abs(v.mu_nu) == pytest.approx([math.sqrt(0.5)] * 2, rel=1e-12)
         assert v.mu_nu == v.delta_witness
-        assert v.K_Ham is None
         assert v.reason is None
 
     def test_premises_unmet_inconclusive(self):
-        # M_A = 0: no criterion fires and the Krein count is undefined
+        # M_A = 0: Delta is negative semidefinite, its top eigenvalue 0
         sd = SurfaceDerivatives(0.0, 0.0, -1.0, 0.0)
         v = decide(sd, _passing_h0(), True)
         assert v.conclusion == INCONCLUSIVE
         assert v.fired_criterion is None
         assert v.mu_nu is None
-        assert v.K_Ham is None
-        assert v.D is None
         assert v.reason == "no stability criterion fired and instability premises unmet"
 
     def test_remark_det_premises_checked(self):
@@ -216,6 +211,21 @@ class TestDecide:
         sd2 = SurfaceDerivatives(M_omega=0.0, M_A=-1.0, F_omega=-1.0, F_A=0.0)
         v2 = decide(sd2, _passing_h0(n_neg=2), True)
         assert v2.conclusion == INCONCLUSIVE
+
+    def test_verdict_is_sign_of_top_eigenvalue(self):
+        # F_A is drawn apart from M_omega, which no real wave does; the last
+        # input has det_condition > 0 but a negative definite Delta
+        rng = np.random.default_rng(3)
+        cases = [SurfaceDerivatives(*rng.uniform(-3.0, 3.0, size=4)) for _ in range(200)]
+        cases.append(SurfaceDerivatives(M_omega=2.0, M_A=-1.0, F_omega=-1.0, F_A=-2.0))
+        for sd in cases:
+            m = 0.5 * (sd.M_omega + sd.F_A)
+            top = np.linalg.eigvalsh([[sd.M_A, m], [m, sd.F_omega]])[-1]
+            v = decide(sd, _passing_h0(), True)
+            assert (v.conclusion == ORBITALLY_STABLE) == (top > 0.0)
+            assert (v.conclusion == SPECTRALLY_UNSTABLE) == (top < 0.0)
+            if top > 0.0:
+                assert v.mu_nu is not None and delta_form(sd, *v.mu_nu) > 0.0
 
     def test_residual_above_bound_forces_inconclusive(self):
         sd = SurfaceDerivatives(M_omega=0.0, M_A=1.0, F_omega=1.0, F_A=0.0)
@@ -292,7 +302,6 @@ class TestVerdictOnWaves:
         assert v.conclusion == INCONCLUSIVE
         assert v.fired_criterion is None
         assert v.mu_nu is None
-        assert v.K_Ham is None
         assert v.criteria == {}
         assert v.reason == "kernel solve for the surface derivatives is near-singular"
         assert c.surface is None

@@ -18,6 +18,7 @@ from periwave.spectral import (
 from periwave.waves import (
     Constraint,
     ConvergenceError,
+    DegenerateBranchError,
     Nonlinearity,
     ResolutionError,
     TravelingWave,
@@ -260,6 +261,16 @@ class TestNewton:
                 w.symbol, w.nonlinearity, tol=1e-12, max_iter=2,
             )
 
+    @pytest.mark.parametrize("amplitude, omega", [(1e-3, 2.0), (0.1, 5.0)])
+    def test_collapse_to_constant_branch_named(self, amplitude, omega):
+        # zero-mean KdV: both guesses fall onto phi = 0, whose roundoff bound is 0
+        grid = PeriodicGrid(TWO_PI, 64)
+        with pytest.raises(DegenerateBranchError, match="collapsed to the constant branch"):
+            solve_newton(
+                Field(grid, amplitude * np.cos(grid.nodes)), omega, Constraint.zero_mean(),
+                DispersionSymbol.second_derivative(TWO_PI), Nonlinearity.kdv(),
+            )
+
     def test_no_convergence_names_roundoff_bound(self, kdv_stable):
         w = kdv_stable
         noise = random_smooth_field(w.grid, seed=4, norm_s=0.0)
@@ -386,7 +397,8 @@ class TestFamily:
         assert all(m.residual_norm < 1e-8 for m in fam)
         assert all(abs(mean_value(m.profile)) < 1e-12 for m in fam)
         # consecutive profiles stay close (continuity along the branch)
-        assert 0.0 < fam.max_profile_jump < 1.0
+        jump = max((b.profile - a.profile).sup_norm() for a, b in zip(fam, fam[1:]))
+        assert 0.0 < jump < 1.0
 
     def test_amplitude_monotone_on_zero_mean_branch(self, kdv_stable):
         w = kdv_stable
