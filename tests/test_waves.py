@@ -320,17 +320,19 @@ class TestNewton:
 
     @pytest.mark.parametrize(
         "N, shift, omega0, amp",
-        [(256, 10.0, -0.99999999, 1.0), (1024, 10.0, -0.999999, 3.0)],
+        [(256, 10.0, -1.0000001, 3.0), (1024, 10.0, -1.000001, 3.0)],
     )
     def test_slow_convergence_near_bifurcation_not_taken_for_a_stall(
         self, N, shift, omega0, amp
     ):
         # The Stokes branch of test_stokes_branch_near_bifurcation, carried by
         # the Galilean shift phi -> shift + phi (omega -> omega + shift,
-        # A -> shift^2/2 - omega shift).  So close to the bifurcation the
-        # Jacobian is nearly singular: the residual falls by less than half
-        # per step while already within residual_bound (the bound is 1e3
-        # times the roundoff floor).  Newton must go on to the floor.
+        # A -> shift^2/2 - omega shift).  The branch omega0 = -1 - (5/24) a^2
+        # exists only for omega0 < -1, so both cases sit just on that side.
+        # So close to the bifurcation the Jacobian is nearly singular: the
+        # residual falls by less than half per step while already within
+        # residual_bound (the bound is 1e3 times the roundoff floor).  Newton
+        # must go on to the floor, and land on the small wave.
         grid = PeriodicGrid(TWO_PI, N)
         omega = omega0 + shift
         a_pred = math.sqrt(24.0 * abs(1.0 + omega0) / 5.0)
@@ -342,6 +344,7 @@ class TestNewton:
             DispersionSymbol.second_derivative(TWO_PI), Nonlinearity.kdv(),
         )
         assert w.residual_norm < 1e-2 * residual_bound(w.symbol, w.profile)
+        assert 2.0 * abs(w.profile.spectrum[1]) / N == pytest.approx(a_pred, rel=1e-2)
 
     def test_quadratic_convergence_history(self, bo_wave):
         # order estimate q_n = ln r_{n+1} / ln r_n on residuals inside the
