@@ -180,6 +180,7 @@ def cmd_solve(out: str, wave: TravelingWave, config: dict) -> int:
             "residual_norm": wave.residual_norm,
             "constraint": wave.constraint,
             "files": {"profile": base + ".csv", "sidecar": base + ".json"},
+            **wave.newton_report(),
         },
         config,
         os.path.join(out, "solve_report.json"),

@@ -301,6 +301,26 @@ def shift(u: Field, r: float) -> Field:
     return Field.from_spectrum(g, u.spectrum * phase)
 
 
+def _band_size(values: np.ndarray) -> tuple[int, int]:
+    """(J, K): J the highest mode above eps sup|values|, K the least power of two
+    >= 16 above 3J (the 3/2 rule: no aliasing onto the band), capped at N."""
+    coef = np.abs(np.fft.fft(values)) / values.size
+    kappa = np.abs(np.fft.fftfreq(values.size, 1.0 / values.size))
+    J = int(kappa[coef > np.finfo(float).eps * np.abs(values).max()].max(initial=0))
+    return J, min(values.size, max(16, 2 ** (3 * J).bit_length()))
+
+
+def _resample(values: np.ndarray, size: int) -> np.ndarray:
+    """``values`` spectrally truncated or zero-padded to ``size`` nodes, without
+    the smaller grid's Nyquist mode; the same size returns ``values`` itself."""
+    n, m = values.size, min(size, values.size) // 2
+    if size == n:
+        return values
+    spec = np.zeros(size // 2 + 1, dtype=complex)
+    spec[:m] = np.fft.rfft(values)[:m] * (size / n)
+    return np.fft.irfft(spec, size)
+
+
 def random_smooth_field(grid: PeriodicGrid, seed: int, norm_s: float | None = None) -> Field:
     """Seeded random mean-free real field with spectrum decaying like (1+|kappa|)^-4.
 

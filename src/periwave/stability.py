@@ -47,6 +47,8 @@ from .linop import (
 from .spectral import (
     Field,
     PeriodicGrid,
+    _band_size,
+    _resample,
     _sobolev_weights,
     derivative,
     derivative_matrix,
@@ -398,8 +400,8 @@ def _core(w: TravelingWave, zero_tol: float | None):
     """The wave truncated to its low-mode core, with L and H1's (c1, c2) there.
 
     J is the highest mode of f'(phi) above eps sup|f'(phi)|, and the core
-    size K the least power of two >= 16 above 3J (the 3/2 rule: f'(phi) v of
-    two band-J fields does not alias onto the band), capped at N.  K doubles
+    size K the least power of two >= 16 above 3J, capped at N (the 3/2 rule
+    of ``_band_size``: f'(phi) v does not alias onto the band).  K doubles
     until the modes it drops, K/2 <= |kappa| <= N/2, are certified inert.
     By Weyl their block of L is at least gamma = min(a theta + b) -
     sup|f'(phi)| > 0, and by Haynsworth In L_N = In(that block) + In(Schur
@@ -412,22 +414,18 @@ def _core(w: TravelingWave, zero_tol: float | None):
     """
     grid, sym, N = w.grid, w.symbol, w.grid.size
     v = w.nonlinearity.fprime(w.profile.values)
-    sup_v = float(np.abs(v).max())
-    v_hat = np.abs(np.fft.fft(v)) / N
+    modes, K = _band_size(v)
+    coupling = float((np.abs(np.fft.fft(v)) / N)[1:].sum())
     kappa = np.abs(grid.wavenumbers)
-    modes = int(kappa[v_hat > np.finfo(float).eps * sup_v].max(initial=0))
-    coupling = float(v_hat[1:].sum())
     a, b = _linear_coefficients(w.variant, w.omega)
-    level = a * sym.values_on(grid) + b - sup_v
+    level = a * sym.values_on(grid) + b - float(np.abs(v).max())
     weight = _sobolev_weights(grid, 0.5 * sym.order)
-    K = max(16, 2 ** (3 * modes).bit_length())
     while True:
         K = min(K, N)
         core = w
         if K < N:
-            spec = np.fft.rfft(w.profile.values)[: K // 2 + 1] * (K / N)
-            spec[-1] = 0.0
-            core = replace(w, profile=Field(PeriodicGrid(grid.length, K), np.fft.irfft(spec, K)))
+            core = replace(w, profile=Field(PeriodicGrid(grid.length, K),
+                                            _resample(w.profile.values, K)))
         lin = assemble(core)
         if zero_tol is not None:
             lin = replace(lin, zero_tol=float(zero_tol))
@@ -488,6 +486,7 @@ class Certification:
                 "A": self.wave.A,
                 "residual_norm": self.wave.residual_norm,
                 "variant": self.wave.variant,
+                **self.wave.newton_report(),
             },
         }
         out.update(self.verdict.to_dict())

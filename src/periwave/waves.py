@@ -20,6 +20,8 @@ from .spectral import (
     DispersionSymbol,
     Field,
     PeriodicGrid,
+    _band_size,
+    _resample,
     apply_multiplier,
     integral,
     mean_value,
@@ -163,6 +165,7 @@ class TravelingWave:
     residual_norm: float = float("nan")
     constraint: str = ""
     newton_history: tuple = ()
+    newton_size: int | None = None
 
     def __post_init__(self):
         if self.variant not in ("standard", "regularized"):
@@ -176,6 +179,13 @@ class TravelingWave:
     def sobolev_index(self) -> float:
         """The energy-space exponent m/2 of the underlying symbol."""
         return 0.5 * self.symbol.order
+
+    def newton_report(self) -> dict:
+        """Newton's step count and final working size (None unless Newton made
+        the wave) and the roundoff bound the residual is held to."""
+        steps = len(self.newton_history) - 1 if self.newton_history else None
+        return {"newton_steps": steps, "newton_size": self.newton_size,
+                "residual_bound": residual_bound(self.symbol, self.profile)}
 
 
 def _linear_coefficients(variant: str, omega: float) -> tuple[float, float]:
@@ -262,8 +272,13 @@ def solve_newton(
     profile makes the translation mode phi' odd, hence invisible to the
     reduced Jacobian.
 
-    The residual is the one ``residual`` evaluates; the dense multiplier
-    matrix enters only the Jacobian.  An iterate is accepted once its
+    Every iterate's residual is the one ``residual`` evaluates at N, and the
+    acceptance tests below read it there.  The Jacobian solve alone runs at a
+    working size K_s: the band rule of ``_band_size`` on the iterate, never
+    shrinking, doubled while the residual's modes |kappa| >= K_s/2 sum above
+    ``residual_bound``, and capped at N (the plain iteration).  The residual
+    is truncated to K_s modes and the step zero-padded back to N; the wave
+    records the last K_s as ``newton_size``.  An iterate is accepted once its
     residual is below both ``tol`` and ``residual_bound``, or once it has
     stalled within ``residual_bound``: its residual is above half the
     previous one and its Newton step is no smaller than the previous step.
@@ -273,26 +288,19 @@ def solve_newton(
     grid = guess.grid
     N = grid.size
     half = N // 2
-    K = half + 1
 
-    v = _symmetrize(guess.values)[: K].copy()
+    v = _symmetrize(guess.values)[: half + 1].copy()
     if np.ptp(v) < 1e-14 * (1.0 + np.abs(v).max()):
         raise ConstantGuessError("guess is constant; the trivial branch is excluded")
 
     a_M, b_lin = _linear_coefficients(variant, omega)
-    lin_mat = a_M * multiplier_matrix(symbol, grid) + b_lin * np.eye(N)
-
     solve_A = constraint.mode in ("zero_mean", "fixed_mean")
     A = constraint.value if constraint.mode == "fixed_A" else 0.0
     target_mean = constraint.target_mean()
 
-    # row weights of mean(phi) with respect to the reduced coordinates
-    mean_row = np.full(K, 2.0 * grid.spacing / grid.length)
-    mean_row[0] = grid.spacing / grid.length
-    mean_row[-1] = grid.spacing / grid.length
-
     history = []
     last_step = np.inf
+    Ks, lin_mat = 0, None
     for _ in range(max_iter):
         phi = Field(grid, _embed_even(v, N))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -301,6 +309,7 @@ def solve_newton(
         if not np.isfinite(sup):
             raise ConvergenceError(f"Newton iterates diverged (omega={omega})")
         history.append(sup)
+        Ks = max(Ks, _band_size(phi.values)[1])
         mean_defect = 0.0
         if solve_A:
             mean_defect = float(grid.spacing * phi.values.sum() / grid.length - target_mean)
@@ -313,21 +322,31 @@ def solve_newton(
         if sup <= min(tol, bound) and mean_ok:
             break
 
+        tail = np.abs(np.fft.rfft(res_full)) * (2.0 / N)
+        while Ks < N and tail[Ks // 2:].sum() >= bound:
+            Ks = min(2 * Ks, N)
+        work = PeriodicGrid(grid.length, Ks)
+        K = Ks // 2 + 1
+        if lin_mat is None or lin_mat.shape[0] != Ks:
+            lin_mat = a_M * multiplier_matrix(symbol, work) + b_lin * np.eye(Ks)
         with np.errstate(over="ignore", invalid="ignore"):
-            jac_full = lin_mat - np.diag(nonlinearity.fprime(phi.values))
+            jac_full = lin_mat - np.diag(nonlinearity.fprime(_resample(phi.values, Ks)))
         jac = jac_full[:K, :K].copy()
-        jac[:, 1:half] += jac_full[:K, : half : -1]
+        jac[:, 1 : K - 1] += jac_full[:K, : K - 1 : -1]
+        rhs = _resample(res_full, Ks)[:K]
 
         try:
             if solve_A:
+                # row weights of mean(phi) with respect to the reduced coordinates
+                mean_row = np.full(K, 2.0 * work.spacing / work.length)
+                mean_row[0] = mean_row[-1] = work.spacing / work.length
                 aug = np.zeros((K + 1, K + 1))
                 aug[:K, :K] = jac
                 aug[:K, K] = 1.0
                 aug[K, :K] = mean_row
-                rhs = np.concatenate((res_full[:K], [mean_defect]))
-                step = np.linalg.solve(aug, rhs)
+                step = np.linalg.solve(aug, np.concatenate((rhs, [mean_defect])))
             else:
-                step = np.linalg.solve(jac, res_full[:K])
+                step = np.linalg.solve(jac, rhs)
         except np.linalg.LinAlgError as exc:
             raise BifurcationError(
                 f"singular Jacobian on the symmetric subspace (omega={omega})"
@@ -339,7 +358,7 @@ def solve_newton(
         if stalled and mean_ok and sup <= bound:
             break
         last_step = size
-        v -= step[:K]
+        v -= _resample(_embed_even(step[:K], Ks), N)[: half + 1]
         if solve_A:
             A -= step[K]
         if not np.all(np.isfinite(v)):
@@ -360,6 +379,7 @@ def solve_newton(
         residual_norm=history[-1],
         constraint=constraint.mode,
         newton_history=tuple(history),
+        newton_size=Ks,
     )
 
 

@@ -434,6 +434,19 @@ class TestCli:
                         "--out", str(tmp_path / "b"))
         assert code == direct
         assert os.path.exists(os.path.join(tmp_path, "b", "certify.json"))
+        # Newton's record: from the solve, null for a closed form or a saved wave
+        report = json.loads(open(os.path.join(src, "solve_report.json")).read())
+        direct_wave, saved_wave = (
+            json.loads(open(os.path.join(tmp_path, run, "certify.json")).read())["wave"]
+            for run in ("a", "b")
+        )
+        newton = load_config(preset=preset)["solve"]["guess"]["type"] == "cosine"
+        assert (report["newton_steps"] is not None) == newton
+        assert (report["newton_size"] is not None) == newton
+        for key in ("newton_steps", "newton_size", "residual_bound"):
+            assert direct_wave[key] == report[key]
+        assert saved_wave["newton_steps"] is None and saved_wave["newton_size"] is None
+        assert saved_wave["residual_bound"] == report["residual_bound"] > 0.0
 
     @pytest.mark.parametrize(
         "preset,overrides,field",

@@ -4,13 +4,16 @@ import re
 import numpy as np
 import pytest
 
-from periwave import elliptic
+from periwave import elliptic, waves
+from periwave.cli import _solve_wave
+from periwave.config import load_config
 from periwave.evolution import constrained_energy, energy, mass, momentum
 from periwave.linop import assemble
 from periwave.spectral import (
     DispersionSymbol,
     Field,
     PeriodicGrid,
+    _resample,
     mean_value,
     random_smooth_field,
     shift,
@@ -288,12 +291,38 @@ class TestNewton:
         assert bound == pytest.approx(floor, rel=0.05)
         assert last > bound
 
-    def test_residual_norm_is_last_history_entry(self, kdv_stable, gkdv2_wave):
+    def test_residual_norm_is_last_history_entry(self, kdv_stable, gkdv2_wave, preset_wave):
         w = kdv_stable
         out = solve_newton(w.profile, w.omega, Constraint.zero_mean(), w.symbol, w.nonlinearity)
-        for wave in (out, gkdv2_wave):
+        for wave in (out, gkdv2_wave, preset_wave("bo", 1024)):
             assert wave.residual_norm == wave.newton_history[-1]
             assert wave.residual_norm == residual(wave).sup_norm()
+
+    @pytest.mark.parametrize("preset", ["bo", "gkdv-p"])
+    def test_jacobian_at_working_size(self, monkeypatch, preset):
+        # only the Jacobian solve leaves N: one dense build per working size,
+        # each below N, the sizes never shrinking
+        sizes = []
+        real = waves.multiplier_matrix
+        monkeypatch.setattr(waves, "multiplier_matrix",
+                            lambda symbol, grid: sizes.append(grid.size) or real(symbol, grid))
+        w = _solve_wave(load_config(preset=preset, overrides=["grid.N=1024"]))
+        assert sizes and max(sizes) < 1024
+        assert sizes == sorted(set(sizes)) and w.newton_size == sizes[-1]
+        assert w.residual_norm <= residual_bound(w.symbol, w.profile)
+
+    def test_polish_without_a_step_builds_no_matrix(self, monkeypatch):
+        w = cnoidal_wave(TWO_PI, 0.99, 1024)
+        monkeypatch.setattr(waves, "multiplier_matrix", None)
+        out = solve_newton(
+            w.profile, w.omega, Constraint.fixed_A(w.A), w.symbol, w.nonlinearity, tol=1e-8
+        )
+        assert len(out.newton_history) == 1 and out.newton_report()["newton_steps"] == 0
+
+    def test_solution_at_n_is_the_padded_coarse_solution(self, preset_wave):
+        fine, coarse = preset_wave("bo", 1024), preset_wave("bo", 256)
+        padded = _resample(coarse.profile.values, 1024)
+        assert np.abs(fine.profile.values - padded).max() <= 1e-13 * fine.profile.sup_norm()
 
     def test_tol_above_bound_does_not_stop_early(self, kdv_stable):
         w = kdv_stable
