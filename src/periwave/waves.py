@@ -300,7 +300,7 @@ def solve_newton(
 
     history = []
     last_step = np.inf
-    Ks, lin_mat = 0, None
+    Ks, lin_mat = 0, np.zeros((0, 0))
     for _ in range(max_iter):
         phi = Field(grid, _embed_even(v, N))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -327,7 +327,7 @@ def solve_newton(
             Ks = min(2 * Ks, N)
         work = PeriodicGrid(grid.length, Ks)
         K = Ks // 2 + 1
-        if lin_mat is None or lin_mat.shape[0] != Ks:
+        if lin_mat.shape[0] != Ks:
             lin_mat = a_M * multiplier_matrix(symbol, work) + b_lin * np.eye(Ks)
         with np.errstate(over="ignore", invalid="ignore"):
             jac_full = lin_mat - np.diag(nonlinearity.fprime(_resample(phi.values, Ks)))
