@@ -302,12 +302,12 @@ def shift(u: Field, r: float) -> Field:
 
 
 def _band_size(values: np.ndarray) -> tuple[int, int]:
-    """(J, K): J the highest mode above eps sup|values|, K the least power of two
+    """(J, K): J the highest mode above eps sup|values|, K the least even size
     >= 16 above 3J (the 3/2 rule: no aliasing onto the band), capped at N."""
     coef = np.abs(np.fft.fft(values)) / values.size
     kappa = np.abs(np.fft.fftfreq(values.size, 1.0 / values.size))
     J = int(kappa[coef > np.finfo(float).eps * np.abs(values).max()].max(initial=0))
-    return J, min(values.size, max(16, 2 ** (3 * J).bit_length()))
+    return J, min(values.size, max(16, 2 * (3 * J // 2 + 1)))
 
 
 def _resample(values: np.ndarray, size: int) -> np.ndarray:

@@ -400,7 +400,7 @@ def _core(w: TravelingWave, zero_tol: float | None):
     """The wave truncated to its low-mode core, with L and H1's (c1, c2) there.
 
     J is the highest mode of f'(phi) above eps sup|f'(phi)|, and the core
-    size K the least power of two >= 16 above 3J, capped at N (the 3/2 rule
+    size K the least even size >= 16 above 3J, capped at N (the 3/2 rule
     of ``_band_size``: f'(phi) v does not alias onto the band).  K doubles
     until the modes it drops, K/2 <= |kappa| <= N/2, are certified inert.
     By Weyl their block of L is at least gamma = min(a theta + b) -
@@ -464,7 +464,7 @@ class Certification:
             return None
         mu, nu = self.verdict.mu_nu
         q = Field(self.core.grid, mu + nu * speed_gradient_field(self.core).values)
-        return constrained_min_rayleigh(self.operator, [derivative(self.core.profile), q])[0]
+        return constrained_min_rayleigh(self.operator, [derivative(self.core.profile), q])
 
     @cached_property
     def k_r(self) -> Optional[int]:

@@ -267,8 +267,9 @@ def solve_newton(
     """Newton iteration for the profile equation on the cosine subspace.
 
     Under ``fixed_A`` the constant A is prescribed; under ``zero_mean`` or
-    ``fixed_mean`` A joins the unknowns and the mean of phi supplies the
-    extra equation.  The guess is symmetrized about x = 0 first; an even
+    ``fixed_mean`` A joins the unknowns, starting from the zero mode of the
+    profile equation at the guess (theta(0) = 0), and the mean of phi supplies
+    the extra equation.  The guess is symmetrized about x = 0 first; an even
     profile makes the translation mode phi' odd, hence invisible to the
     reduced Jacobian.
 
@@ -304,6 +305,8 @@ def solve_newton(
     for _ in range(max_iter):
         phi = Field(grid, _embed_even(v, N))
         with np.errstate(over="ignore", invalid="ignore"):
+            if solve_A and not history:
+                A = float(np.mean(nonlinearity.f(phi.values) - b_lin * phi.values))
             res_full = _profile_map(phi, symbol, a_M, b_lin, nonlinearity.f, A)
         sup = float(np.abs(res_full).max())
         if not np.isfinite(sup):

@@ -293,7 +293,7 @@ class TestCli:
         cert = json.loads(open(os.path.join(out, "certify.json")).read())
         assert cert["conclusion"] == "orbitally_stable"
         spectrum = np.loadtxt(os.path.join(out, "spectrum.csv"), delimiter=",", skiprows=1)
-        assert spectrum.shape == (256, 2)
+        assert spectrum.shape == (140, 2)
         assert np.all(np.diff(spectrum[:, 1]) >= 0)
 
     def test_certify_reports_its_core(self, tmp_path):
@@ -301,10 +301,10 @@ class TestCli:
         assert self.run("certify", "--preset", "kdv-cnoidal", "--out", out) == 0
         cert = json.loads(open(os.path.join(out, "certify.json")).read())
         core = cert["core"]
-        assert (core["N"], core["K"], core["modes"]) == (256, 128, 26)
+        assert (core["N"], core["K"], core["modes"]) == (256, 80, 26)
         assert core["gamma"] > 0.0 and 0.0 < core["delta"] < core["gap"]
         spectrum = np.loadtxt(os.path.join(out, "spectrum.csv"), delimiter=",", skiprows=1)
-        assert spectrum.shape == (128, 2)
+        assert spectrum.shape == (80, 2)
         lam = np.abs(spectrum[:, 1])
         assert core["gap"] == lam[lam > cert["h0"]["zero_tol"]].min()
 

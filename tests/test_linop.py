@@ -167,13 +167,13 @@ class TestH1Constants:
 class TestConstrainedRayleigh:
     def test_no_constraints_gives_least_eigenvalue(self, kdv_stable):
         lin = assemble(kdv_stable)
-        value, vec = constrained_min_rayleigh(lin, [])
+        value = constrained_min_rayleigh(lin, [])
         assert value == pytest.approx(lin.eigenvalues[0], abs=1e-12)
 
     def test_constant_state_mean_free_minimum(self):
         w = make_constant(c=0.3, omega=2.0)
         lin = assemble(w)
-        value, _ = constrained_min_rayleigh(lin, [Field.constant(w.grid, 1.0)])
+        value = constrained_min_rayleigh(lin, [Field.constant(w.grid, 1.0)])
         expected = float(w.symbol.value(1)) + 2.0 - 0.3
         assert value == pytest.approx(expected, rel=1e-10)
 
@@ -187,7 +187,7 @@ class TestConstrainedRayleigh:
         # (mu, nu) = (0, 1): constraints {phi', phi}
         w = kdv_stable
         lin = assemble(w)
-        value, _ = constrained_min_rayleigh(lin, [derivative(w.profile), w.profile])
+        value = constrained_min_rayleigh(lin, [derivative(w.profile), w.profile])
         assert value > 0.0
 
 

@@ -7,6 +7,7 @@ from periwave.spectral import (
     DispersionSymbol,
     Field,
     PeriodicGrid,
+    _band_size,
     apply_multiplier,
     derivative,
     derivative_matrix,
@@ -27,6 +28,19 @@ TWO_PI = 2.0 * math.pi
 @pytest.fixture
 def grid():
     return PeriodicGrid(TWO_PI, 64)
+
+
+@pytest.mark.parametrize("mode,N,expected", [
+    (44, 1024, (44, 134)),   # 3J = 132: the least even size above it
+    (45, 1024, (45, 136)),   # 3J = 135 is odd
+    (3, 1024, (3, 16)),      # at least 16
+    (44, 128, (44, 128)),    # capped at N
+])
+def test_band_size_is_the_least_even_size_above_3J(mode, N, expected):
+    # the phase reduced exactly, so that the samples carry no mode above
+    # eps of their own
+    phase = (mode * np.arange(N)) % N
+    assert _band_size(np.cos(TWO_PI * phase / N)) == expected
 
 
 def test_grid_validation():

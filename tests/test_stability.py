@@ -482,7 +482,7 @@ class TestCertify:
         mu, nu = c.verdict.mu_nu
         lin = assemble(ilw_stable)
         q = Field(ilw_stable.grid, mu + nu * ilw_stable.profile.values)
-        value, _ = constrained_min_rayleigh(lin, [derivative(ilw_stable.profile), q])
+        value = constrained_min_rayleigh(lin, [derivative(ilw_stable.profile), q])
         assert value == pytest.approx(c.c3)
         assert value > 0
 
@@ -493,7 +493,7 @@ class TestCertify:
         assert nu != 0.0
         phi = c.core.profile
         q = Field(phi.grid, mu + nu * (apply_multiplier(c.core.symbol, phi) + phi).values)
-        assert c.c3 == constrained_min_rayleigh(c.operator, [derivative(phi), q])[0]
+        assert c.c3 == constrained_min_rayleigh(c.operator, [derivative(phi), q])
 
 
 class TestCrossChecksOnRead:
@@ -554,9 +554,9 @@ class TestCore:
 
     def test_core_sizes(self, preset_wave):
         c = certify(preset_wave("kdv-cnoidal", 1024))
-        assert c.operator.size == 128 and c.core.grid.size == 128
+        assert c.operator.size == 80 and c.core.grid.size == 80
         core = c.to_dict()["core"]
-        assert (core["N"], core["K"], core["modes"]) == (1024, 128, 26)
+        assert (core["N"], core["K"], core["modes"]) == (1024, 80, 26)
         assert 0.0 < core["delta"] < core["gap"] and core["gamma"] > 0.0
         bo = certify(preset_wave("bo"))
         assert bo.operator.size == bo.wave.grid.size == 128
@@ -579,6 +579,15 @@ class TestCore:
         assert (own.c3 is None) == (big.c3 is None)
         if own.c3 is not None:
             assert big.c3 == pytest.approx(own.c3, rel=1e-9)
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_guard_against_the_operator_at_N(self, preset_wave, name):
+        # the guard's claim, checked on the full L_N: the low end of the
+        # spectrum moves by less than delta, and n(L) is the core's
+        c = certify(preset_wave(name, 1024))
+        lam_N = np.linalg.eigvalsh(assemble(c.wave).matrix)
+        assert np.abs(c.operator.eigenvalues[:6] - lam_N[:6]).max() < c.core_guard["delta"]
+        assert int(np.sum(lam_N < -c.spectral_report.zero_tol)) == c.spectral_report.n_negative
 
     @pytest.mark.parametrize("N", [256, 512, 1024])
     def test_unstable_gkdv5_k_r_independent_of_N(self, N):
