@@ -70,9 +70,9 @@ def _stamp(config: dict) -> dict:
     return {"config_sha256": config_hash(config), "tool_version": __version__}
 
 
-def _write_json(payload: dict, config: dict, path: str):
+def _write_json(payload: dict, stamp: dict, path: str):
     payload = dict(payload)
-    payload.update(_stamp(config))
+    payload.update(stamp)
     atomic_write_text(path, canonical_json(payload))
 
 
@@ -172,7 +172,8 @@ def _load_or_solve(args, config: dict) -> TravelingWave:
 
 def cmd_solve(out: str, wave: TravelingWave, config: dict) -> int:
     base = os.path.join(out, "wave")
-    save_wave(wave, base, extra=_stamp(config))
+    stamp = _stamp(config)
+    save_wave(wave, base, extra=stamp)
     _write_json(
         {
             "omega": wave.omega,
@@ -182,7 +183,7 @@ def cmd_solve(out: str, wave: TravelingWave, config: dict) -> int:
             "files": {"profile": base + ".csv", "sidecar": base + ".json"},
             **wave.newton_report(),
         },
-        config,
+        stamp,
         os.path.join(out, "solve_report.json"),
     )
     print(f"residual_norm = {format_float(wave.residual_norm)}")
@@ -191,7 +192,7 @@ def cmd_solve(out: str, wave: TravelingWave, config: dict) -> int:
 
 def cmd_certify(out: str, wave: TravelingWave, config: dict) -> int:
     cert = certify(wave)
-    _write_json(cert.to_dict(), config, os.path.join(out, "certify.json"))
+    _write_json(cert.to_dict(), _stamp(config), os.path.join(out, "certify.json"))
     save_eigenvalues_csv(cert.operator, os.path.join(out, "spectrum.csv"))
     print(f"conclusion = {cert.verdict.conclusion}"
           + (f" (criterion {cert.verdict.fired_criterion})" if cert.verdict.fired_criterion else ""))
@@ -225,6 +226,7 @@ def cmd_sweep(out: str, seed_wave: TravelingWave, config: dict) -> int:
     if not family:
         return EXIT_SWEEP_PARTIAL if partial else EXIT_SOLVE
 
+    stamp = _stamp(config)  # one config hash for every member and sweep.json
     rows = []
     for value, w in zip(family.values, family):
         rows.append(
@@ -237,7 +239,7 @@ def cmd_sweep(out: str, seed_wave: TravelingWave, config: dict) -> int:
                 "verdict": certify(w).verdict.conclusion,
             }
         )
-        save_wave(w, os.path.join(out, f"wave_{len(rows) - 1:03d}"), extra=_stamp(config))
+        save_wave(w, os.path.join(out, f"wave_{len(rows) - 1:03d}"), extra=stamp)
 
     columns = [[row[key] for row in rows]
                for key in ("xi", "omega", "A", "mass", "momentum", "verdict")]
@@ -255,7 +257,7 @@ def cmd_sweep(out: str, seed_wave: TravelingWave, config: dict) -> int:
             "members": rows,
             "partial": partial,
         },
-        config,
+        stamp,
         os.path.join(out, "sweep.json"),
     )
     if curve_value is not None:
@@ -288,7 +290,7 @@ def cmd_evolve(out: str, wave: TravelingWave, config: dict) -> int:
     except BlowupError as exc:
         _write_json(
             {"blowup_time": exc.time, "error": str(exc)},
-            config,
+            _stamp(config),
             os.path.join(out, "evolve_summary.json"),
         )
         print(f"blowup detected: {exc}", file=sys.stderr)
@@ -313,7 +315,7 @@ def cmd_evolve(out: str, wave: TravelingWave, config: dict) -> int:
         )
     _write_json(
         {"traces": summary, "lyapunov": {"sigma": sigma, "mu": mu, "nu": nu}},
-        config,
+        _stamp(config),
         os.path.join(out, "evolve_summary.json"),
     )
     for item in summary:

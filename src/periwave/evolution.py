@@ -117,12 +117,21 @@ def auxiliary_quantity(
 
 def lyapunov_value(v: Field, w: TravelingWave, sigma: float, mu: float, nu: float) -> float:
     """V(v) = G(v) - G(phi) + sigma (Q(v) - Q(phi))^2; zero on the wave orbit."""
+    return _lyapunov_functional(w, sigma, mu, nu)(v)
+
+
+def _lyapunov_functional(w: TravelingWave, sigma: float, mu: float, nu: float):
+    """v -> V(v), with G(phi) and Q(phi) computed once."""
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     q1 = constrained_energy(w.profile, w)
     q2 = auxiliary_quantity(w.profile, mu, nu, symbol=w.symbol, variant=w.variant)
-    Q = auxiliary_quantity(v, mu, nu, symbol=w.symbol, variant=w.variant)
-    return constrained_energy(v, w) - q1 + sigma * (Q - q2) ** 2
+
+    def V(v: Field) -> float:
+        Q = auxiliary_quantity(v, mu, nu, symbol=w.symbol, variant=w.variant)
+        return constrained_energy(v, w) - q1 + sigma * (Q - q2) ** 2
+
+    return V
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +266,10 @@ class _Semidiscretization:
         if dealias:
             self.nl_scale[np.arange(half + 1) > (2 * half) // 3] = 0.0
 
-    def nonlinear(self, uh: np.ndarray) -> np.ndarray:
-        fh = np.fft.rfft(self.f(np.fft.irfft(uh, self.size)))
+    def nonlinear(self, uh: np.ndarray, out=None, phys=None) -> np.ndarray:
+        """The nonlinear term of ``uh``, into ``out`` through ``phys`` if given."""
+        phys = np.fft.irfft(uh, self.size, out=phys)
+        fh = np.fft.rfft(self.f(phys, out=phys), out=out)
         fh *= self.nl_scale
         return fh
 
@@ -275,6 +286,10 @@ def integrate(
     on one grid, which gives one Trajectory per Field.  A sequence is evolved
     as the rows of one half-spectrum array, and each row follows the same
     arithmetic as it would alone.
+
+    The ETDRK4 loop allocates nothing per step: its stages and states live in
+    arrays made once per call and overwritten at every step, and each sample
+    is a fresh array, never a view of them.
 
     Raises BlowupError (with the detection time and the row) at the first
     sample where a row leaves the ball of radius blowup_factor (1 + sup|row
@@ -295,32 +310,38 @@ def integrate(
     bound = cfg.blowup_factor * (1.0 + np.array([u.sup_norm() for u in fields]))
 
     uh = np.fft.rfft(np.stack([u.values for u in fields]))
+    spare = np.empty_like(uh)  # the step writes here, then the two swap
     times = [0.0]
     samples = []
 
     if cfg.integrator == "etdrk4":
         exp_full, exp_half, Q, f1, f2, f3 = _etdrk4_coefficients(dt * sd.linear, dt)
+        # operand order as in exp_half * uh + Q * n0 etc.: complex products
+        # round differently with their factors swapped
+        n0, na, nb, nc, half, a, b, c, tmp = np.empty((9,) + uh.shape, dtype=complex)
+        phys = np.empty((len(fields), grid.size))
 
-        def step(uh):
-            n0 = sd.nonlinear(uh)
-            half_uh = exp_half * uh
-            a = half_uh + Q * n0
-            na = sd.nonlinear(a)
-            b = half_uh + Q * na
-            nb = sd.nonlinear(b)
-            c = exp_half * a + Q * (2.0 * nb - n0)
-            nc = sd.nonlinear(c)
-            out = exp_full * uh
-            out += f1 * n0
-            out += f2 * (na + nb)
-            out += f3 * nc
+        def step(uh, out):
+            sd.nonlinear(uh, n0, phys)
+            np.multiply(exp_half, uh, out=half)
+            np.add(half, np.multiply(Q, n0, out=a), out=a)
+            sd.nonlinear(a, na, phys)
+            np.add(half, np.multiply(Q, na, out=b), out=b)
+            sd.nonlinear(b, nb, phys)
+            np.subtract(np.multiply(2.0, nb, out=c), n0, out=c)
+            np.add(np.multiply(exp_half, a, out=tmp), np.multiply(Q, c, out=c), out=c)
+            sd.nonlinear(c, nc, phys)
+            np.multiply(exp_full, uh, out=out)
+            out += np.multiply(f1, n0, out=tmp)
+            out += np.multiply(f2, np.add(na, nb, out=tmp), out=tmp)
+            out += np.multiply(f3, nc, out=tmp)
             return out
 
     else:  # implicit midpoint; the diagonal linear part is inverted exactly
         lin_minus = 1.0 - 0.5 * dt * sd.linear
         half_dt = 0.5 * dt
 
-        def step(uh):
+        def step(uh, out):
             # each row iterates until its own fixed-point update settles
             mid = uh.copy()
             rows = np.arange(len(uh))
@@ -332,13 +353,13 @@ def integrate(
                 rows = rows[moving]
                 if not rows.size:
                     break
-            return 2.0 * mid - uh
+            return np.subtract(np.multiply(2.0, mid, out=mid), uh, out=out)
 
     # blowing-up iterates produce transient overflow before the sample
     # check raises BlowupError; keep those warnings quiet
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
-            uh = step(uh)
+            uh, spare = step(uh, spare), uh
             if (i + 1) % sample_every == 0 or i == n_steps - 1:
                 u = np.fft.irfft(uh, grid.size)
                 t = (i + 1) * dt
@@ -415,6 +436,7 @@ def stability_experiment(
         raise BlowupError(
             f"{exc} at amplitude {amplitudes[exc.row]:g}", exc.time, exc.row
         ) from None
+    lyapunov = _lyapunov_functional(w, sigma, mu, nu)
     traces = []
     for a, traj in zip(amplitudes, trajectories):
         ds, rs, Ps, Fs, Ms, Vs = [], [], [], [], [], []
@@ -425,7 +447,7 @@ def stability_experiment(
             Ps.append(energy(u, w.symbol, w.nonlinearity))
             Fs.append(momentum(u, symbol=w.symbol, variant=w.variant))
             Ms.append(mass(u))
-            Vs.append(lyapunov_value(u, w, sigma, mu, nu))
+            Vs.append(lyapunov(u))
         traces.append(
             EvolutionTrace(
                 amplitude=a,

@@ -89,6 +89,42 @@ def _full_spectrum_reference(u0, cfg, symbol, nl, n_steps):
     return np.fft.ifft(uh).real
 
 
+def _allocating_etdrk4(starts, cfg, symbol, nl):
+    """The ETDRK4 loop written with a fresh array for every stage and the flux
+    as the expression c u^(p+1) / (p+1); returns the (rows, N) values after
+    each step."""
+    g = starts[0].grid
+    p, c = nl.params
+    sd = evolution._Semidiscretization(g, symbol, nl, cfg.variant, cfg.dealias)
+
+    def nonlinear(uh):
+        u = np.fft.irfft(uh, g.size)
+        fh = np.fft.rfft(c * u ** (p + 1) / (p + 1))
+        fh *= sd.nl_scale
+        return fh
+
+    n_steps = int(round(cfg.T / cfg.dt))
+    dt = cfg.T / n_steps
+    exp_full, exp_half, Q, f1, f2, f3 = evolution._etdrk4_coefficients(dt * sd.linear, dt)
+    uh = np.fft.rfft(np.stack([u.values for u in starts]))
+    states = []
+    for _ in range(n_steps):
+        n0 = nonlinear(uh)
+        half_uh = exp_half * uh
+        a = half_uh + Q * n0
+        na = nonlinear(a)
+        b = half_uh + Q * na
+        nb = nonlinear(b)
+        cc = exp_half * a + Q * (2.0 * nb - n0)
+        nc = nonlinear(cc)
+        uh = exp_full * uh
+        uh += f1 * n0
+        uh += f2 * (na + nb)
+        uh += f3 * nc
+        states.append(np.fft.irfft(uh, g.size))
+    return states
+
+
 @pytest.fixture
 def grid():
     return PeriodicGrid(TWO_PI, 64)
@@ -335,6 +371,39 @@ class TestIntegrate:
             ref = _full_spectrum_reference(u0, cfg, w.symbol, w.nonlinearity, n_steps)
             got = traj.states[n_steps].values
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("wave", ["kdv_stable", "bbm_wave"])
+    def test_etdrk4_bitwise_equal_to_allocating_step(self, request, wave, dealias, rows):
+        # every step is sampled, so a sample that aliased a reused stage
+        # buffer would be overwritten by later steps and differ here
+        w = request.getfixturevalue(wave)
+        p = random_smooth_field(w.grid, seed=4, norm_s=1.0)
+        starts = [w.profile + p * a for a in (1e-2, 1e-1)][:rows]
+        dt = 1e-3
+        cfg = EvolutionConfig(dt=dt, T=50 * dt, dealias=dealias, variant=w.variant,
+                              sample_interval=dt)
+        trajs = integrate(starts, cfg, w.symbol, w.nonlinearity)
+        ref = _allocating_etdrk4(starts, cfg, w.symbol, w.nonlinearity)
+        assert len(ref) == 50
+        for row, traj in enumerate(trajs):
+            assert len(traj.states) == 51
+            for state, values in zip(traj.states[1:], ref):
+                assert np.array_equal(state.values, values[row])
+
+    @pytest.mark.parametrize("c", [1.0, 2.0])
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_flux_into_out_is_bitwise_equal(self, grid, p, c):
+        nl = Nonlinearity.power_law(p, c)
+        u = 1.5 * random_smooth_field(grid, seed=6, norm_s=0.0).values
+        want = nl.f(u)
+        assert np.array_equal(want, c * u ** (p + 1) / (p + 1))
+        buf = np.empty_like(u)
+        assert nl.f(u, out=buf) is buf
+        assert np.array_equal(buf, want)
+        assert nl.f(u, out=u) is u  # in place, as integrate evaluates it
+        assert np.array_equal(u, want)
 
     @pytest.mark.parametrize("integrator", ["etdrk4", "implicit_midpoint"])
     def test_sequence_gives_one_trajectory_per_field(self, kdv_midk, integrator):
