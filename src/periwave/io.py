@@ -14,6 +14,7 @@ import os
 import tempfile
 import warnings
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 
@@ -108,12 +109,21 @@ def atomic_write_text(path: str, text: str):
         raise
 
 
+def _csv_column(col) -> tuple[str, list]:
+    """The printf conversion and the cells of one ``_csv_text`` column."""
+    values = np.asarray(col)
+    if values.dtype.kind in "fiu" and np.isfinite(values).all():
+        return "%.17g", values.astype(float).tolist()
+    return "%s", [c if isinstance(c, str) else format_float(c) for c in col]
+
+
 def _csv_text(header: list[str], columns: list) -> str:
-    """CSV table of the columns: numbers as .17g floats, strings unchanged."""
-    rows = [",".join(header)]
-    for cells in zip(*columns):
-        rows.append(",".join(c if isinstance(c, str) else format_float(c) for c in cells))
-    return "\n".join(rows) + "\n"
+    """CSV table of the columns in one printf pass: a numeric column of finite
+    values by "%.17g" (format_float's conversion), any other column cell by
+    cell, strings unchanged and numbers by format_float (NaN, Infinity)."""
+    formats, cols = zip(*map(_csv_column, columns))
+    row = ",".join(formats) + "\n"
+    return ",".join(header) + "\n" + (row * len(cols[0])) % tuple(chain.from_iterable(zip(*cols)))
 
 
 def save_field_csv(u: Field, path: str):

@@ -4,8 +4,8 @@ The linearization about a profile phi is ``L = M + omega - f'(phi)`` for the
 standard evolution and ``L = omega M + (omega - 1) - f'(phi)`` for the
 regularized one.  In collocation form the multiplier part is the transform-
 conjugated diagonal and the potential part is diagonal, so L is a real
-symmetric N x N matrix whose full eigendecomposition is computed once at
-assembly (dense solves win over iterative methods at N <= 1024).
+symmetric N x N matrix diagonalized once at assembly by dense solves (they win
+at N <= 1024), in its two parity blocks when f'(phi) is even about x = 0.
 """
 
 from __future__ import annotations
@@ -70,6 +70,40 @@ class LinearizedOperator:
         return Field(self.grid, self.matrix @ u.values)
 
 
+def _parity_blocks(mat: np.ndarray):
+    """Even and odd blocks of the reflection-symmetrized ``mat``, or None when
+    its diagonal is not even to tau = 1e-10 max(1, max|mat_ij|), assembly's
+    symmetry tolerance.  ``mat`` is an even circulant off its diagonal, so the
+    dropped odd part is diagonal and by Weyl moves each eigenvalue by at most
+    tau, 100x below the kernel band if ||L|| >= 1.  Basis: delta_0, delta_{K/2},
+    (delta_j +- delta_-j)/sqrt 2, giving blocks of K/2+1 and K/2-1."""
+    K, h = mat.shape[0], mat.shape[0] // 2
+    up, down, diag = np.arange(h + 1), -np.arange(h + 1) % K, np.diagonal(mat)
+    if np.abs(diag[up] - diag[down]).max() > 1e-10 * max(1.0, np.abs(mat).max()):
+        return None
+    top, bottom = mat[:h + 1], mat.take(down, axis=0)
+    same = top[:, :h + 1] + bottom.take(down, axis=1)
+    cross = top.take(down, axis=1) + bottom[:, :h + 1]
+    s = np.where((up == 0) | (up == h), 0.5, 0.5**0.5)
+    return s[:, None] * (same + cross) * s, 0.5 * (same - cross)[1:h, 1:h]
+
+
+def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(mat)``; from parity blocks, each vector is exactly even or odd."""
+    blocks = _parity_blocks(mat)
+    if blocks is None:
+        return np.linalg.eigh(mat)
+    (lam_e, vec_e), (lam_o, vec_o) = map(np.linalg.eigh, blocks)
+    K, h = mat.shape[0], mat.shape[0] // 2
+    vec = np.zeros((K, K))
+    vec[:h + 1, :h + 1], vec[1:h, h + 1:] = vec_e, vec_o
+    vec[1:h] *= 0.5**0.5
+    vec[K - 1:h:-1] = vec[1:h] * np.repeat([1.0, -1.0], [h + 1, h - 1])
+    lam = np.concatenate((lam_e, lam_o))
+    order = np.argsort(lam, kind="stable")
+    return lam[order], vec[:, order]
+
+
 def assemble(w: "TravelingWave") -> LinearizedOperator:
     """Collocation matrix of the linearization about a solved wave, for the
     wave's own variant; its kernel band is 1e-8 times the spectral norm."""
@@ -81,7 +115,7 @@ def assemble(w: "TravelingWave") -> LinearizedOperator:
     if asym > 1e-10 * max(1.0, np.abs(mat).max()):
         raise ValueError(f"assembled operator is not symmetric (defect {asym:.3e})")
     mat = 0.5 * (mat + mat.T)
-    lam, vec = np.linalg.eigh(mat)
+    lam, vec = _eigh(mat)
     return LinearizedOperator(
         grid=grid,
         matrix=mat,
@@ -168,9 +202,9 @@ def h1_constants(lin: LinearizedOperator) -> tuple[float, float]:
     semidefinite, where W is the H^(m/2) weight in collocation form.
     """
     c1 = 0.5 * lin.symbol.lower_bound
-    W = sobolev_weight_matrix(lin.grid, 0.5 * lin.symbol.order)
-    lam_min = float(np.linalg.eigvalsh(lin.matrix - c1 * W)[0])
-    return c1, max(0.0, -lam_min)
+    shifted = lin.matrix - c1 * sobolev_weight_matrix(lin.grid, 0.5 * lin.symbol.order)
+    blocks = _parity_blocks(shifted) or (shifted,)
+    return c1, max(0.0, -min(float(np.linalg.eigvalsh(b)[0]) for b in blocks))
 
 
 def _complement_basis(vectors: np.ndarray) -> np.ndarray:

@@ -347,11 +347,11 @@ def _conjugated_diagonal(grid: PeriodicGrid, diag: np.ndarray) -> np.ndarray:
     """Real collocation matrix of a Fourier-diagonal operator F^-1 diag F.
 
     The matrix is circulant: entry (j, l) is c[(j - l) mod N] with
-    c = F^-1 diag, so one inverse transform of the diagonal builds it.
+    c = F^-1 diag: row j is the reversed window of (c[1:], c) that ends at c[j].
     """
     c = np.fft.ifft(diag).real
-    n = np.arange(grid.size)
-    return c[(n[:, None] - n[None, :]) % grid.size]
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((c[1:], c)), grid.size)
+    return windows[:, ::-1].copy()
 
 
 def multiplier_matrix(symbol: DispersionSymbol, grid: PeriodicGrid) -> np.ndarray:

@@ -11,6 +11,7 @@ import pytest
 from periwave.cli import main
 from periwave.config import ConfigError, list_presets, load_config, symbol_from_config
 from periwave.io import (
+    _csv_text,
     canonical_json,
     config_hash,
     format_float,
@@ -29,6 +30,25 @@ class TestSerialization:
         rng = np.random.default_rng(0)
         for x in rng.uniform(-1e6, 1e6, size=50):
             assert float(format_float(x)) == x
+
+    @pytest.mark.parametrize(
+        "header,columns",
+        [
+            (["x", "u"], [np.arange(6.0),
+                          [-0.0, 5e-324, 1e-310, 1e308, -1e308, 0.1]]),
+            (["xi", "verdict"], [[0.5, -0.0], ["orbitally_stable", "inconclusive"]]),
+            (["a", "b"], [[1, 2], ["text", 0.25]]),
+            (["t", "d"], [[0.0, 1.0, 2.0, 3.0],
+                          [1.5, float("nan"), float("inf"), -float("inf")]]),
+        ],
+    )
+    def test_csv_text_matches_per_cell_format(self, header, columns):
+        # the one-pass table is byte-equal to format_float cell by cell
+        rows = [",".join(header)] + [
+            ",".join(c if isinstance(c, str) else format_float(c) for c in cells)
+            for cells in zip(*columns)
+        ]
+        assert _csv_text(header, columns) == "\n".join(rows) + "\n"
 
     def test_canonical_json_is_sorted_and_deterministic(self):
         obj = {"b": 1.5, "a": [1, 2.0, None, True], "c": {"z": "s", "y": float("nan")}}

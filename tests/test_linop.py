@@ -1,10 +1,17 @@
+import json
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from periwave.cli import _solve_wave, main
+from periwave.config import list_presets, load_config
+from periwave.io import save_wave
 from periwave.linop import (
     KernelIncompatibilityError,
+    _parity_blocks,
     assemble,
     check_H0,
     constrained_min_rayleigh,
@@ -19,7 +26,9 @@ from periwave.spectral import (
     derivative,
     inner,
     random_smooth_field,
+    sobolev_weight_matrix,
 )
+from periwave.stability import certify
 from periwave.waves import (
     Nonlinearity,
     cnoidal_wave,
@@ -94,6 +103,45 @@ class TestAssemble:
             lin = assemble(cnoidal_wave(TWO_PI, 0.9, N))
             lam[N] = lin.eigenvalues[:10]
         assert np.abs(lam[128] - lam[256]).max() < 1e-6
+
+
+class TestParitySplit:
+    """An even wave's L is diagonalized in its even and odd blocks."""
+
+    @pytest.mark.parametrize("overrides", [[], ["grid.N=1024"]])
+    @pytest.mark.parametrize("preset", list_presets())
+    def test_split_matches_full_eigh(self, preset, overrides):
+        cert = certify(_solve_wave(load_config(preset=preset, overrides=overrides)))
+        lin = cert.operator
+        lam, vec, scale = lin.eigenvalues, lin.eigenvectors, lin.norm
+        assert np.abs(lam - np.linalg.eigvalsh(lin.matrix)).max() < 1e-12 * scale
+        assert np.abs(vec.T @ vec - np.eye(lin.size)).max() < 1e-12
+        assert np.linalg.norm(lin.matrix @ vec - vec * lam) < 1e-12 * scale
+        mirror = -np.arange(lin.size) % lin.size
+        for v in vec.T:
+            assert np.array_equal(v[mirror], v) or np.array_equal(v[mirror], -v)
+        W = sobolev_weight_matrix(lin.grid, 0.5 * lin.symbol.order)
+        c2 = max(0.0, -np.linalg.eigvalsh(lin.matrix - cert.c1 * W)[0])
+        assert abs(cert.c2 - c2) < 1e-12 * scale
+
+    @pytest.mark.parametrize("preset", ["bo", "kdv-cnoidal"])
+    def test_translated_wave_certifies_as_the_wave(self, tmp_path, preset):
+        # a translate is not even about x = 0, so its L takes one full eigh
+        w = _solve_wave(load_config(preset=preset))
+        moved = replace(w, profile=Field(w.grid, np.roll(w.profile.values, 17)))
+        even, translate = certify(w), certify(moved)
+        assert _parity_blocks(even.operator.matrix) is not None
+        assert _parity_blocks(translate.operator.matrix) is None
+        base, out = str(tmp_path / "moved"), str(tmp_path / "run")
+        save_wave(moved, base)
+        assert main(["certify", "--wave", base, "--preset", preset, "--out", out]) == 0
+        with open(os.path.join(out, "certify.json")) as handle:
+            from_cli = json.load(handle)
+        for report in (translate.to_dict(), from_cli):
+            assert report["conclusion"] == even.verdict.conclusion == "orbitally_stable"
+            assert report["h0"]["n_neg"] == even.spectral_report.n_negative == 1
+            assert report["h0"]["zero_dim"] == even.spectral_report.zero_dim == 1
+            assert report["h0"]["kernel_alignment"] > 1.0 - 1e-6
 
 
 class TestCheckH0:

@@ -8,6 +8,7 @@ from periwave.spectral import (
     Field,
     PeriodicGrid,
     _band_size,
+    _conjugated_diagonal,
     apply_multiplier,
     derivative,
     derivative_matrix,
@@ -192,6 +193,15 @@ class TestApplyMultiplier:
         for s in (0.5, 1.0):
             product = sobolev_weight_matrix(grid, s) @ sobolev_weight_matrix(grid, -s)
             assert np.abs(product - np.eye(grid.size)).max() < 1e-12
+
+    @pytest.mark.parametrize("N", [16, 62, 128])
+    def test_circulant_matches_index_formula(self, N):
+        # entry (j, l) is c[(j - l) mod N], bit for bit
+        g = PeriodicGrid(TWO_PI, N)
+        diag = np.random.default_rng(N).standard_normal(N)
+        c = np.fft.ifft(diag).real
+        n = np.arange(N)
+        assert np.array_equal(_conjugated_diagonal(g, diag), c[(n[:, None] - n[None, :]) % N])
 
     def test_grid_mismatch(self, grid):
         s = DispersionSymbol.second_derivative(3.0)
