@@ -270,7 +270,6 @@ def cmd_evolve(out: str, wave: TravelingWave, config: dict) -> int:
     cfg = EvolutionConfig(
         dt=ev["dt"],
         T=ev["T"],
-        integrator=ev["integrator"],
         dealias=ev["dealias"],
         sample_interval=ev["sample_interval"],
     )

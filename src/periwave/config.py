@@ -92,7 +92,6 @@ _SPEC = {
     "evolve*": {
         "dt*": _POSITIVE,
         "T*": _POSITIVE,
-        "integrator*": _one_of("etdrk4", "implicit_midpoint"),
         "amplitudes*": [(lambda x: _is_number(x) and x >= 0, "a finite number >= 0")],
         "seed*": _integer(0),
         "sample_interval*": _POSITIVE,
@@ -140,7 +139,6 @@ _DEFAULTS = {
     "evolve": {
         "dt": 2e-4,
         "T": 50.0,
-        "integrator": "etdrk4",
         "amplitudes": [1e-3],
         "seed": 7,
         "sample_interval": 0.5,

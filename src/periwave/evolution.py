@@ -5,14 +5,11 @@ The standard evolution is, mode by mode,
     u_hat_t = i xi(kappa) [ theta(kappa) u_hat - f(u)_hat ],
 
 and the regularized one divides the whole right-hand side by 1 + theta
-(well defined since the built-in symbols are nonnegative).  The default
-integrator is ETDRK4 with contour-evaluated phi-functions, which treats the
-stiff dispersive part exactly; an implicit-midpoint step is available as a
-conservation-favoring alternative.
-
-Both integrators work on the N//2 + 1 modes of the real transform, and
-``integrate`` evolves several states together as the rows of one array:
-``stability_experiment`` advances all its amplitudes as one such batch.
+(well defined since the built-in symbols are nonnegative).  The integrator
+is ETDRK4 with contour-evaluated phi-functions, which treats the stiff
+dispersive part exactly.  It works on the N//2 + 1 modes of the real
+transform, and ``integrate`` evolves several states together as the rows of
+one array: ``stability_experiment`` advances all its amplitudes as one batch.
 """
 
 from __future__ import annotations
@@ -86,7 +83,7 @@ def energy(u: Field, symbol: DispersionSymbol, nl: Nonlinearity) -> float:
 
     Note the primitive enters unhalved: this is the combination whose
     gradient M u - f(u) generates the flow, and the one the time
-    integrators conserve.
+    evolution conserves.
     """
     Mu = apply_multiplier(symbol, u)
     W = Field(u.grid, nl.primitive(u.values))
@@ -193,14 +190,18 @@ def orbital_distance(v: Field, w: TravelingWave, s: float | None = None) -> tupl
 
 
 # ---------------------------------------------------------------------------
-# integrators
+# integrator
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class EvolutionConfig:
+    """ETDRK4 settings: step ``dt`` (rounded so whole steps span horizon
+    ``T``), 2/3-rule ``dealias``, ``variant`` (``stability_experiment`` sets
+    the wave's), ``sample_interval`` between stored states (T/200 when None)
+    and ``blowup_factor``, which scales the radius of BlowupError's ball."""
+
     dt: float
     T: float
-    integrator: str = "etdrk4"
     dealias: bool = True
     variant: str = "standard"
     sample_interval: float | None = None
@@ -209,8 +210,6 @@ class EvolutionConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.T <= 0 or self.dt >= self.T:
             raise ValueError("need 0 < dt < T")
-        if self.integrator not in ("etdrk4", "implicit_midpoint"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.variant not in ("standard", "regularized"):
             raise ValueError(f"unknown variant {self.variant!r}")
 
@@ -266,12 +265,11 @@ class _Semidiscretization:
         if dealias:
             self.nl_scale[np.arange(half + 1) > (2 * half) // 3] = 0.0
 
-    def nonlinear(self, uh: np.ndarray, out=None, phys=None) -> np.ndarray:
-        """The nonlinear term of ``uh``, into ``out`` through ``phys`` if given."""
-        phys = np.fft.irfft(uh, self.size, out=phys)
-        fh = np.fft.rfft(self.f(phys, out=phys), out=out)
-        fh *= self.nl_scale
-        return fh
+    def nonlinear(self, uh: np.ndarray, out: np.ndarray, phys: np.ndarray) -> None:
+        """Write the nonlinear term of ``uh`` into ``out``, through ``phys``."""
+        np.fft.irfft(uh, self.size, out=phys)
+        np.fft.rfft(self.f(phys, out=phys), out=out)
+        out *= self.nl_scale
 
 
 def integrate(
@@ -314,46 +312,27 @@ def integrate(
     times = [0.0]
     samples = []
 
-    if cfg.integrator == "etdrk4":
-        exp_full, exp_half, Q, f1, f2, f3 = _etdrk4_coefficients(dt * sd.linear, dt)
-        # operand order as in exp_half * uh + Q * n0 etc.: complex products
-        # round differently with their factors swapped
-        n0, na, nb, nc, half, a, b, c, tmp = np.empty((9,) + uh.shape, dtype=complex)
-        phys = np.empty((len(fields), grid.size))
+    exp_full, exp_half, Q, f1, f2, f3 = _etdrk4_coefficients(dt * sd.linear, dt)
+    # operand order as in exp_half * uh + Q * n0 etc.: complex products
+    # round differently with their factors swapped
+    n0, na, nb, nc, half, a, b, c, tmp = np.empty((9,) + uh.shape, dtype=complex)
+    phys = np.empty((len(fields), grid.size))
 
-        def step(uh, out):
-            sd.nonlinear(uh, n0, phys)
-            np.multiply(exp_half, uh, out=half)
-            np.add(half, np.multiply(Q, n0, out=a), out=a)
-            sd.nonlinear(a, na, phys)
-            np.add(half, np.multiply(Q, na, out=b), out=b)
-            sd.nonlinear(b, nb, phys)
-            np.subtract(np.multiply(2.0, nb, out=c), n0, out=c)
-            np.add(np.multiply(exp_half, a, out=tmp), np.multiply(Q, c, out=c), out=c)
-            sd.nonlinear(c, nc, phys)
-            np.multiply(exp_full, uh, out=out)
-            out += np.multiply(f1, n0, out=tmp)
-            out += np.multiply(f2, np.add(na, nb, out=tmp), out=tmp)
-            out += np.multiply(f3, nc, out=tmp)
-            return out
-
-    else:  # implicit midpoint; the diagonal linear part is inverted exactly
-        lin_minus = 1.0 - 0.5 * dt * sd.linear
-        half_dt = 0.5 * dt
-
-        def step(uh, out):
-            # each row iterates until its own fixed-point update settles
-            mid = uh.copy()
-            rows = np.arange(len(uh))
-            for _ in range(50):
-                new_mid = (uh[rows] + half_dt * sd.nonlinear(mid[rows])) / lin_minus
-                moving = (np.abs(new_mid - mid[rows]).max(axis=1)
-                          > 1e-13 * (1.0 + np.abs(new_mid).max(axis=1)))
-                mid[rows] = new_mid
-                rows = rows[moving]
-                if not rows.size:
-                    break
-            return np.subtract(np.multiply(2.0, mid, out=mid), uh, out=out)
+    def step(uh, out):
+        sd.nonlinear(uh, n0, phys)
+        np.multiply(exp_half, uh, out=half)
+        np.add(half, np.multiply(Q, n0, out=a), out=a)
+        sd.nonlinear(a, na, phys)
+        np.add(half, np.multiply(Q, na, out=b), out=b)
+        sd.nonlinear(b, nb, phys)
+        np.subtract(np.multiply(2.0, nb, out=c), n0, out=c)
+        np.add(np.multiply(exp_half, a, out=tmp), np.multiply(Q, c, out=c), out=c)
+        sd.nonlinear(c, nc, phys)
+        np.multiply(exp_full, uh, out=out)
+        out += np.multiply(f1, n0, out=tmp)
+        out += np.multiply(f2, np.add(na, nb, out=tmp), out=tmp)
+        out += np.multiply(f3, nc, out=tmp)
+        return out
 
     # blowing-up iterates produce transient overflow before the sample
     # check raises BlowupError; keep those warnings quiet
@@ -462,7 +441,6 @@ def stability_experiment(
                     "seed": seed,
                     "sobolev_index": s,
                     "dt": cfg.dt,
-                    "integrator": cfg.integrator,
                     "sigma": sigma,
                     "mu": mu,
                     "nu": nu,

@@ -32,7 +32,7 @@ TWO_PI = 2.0 * math.pi
 
 
 def _full_spectrum_reference(u0, cfg, symbol, nl, n_steps):
-    """Reference integrators on all N complex modes, with an explicit dealias
+    """Reference ETDRK4 on all N complex modes, with an explicit dealias
     mask, applied n_steps times at step cfg.dt; returns the final values."""
     g = u0.grid
     xi = g.frequencies.copy()
@@ -51,37 +51,23 @@ def _full_spectrum_reference(u0, cfg, symbol, nl, n_steps):
         return nl_scale * np.where(mask, fh, 0.0)
 
     dt = cfg.dt
-    if cfg.integrator == "etdrk4":
-        z = dt * linear
-        LR = z[:, None] + np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)[None, :]
-        E, E2 = np.exp(z), np.exp(z / 2.0)
-        Q = dt * np.mean((np.exp(LR / 2.0) - 1.0) / LR, axis=1)
-        f1 = dt * np.mean((-4.0 - LR + np.exp(LR) * (4.0 - 3.0 * LR + LR**2)) / LR**3, axis=1)
-        f2 = dt * np.mean((2.0 + LR + np.exp(LR) * (LR - 2.0)) / LR**3, axis=1)
-        f3 = dt * np.mean((-4.0 - 3.0 * LR - LR**2 + np.exp(LR) * (4.0 - LR)) / LR**3, axis=1)
+    z = dt * linear
+    LR = z[:, None] + np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)[None, :]
+    E, E2 = np.exp(z), np.exp(z / 2.0)
+    Q = dt * np.mean((np.exp(LR / 2.0) - 1.0) / LR, axis=1)
+    f1 = dt * np.mean((-4.0 - LR + np.exp(LR) * (4.0 - 3.0 * LR + LR**2)) / LR**3, axis=1)
+    f2 = dt * np.mean((2.0 + LR + np.exp(LR) * (LR - 2.0)) / LR**3, axis=1)
+    f3 = dt * np.mean((-4.0 - 3.0 * LR - LR**2 + np.exp(LR) * (4.0 - LR)) / LR**3, axis=1)
 
-        def step(uh):
-            n0 = nonlinear(uh)
-            a = E2 * uh + Q * n0
-            na = nonlinear(a)
-            b = E2 * uh + Q * na
-            nb = nonlinear(b)
-            c = E2 * a + Q * (2.0 * nb - n0)
-            nc = nonlinear(c)
-            return E * uh + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
-
-    else:
-        lin_minus = 1.0 - 0.5 * dt * linear
-
-        def step(uh):
-            mid = uh.copy()
-            for _ in range(50):
-                new_mid = (uh + 0.5 * dt * nonlinear(mid)) / lin_minus
-                done = np.max(np.abs(new_mid - mid)) <= 1e-13 * (1.0 + np.max(np.abs(new_mid)))
-                mid = new_mid
-                if done:
-                    break
-            return 2.0 * mid - uh
+    def step(uh):
+        n0 = nonlinear(uh)
+        a = E2 * uh + Q * n0
+        na = nonlinear(a)
+        b = E2 * uh + Q * na
+        nb = nonlinear(b)
+        c = E2 * a + Q * (2.0 * nb - n0)
+        nc = nonlinear(c)
+        return E * uh + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
 
     uh = u0.spectrum.astype(complex)
     for _ in range(n_steps):
@@ -328,15 +314,17 @@ class TestIntegrate:
         assert abs(energy(traj.final(), w.symbol, w.nonlinearity) - P0) < 1e-7 * max(1, abs(P0))
         assert abs(momentum(traj.final()) - F0) < 1e-7 * max(1, abs(F0))
 
-    def test_implicit_midpoint_runs_and_conserves_momentum(self, kdv_midk):
-        w = kdv_midk
-        u0 = w.profile
-        cfg = EvolutionConfig(dt=2e-4, T=0.2, integrator="implicit_midpoint")
+    def test_regularized_short_horizon_conservation(self, bbm_wave):
+        w = bbm_wave
+        u0 = w.profile + random_smooth_field(w.grid, seed=2, norm_s=1.0) * 1e-3
+        cfg = EvolutionConfig(dt=1e-3, T=1.0, variant="regularized")
         traj = integrate(u0, cfg, w.symbol, w.nonlinearity)
-        F0 = momentum(u0)
-        assert abs(momentum(traj.final()) - F0) < 1e-8 * max(1, abs(F0))
-        exact = shift(w.profile, -w.omega * 0.2)
-        assert (traj.final() - exact).sup_norm() < 1e-4
+        P0 = energy(u0, w.symbol, w.nonlinearity)
+        F0 = momentum(u0, symbol=w.symbol, variant="regularized")
+        P1 = energy(traj.final(), w.symbol, w.nonlinearity)
+        F1 = momentum(traj.final(), symbol=w.symbol, variant="regularized")
+        assert abs(P1 - P0) < 1e-7 * max(1, abs(P0))
+        assert abs(F1 - F0) < 1e-7 * max(1, abs(F0))
 
     def test_regularized_traveling_wave(self, bbm_wave):
         w = bbm_wave
@@ -353,10 +341,9 @@ class TestIntegrate:
             integrate(u0, cfg, sym, Nonlinearity.kdv())
         assert info.value.time > 0
 
-    @pytest.mark.parametrize("integrator", ["etdrk4", "implicit_midpoint"])
     @pytest.mark.parametrize("dealias", [True, False])
     @pytest.mark.parametrize("wave", ["kdv_midk", "bbm_wave"])
-    def test_half_spectrum_steps_match_full_spectrum(self, request, wave, dealias, integrator):
+    def test_half_spectrum_steps_match_full_spectrum(self, request, wave, dealias):
         w = request.getfixturevalue(wave)
         g = w.grid
         # a rough perturbation and a Nyquist component make the dealias mask
@@ -364,8 +351,8 @@ class TestIntegrate:
         u0 = (w.profile + random_smooth_field(g, seed=5, norm_s=0.0) * 0.1
               + Field(g, 1e-3 * (-1.0) ** np.arange(g.size)))
         dt = 1e-3
-        cfg = EvolutionConfig(dt=dt, T=2 * dt, integrator=integrator, dealias=dealias,
-                              variant=w.variant, sample_interval=dt)
+        cfg = EvolutionConfig(dt=dt, T=2 * dt, dealias=dealias, variant=w.variant,
+                              sample_interval=dt)
         traj = integrate(u0, cfg, w.symbol, w.nonlinearity)
         for n_steps in (1, 2):
             ref = _full_spectrum_reference(u0, cfg, w.symbol, w.nonlinearity, n_steps)
@@ -405,13 +392,12 @@ class TestIntegrate:
         assert nl.f(u, out=u) is u  # in place, as integrate evaluates it
         assert np.array_equal(u, want)
 
-    @pytest.mark.parametrize("integrator", ["etdrk4", "implicit_midpoint"])
-    def test_sequence_gives_one_trajectory_per_field(self, kdv_midk, integrator):
-        # the rows differ enough that implicit midpoint iterates them apart
-        w = kdv_midk
+    @pytest.mark.parametrize("wave", ["kdv_midk", "bbm_wave"])
+    def test_sequence_gives_one_trajectory_per_field(self, request, wave):
+        w = request.getfixturevalue(wave)
         p = random_smooth_field(w.grid, seed=2, norm_s=1.0)
         starts = [p * 1e-6, w.profile + p * 1e-1]
-        cfg = EvolutionConfig(dt=5e-4, T=0.1, sample_interval=0.05, integrator=integrator)
+        cfg = EvolutionConfig(dt=5e-4, T=0.1, sample_interval=0.05, variant=w.variant)
         trajs = integrate(starts, cfg, w.symbol, w.nonlinearity)
         assert len(trajs) == 2
         for start, traj in zip(starts, trajs):
@@ -438,8 +424,32 @@ class TestIntegrate:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EvolutionConfig(dt=0.1, T=0.05)
-        with pytest.raises(ValueError):
-            EvolutionConfig(dt=1e-3, T=1.0, integrator="euler")
+
+    def test_config_has_no_integrator_choice(self):
+        # ETDRK4 is the only scheme; there is no field that selects another
+        with pytest.raises(TypeError):
+            EvolutionConfig(dt=1e-3, T=1.0, integrator="etdrk4")
+        assert not hasattr(EvolutionConfig(dt=1e-3, T=1.0), "integrator")
+
+    def test_etdrk4_coefficients_match_closed_forms(self):
+        # the contour averages equal the phi-function formulas away from 0,
+        # and their limits at z = 0, where the formulas cancel
+        dt = 0.3
+        z = np.array([0.0, -2.0, 1.5, 5j, -50.0, -1.0 + 3j, 40j])
+        got = evolution._etdrk4_coefficients(z, dt)
+        zz, ez = z[1:], np.exp(z[1:])
+        assert np.array_equal(got[0], np.exp(z))
+        assert np.array_equal(got[1], np.exp(z / 2.0))
+        want = (
+            dt * np.expm1(zz / 2.0) / zz,
+            dt * (-4.0 - zz + ez * (4.0 - 3.0 * zz + zz**2)) / zz**3,
+            2.0 * dt * (2.0 + zz + ez * (zz - 2.0)) / zz**3,
+            dt * (-4.0 - 3.0 * zz - zz**2 + ez * (4.0 - zz)) / zz**3,
+        )
+        limits = (dt / 2.0, dt / 6.0, dt / 3.0, dt / 6.0)
+        for coeff, formula, limit in zip(got[2:], want, limits):
+            assert abs(coeff[0] - limit) <= 1e-14 * limit
+            assert np.max(np.abs(coeff[1:] - formula) / np.abs(formula)) < 1e-13
 
 
 class TestStabilityExperiment:
@@ -458,10 +468,10 @@ class TestStabilityExperiment:
         assert trace.drift(trace.mass) < 1e-12
         assert trace.metadata["note"].startswith("finite-horizon")
 
-    @pytest.mark.parametrize("integrator", ["etdrk4", "implicit_midpoint"])
-    def test_batch_equals_single_amplitude_runs(self, kdv_midk, integrator):
-        w = kdv_midk
-        cfg = EvolutionConfig(dt=5e-4, T=0.2, sample_interval=0.05, integrator=integrator)
+    @pytest.mark.parametrize("wave", ["kdv_midk", "bbm_wave"])
+    def test_batch_equals_single_amplitude_runs(self, request, wave):
+        w = request.getfixturevalue(wave)
+        cfg = EvolutionConfig(dt=5e-4, T=0.2, sample_interval=0.05)
         both = stability_experiment(w, [1e-3, 1e-2], cfg, seed=3)
         for trace in both:
             (alone,) = stability_experiment(w, [trace.amplitude], cfg, seed=3)
@@ -469,6 +479,16 @@ class TestStabilityExperiment:
                          "lyapunov"):
                 assert np.array_equal(getattr(trace, name), getattr(alone, name)), name
             assert trace.metadata == alone.metadata
+
+    def test_metadata_records_the_run(self, kdv_midk):
+        cfg = EvolutionConfig(dt=5e-4, T=0.05)
+        (trace,) = stability_experiment(kdv_midk, [1e-3], cfg, seed=3, sigma=2.0,
+                                        mu=0.5, nu=-0.25)
+        meta = trace.metadata
+        assert set(meta) == {"seed", "sobolev_index", "dt", "sigma", "mu", "nu", "note"}
+        assert (meta["seed"], meta["dt"]) == (3, cfg.dt)
+        assert (meta["sigma"], meta["mu"], meta["nu"]) == (2.0, 0.5, -0.25)
+        assert meta["sobolev_index"] == kdv_midk.sobolev_index
 
     def test_one_integrate_call_for_all_amplitudes(self, kdv_midk, monkeypatch):
         calls = []

@@ -160,8 +160,9 @@ class TestConfig:
         ("evolve.amplitudes=0.001", "evolve/amplitudes"),
         ("evolve.amplitudes=[0,0.001]", None),
         ("evolve.seed=-1", "evolve/seed"),
-        ("evolve.integrator=rk4", "evolve/integrator"),
-        ("evolve.integrator=implicit_midpoint", None),
+        # ETDRK4 is the only integrator: the key is gone, whatever its value
+        ("evolve.integrator=rk4", "evolve"),
+        ("evolve.integrator=etdrk4", "evolve"),
         ("evolve.sample_interval=null", "evolve/sample_interval"),
         ("evolve.dealias=1", "evolve/dealias"),
         ("evolve.dt=0", "evolve/dt"),
@@ -352,21 +353,7 @@ class TestCli:
         assert sweep["curve_criterion"] < 0
         assert all(m["verdict"] == expected_verdict for m in sweep["members"])
 
-    def test_evolve_implicit_midpoint(self, tmp_path):
-        out = str(tmp_path / "run")
-        code = self.run(
-            "evolve", "--preset", "kdv-cnoidal", "--out", out,
-            "--override", "grid.N=128", "--override", "solve.guess.k=0.9",
-            "--override", "evolve.integrator=implicit_midpoint",
-            "--override", "evolve.dt=0.0005", "--override", "evolve.T=0.2",
-            "--override", "evolve.sample_interval=0.1",
-            "--override", "evolve.amplitudes=[0.001]",
-        )
-        assert code == 0
-        summary = json.loads(open(os.path.join(out, "evolve_summary.json")).read())
-        assert summary["traces"][0]["drift_F"] < 1e-7
-
-    def test_sweep_honors_thread_cap(self, tmp_path):
+    def test_small_kdv_sweep_members_are_stable(self, tmp_path):
         out = str(tmp_path / "run")
         code = self.run(
             "sweep", "--preset", "kdv-cnoidal", "--out", out,
@@ -774,6 +761,46 @@ class TestCli:
             outputs.append((captured.out,
                             open(os.path.join(out, "evolve_summary.json"), "rb").read()))
         assert outputs[0] == outputs[1]
+
+    def test_evolve_regularized_preset(self, tmp_path):
+        cert_out, out = str(tmp_path / "cert"), str(tmp_path / "run")
+        assert self.run("certify", "--preset", "regularized-bbm-like", "--out", cert_out) == 0
+        cert = json.loads(open(os.path.join(cert_out, "certify.json")).read())
+        code = self.run(
+            "evolve", "--preset", "regularized-bbm-like", "--out", out,
+            "--override", "evolve.T=0.5", "--override", "evolve.sample_interval=0.1",
+        )
+        assert code == 0
+        summary = json.loads(open(os.path.join(out, "evolve_summary.json")).read())
+        lyapunov = summary["lyapunov"]
+        assert [lyapunov["mu"], lyapunov["nu"]] == cert["mu_nu"]
+        (trace,) = summary["traces"]
+        assert trace["drift_F"] < 1e-7
+        assert trace["sup_ratio"] is not None and math.isfinite(trace["sup_ratio"])
+
+    def test_saved_config_with_integrator_refused(self, tmp_path, capsys):
+        # configs saved before ETDRK4 became the only integrator carry the key
+        config = load_config(preset="kdv-cnoidal")
+        config["evolve"]["integrator"] = "etdrk4"
+        path = tmp_path / "saved.json"
+        path.write_text(json.dumps(config))
+        out = str(tmp_path / "run")
+        assert self.run("evolve", "--config", str(path), "--out", out) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == ("config error: config schema violation at evolve: "
+                       "unknown key 'integrator'")
+        assert not os.path.exists(out)
+
+    def test_integrator_override_refused(self, tmp_path, capsys):
+        # scripts written for the old key pass it on the command line
+        out = str(tmp_path / "run")
+        code = self.run("evolve", "--preset", "kdv-cnoidal", "--out", out,
+                        "--override", "evolve.integrator=etdrk4")
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err == ("config error: config schema violation at evolve: "
+                       "unknown key 'integrator'")
+        assert not os.path.exists(out)
 
     def test_evolve_blowup_exit_5(self, tmp_path):
         out = str(tmp_path / "run")
