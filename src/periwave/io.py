@@ -14,11 +14,12 @@ import os
 import tempfile
 import warnings
 from dataclasses import replace
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
 
-from .spectral import DispersionSymbol, Field, PeriodicGrid
+from .spectral import _CACHE_SIZE, DispersionSymbol, Field, PeriodicGrid
 from .waves import Nonlinearity, TravelingWave, residual
 
 __all__ = [
@@ -117,17 +118,23 @@ def _csv_column(col) -> tuple[str, list]:
     return "%s", [c if isinstance(c, str) else format_float(c) for c in col]
 
 
-def _csv_text(header: list[str], columns: list) -> str:
+def _csv_text(header: list[str], columns: list, formatted: tuple = ()) -> str:
     """CSV table of the columns in one printf pass: a numeric column of finite
     values by "%.17g" (format_float's conversion), any other column cell by
-    cell, strings unchanged and numbers by format_float (NaN, Infinity)."""
-    formats, cols = zip(*map(_csv_column, columns))
+    cell, strings unchanged and numbers by format_float (NaN, Infinity).
+    ``formatted`` holds leading columns already in ``_csv_column``'s form."""
+    formats, cols = zip(*formatted, *map(_csv_column, columns))
     row = ",".join(formats) + "\n"
     return ",".join(header) + "\n" + (row * len(cols[0])) % tuple(chain.from_iterable(zip(*cols)))
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _node_column(grid: PeriodicGrid) -> tuple:
+    return "%s", tuple(map("%.17g".__mod__, grid.nodes.tolist()))
+
+
 def save_field_csv(u: Field, path: str):
-    atomic_write_text(path, _csv_text(["x", "u"], [u.grid.nodes, u.values]))
+    atomic_write_text(path, _csv_text(["x", "u"], [u.values], (_node_column(u.grid),)))
 
 
 def _symbol_to_dict(symbol: DispersionSymbol) -> dict:

@@ -18,9 +18,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
+
+# entries of each per-process cache of a vector that depends only on the
+# grid, the symbol or the Sobolev index, keyed by value
+_CACHE_SIZE = 64
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, which a cache shares, made read-only: a write into it raises ValueError."""
+    arr.flags.writeable = False
+    return arr
+
 
 __all__ = [
     "PeriodicGrid",
@@ -56,19 +67,22 @@ class PeriodicGrid:
         if self.size < 16 or self.size % 2 != 0:
             raise ValueError(f"collocation count must be even and >= 16, got {self.size}")
 
-    @cached_property
+    @property
+    @lru_cache(maxsize=_CACHE_SIZE)
     def nodes(self) -> np.ndarray:
-        return self.length * np.arange(self.size) / self.size
+        return _read_only(self.length * np.arange(self.size) / self.size)
 
-    @cached_property
+    @property
+    @lru_cache(maxsize=_CACHE_SIZE)
     def wavenumbers(self) -> np.ndarray:
         """Integer wavenumbers in FFT layout: 0, 1, ..., N/2-1, -N/2, ..., -1."""
-        return np.fft.fftfreq(self.size, 1.0 / self.size)
+        return _read_only(np.fft.fftfreq(self.size, 1.0 / self.size))
 
-    @cached_property
+    @property
+    @lru_cache(maxsize=_CACHE_SIZE)
     def frequencies(self) -> np.ndarray:
         """Physical frequencies xi(kappa) = 2 pi kappa / L in FFT layout."""
-        return 2.0 * math.pi * self.wavenumbers / self.length
+        return _read_only(2.0 * math.pi * self.wavenumbers / self.length)
 
     @property
     def spacing(self) -> float:
@@ -225,15 +239,13 @@ class DispersionSymbol:
             raise ValueError(f"unknown symbol kind {self.kind!r}")
         return out if out.shape else float(out)
 
+    @lru_cache(maxsize=_CACHE_SIZE)
     def values_on(self, grid: PeriodicGrid) -> np.ndarray:
-        self._check_grid(grid)
-        return np.asarray(self.value(grid.wavenumbers))
-
-    def _check_grid(self, grid: PeriodicGrid):
         if abs(grid.length - self.length) > 1e-12 * self.length:
             raise ValueError(
                 f"symbol was built for period {self.length}, grid has {grid.length}"
             )
+        return _read_only(self.value(grid.wavenumbers))
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +274,9 @@ def inner(u: Field, v: Field) -> float:
     return float(u.grid.spacing * (u.values * v.values).sum())
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _sobolev_weights(grid: PeriodicGrid, s: float) -> np.ndarray:
-    return (1.0 + grid.frequencies**2) ** s
+    return _read_only((1.0 + grid.frequencies**2) ** s)
 
 
 def sobolev_inner(u: Field, v: Field, s: float) -> float:
@@ -287,7 +300,6 @@ def apply_multiplier(symbol: DispersionSymbol, u: Field) -> Field:
 
     The symbol is even, so the Nyquist mode is kept at its true value.
     """
-    symbol._check_grid(u.grid)
     return Field.from_spectrum(u.grid, u.spectrum * symbol.values_on(u.grid))
 
 
@@ -301,13 +313,12 @@ def shift(u: Field, r: float) -> Field:
     return Field.from_spectrum(g, u.spectrum * phase)
 
 
-def _band_size(values: np.ndarray) -> tuple[int, int]:
-    """(J, K): J the highest mode above eps sup|values|, K the least even size
+def _band_size(u: Field) -> tuple[int, int]:
+    """(J, K): J the highest mode above eps sup|u|, K the least even size
     >= 16 above 3J (the 3/2 rule: no aliasing onto the band), capped at N."""
-    coef = np.abs(np.fft.fft(values)) / values.size
-    kappa = np.abs(np.fft.fftfreq(values.size, 1.0 / values.size))
-    J = int(kappa[coef > np.finfo(float).eps * np.abs(values).max()].max(initial=0))
-    return J, min(values.size, max(16, 2 * (3 * J // 2 + 1)))
+    coef, N = np.abs(u.spectrum) / u.grid.size, u.grid.size
+    J = int(np.abs(u.grid.wavenumbers)[coef > np.finfo(float).eps * u.sup_norm()].max(initial=0))
+    return J, min(N, max(16, 2 * (3 * J // 2 + 1)))
 
 
 def _resample(values: np.ndarray, size: int) -> np.ndarray:
@@ -343,30 +354,40 @@ def random_smooth_field(grid: PeriodicGrid, seed: int, norm_s: float | None = No
 # dense matrices (collocation representation)
 # ---------------------------------------------------------------------------
 
-def _conjugated_diagonal(grid: PeriodicGrid, diag: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=_CACHE_SIZE)
+def _circulant_window(diag_of, *key) -> np.ndarray:
+    """(c[::-1], c[:0:-1]) with c = F^-1 diag_of(*key), read-only, built once per hashable key."""
+    c = np.fft.ifft(diag_of(*key)).real
+    return _read_only(np.concatenate((c[::-1], c[:0:-1])))
+
+
+def _conjugated_diagonal(diag_of, *key) -> np.ndarray:
     """Real collocation matrix of a Fourier-diagonal operator F^-1 diag F.
 
     The matrix is circulant: entry (j, l) is c[(j - l) mod N] with
-    c = F^-1 diag: row j is the reversed window of (c[1:], c) that ends at c[j].
+    c = F^-1 diag, diag = diag_of(*key): row j is the window of
+    r = ``_circulant_window`` that starts at r[N - 1 - j] = c[j].
     """
-    c = np.fft.ifft(diag).real
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((c[1:], c)), grid.size)
-    return windows[:, ::-1].copy()
+    r = _circulant_window(diag_of, *key)
+    N, step = (r.size + 1) // 2, r.itemsize
+    return np.ndarray((N, N), r.dtype, r, (N - 1) * step, (-step, step)).copy()
+
+
+def _derivative_diag(grid: PeriodicGrid) -> np.ndarray:
+    return np.where(np.arange(grid.size) == grid.nyquist_index, 0.0, 1j * grid.frequencies)
 
 
 def multiplier_matrix(symbol: DispersionSymbol, grid: PeriodicGrid) -> np.ndarray:
-    return _conjugated_diagonal(grid, symbol.values_on(grid))
+    return _conjugated_diagonal(DispersionSymbol.values_on, symbol, grid)
 
 
 def derivative_matrix(grid: PeriodicGrid) -> np.ndarray:
-    d = (1j * grid.frequencies).copy()
-    d[grid.nyquist_index] = 0.0
-    return _conjugated_diagonal(grid, d)
+    return _conjugated_diagonal(_derivative_diag, grid)
 
 
 def sobolev_weight_matrix(grid: PeriodicGrid, s: float) -> np.ndarray:
     """Collocation matrix of the H^s weight (1 + xi^2)^s (kept at Nyquist: it is a norm, not a derivative)."""
-    return _conjugated_diagonal(grid, _sobolev_weights(grid, s))
+    return _conjugated_diagonal(_sobolev_weights, grid, s)
 
 
 # ---------------------------------------------------------------------------
@@ -385,17 +406,17 @@ class SymbolBoundsReport:
     passed: bool
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def verify_symbol_bounds(symbol: DispersionSymbol, grid: PeriodicGrid) -> SymbolBoundsReport:
     """Enumerate |kappa| in [max(kappa0, 1), N/2] and check the growth bounds.
 
     Returns the tightest feasible constants on that range together with a
     pass/fail against the constants stored in the symbol.
     """
-    symbol._check_grid(grid)
     k_lo = max(symbol.threshold, 1)
     k_hi = grid.size // 2
     ks = np.arange(k_lo, k_hi + 1, dtype=float)
-    theta = np.asarray(symbol.value(ks))
+    theta = symbol.values_on(grid)[k_lo : k_hi + 1]  # theta(N/2) is stored at -N/2
     ratio = theta / ks**symbol.order
     tight_lo = float(ratio.min())
     tight_hi = float(ratio.max())

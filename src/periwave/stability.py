@@ -413,12 +413,12 @@ def _core(w: TravelingWave, zero_tol: float | None):
     the operator's kernel band, which every later step reads from L_K.
     """
     grid, sym, N = w.grid, w.symbol, w.grid.size
-    v = w.nonlinearity.fprime(w.profile.values)
+    v = w.profile.with_values(w.nonlinearity.fprime(w.profile.values))
     modes, K = _band_size(v)
-    coupling = float((np.abs(np.fft.fft(v)) / N)[1:].sum())
+    coupling = float((np.abs(v.spectrum) / N)[1:].sum())
     kappa = np.abs(grid.wavenumbers)
     a, b = _linear_coefficients(w.variant, w.omega)
-    level = a * sym.values_on(grid) + b - float(np.abs(v).max())
+    level = a * sym.values_on(grid) + b - v.sup_norm()
     weight = _sobolev_weights(grid, 0.5 * sym.order)
     while True:
         K = min(K, N)

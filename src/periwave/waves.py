@@ -318,7 +318,7 @@ def solve_newton(
         if not np.isfinite(sup):
             raise ConvergenceError(f"Newton iterates diverged (omega={omega})")
         history.append(sup)
-        Ks = max(Ks, _band_size(phi.values)[1])
+        Ks = max(Ks, _band_size(phi)[1])
         mean_defect = 0.0
         if solve_A:
             mean_defect = float(grid.spacing * phi.values.sum() / grid.length - target_mean)

@@ -41,7 +41,7 @@ def test_band_size_is_the_least_even_size_above_3J(mode, N, expected):
     # the phase reduced exactly, so that the samples carry no mode above
     # eps of their own
     phase = (mode * np.arange(N)) % N
-    assert _band_size(np.cos(TWO_PI * phase / N)) == expected
+    assert _band_size(Field(PeriodicGrid(TWO_PI, N), np.cos(TWO_PI * phase / N))) == expected
 
 
 def test_grid_validation():
@@ -197,11 +197,11 @@ class TestApplyMultiplier:
     @pytest.mark.parametrize("N", [16, 62, 128])
     def test_circulant_matches_index_formula(self, N):
         # entry (j, l) is c[(j - l) mod N], bit for bit
-        g = PeriodicGrid(TWO_PI, N)
         diag = np.random.default_rng(N).standard_normal(N)
         c = np.fft.ifft(diag).real
         n = np.arange(N)
-        assert np.array_equal(_conjugated_diagonal(g, diag), c[(n[:, None] - n[None, :]) % N])
+        # the key is the function itself: a fresh lambda misses the cache
+        assert np.array_equal(_conjugated_diagonal(lambda: diag), c[(n[:, None] - n[None, :]) % N])
 
     def test_grid_mismatch(self, grid):
         s = DispersionSymbol.second_derivative(3.0)
