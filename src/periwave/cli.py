@@ -270,7 +270,6 @@ def cmd_evolve(out: str, wave: TravelingWave, config: dict) -> int:
     cfg = EvolutionConfig(
         dt=ev["dt"],
         T=ev["T"],
-        dealias=ev["dealias"],
         sample_interval=ev["sample_interval"],
     )
     sigma, mu, nu = 1.0, 0.0, 1.0
@@ -297,8 +296,8 @@ def cmd_evolve(out: str, wave: TravelingWave, config: dict) -> int:
     seconds = time.perf_counter() - start
 
     summary = []
-    for trace in traces:
-        name = f"trace_a{trace.amplitude:.0e}.csv" if trace.amplitude else "trace_a0.csv"
+    for i, trace in enumerate(traces):
+        name = f"trace_{i:03d}.csv"
         save_trace_csv(trace, os.path.join(out, name))
         summary.append(
             {

@@ -95,7 +95,6 @@ _SPEC = {
         "amplitudes*": [(lambda x: _is_number(x) and x >= 0, "a finite number >= 0")],
         "seed*": _integer(0),
         "sample_interval*": _POSITIVE,
-        "dealias*": _BOOLEAN,
     },
     "output*": {"directory*": (lambda x: isinstance(x, str), "a string")},
 }
@@ -142,7 +141,6 @@ _DEFAULTS = {
         "amplitudes": [1e-3],
         "seed": 7,
         "sample_interval": 0.5,
-        "dealias": True,
     },
     "output": {"directory": "periwave-out"},
 }

@@ -196,16 +196,13 @@ def orbital_distance(v: Field, w: TravelingWave, s: float | None = None) -> tupl
 @dataclass(frozen=True)
 class EvolutionConfig:
     """ETDRK4 settings: step ``dt`` (rounded so whole steps span horizon
-    ``T``), 2/3-rule ``dealias``, ``variant`` (``stability_experiment`` sets
-    the wave's), ``sample_interval`` between stored states (T/200 when None)
-    and ``blowup_factor``, which scales the radius of BlowupError's ball."""
+    ``T``), ``variant`` (``stability_experiment`` sets the wave's) and
+    ``sample_interval`` between stored states (T/200 when None)."""
 
     dt: float
     T: float
-    dealias: bool = True
     variant: str = "standard"
     sample_interval: float | None = None
-    blowup_factor: float = 1e6
 
     def __post_init__(self):
         if self.dt <= 0 or self.T <= 0 or self.dt >= self.T:
@@ -244,12 +241,12 @@ class _Semidiscretization:
     """Right-hand side on the N//2 + 1 rfft modes, split into the linear symbol
     and the nonlinear term; arrays of states carry one row per state.
 
-    The Nyquist mode is zeroed in both parts, and the dealias mask is folded
-    into ``nl_scale``.
+    The Nyquist mode is zeroed in both parts, and the 2/3-rule dealias mask
+    is folded into ``nl_scale``.
     """
 
     def __init__(self, grid: PeriodicGrid, symbol: DispersionSymbol, nl: Nonlinearity,
-                 variant: str, dealias: bool):
+                 variant: str):
         half = grid.size // 2
         self.size = grid.size
         self.f = nl.f
@@ -262,8 +259,7 @@ class _Semidiscretization:
         else:
             self.linear = -1j * xi / (1.0 + theta)
             self.nl_scale = -1j * xi / (1.0 + theta)
-        if dealias:
-            self.nl_scale[np.arange(half + 1) > (2 * half) // 3] = 0.0
+        self.nl_scale[np.arange(half + 1) > (2 * half) // 3] = 0.0
 
     def nonlinear(self, uh: np.ndarray, out: np.ndarray, phys: np.ndarray) -> None:
         """Write the nonlinear term of ``uh`` into ``out``, through ``phys``."""
@@ -290,8 +286,8 @@ def integrate(
     is a fresh array, never a view of them.
 
     Raises BlowupError (with the detection time and the row) at the first
-    sample where a row leaves the ball of radius blowup_factor (1 + sup|row
-    at t = 0|) or develops non-finite values.
+    sample where a row leaves the ball of radius 1e6 (1 + sup|row at t = 0|)
+    or develops non-finite values.
     """
     fields = [u0] if isinstance(u0, Field) else list(u0)
     if not fields:
@@ -299,13 +295,13 @@ def integrate(
     grid = fields[0].grid
     for u in fields:
         _check_same_grid(fields[0], u)
-    sd = _Semidiscretization(grid, symbol, nl, cfg.variant, cfg.dealias)
+    sd = _Semidiscretization(grid, symbol, nl, cfg.variant)
     n_steps = int(round(cfg.T / cfg.dt))
     dt = cfg.T / n_steps
     sample_every = (
         max(1, int(round((cfg.sample_interval or cfg.T / 200) / dt)))
     )
-    bound = cfg.blowup_factor * (1.0 + np.array([u.sup_norm() for u in fields]))
+    bound = 1e6 * (1.0 + np.array([u.sup_norm() for u in fields]))
 
     uh = np.fft.rfft(np.stack([u.values for u in fields]))
     spare = np.empty_like(uh)  # the step writes here, then the two swap

@@ -2,7 +2,8 @@
 
 Every float is printed with 17 significant digits (round-trip exact for
 doubles), keys are sorted, and files are written atomically (temp file +
-rename), so identical inputs yield byte-identical outputs.
+rename), so identical inputs yield byte-identical outputs at a fixed BLAS
+thread count (``ilw``'s c3 differs between 1 and 2 OpenBLAS threads).
 """
 
 from __future__ import annotations

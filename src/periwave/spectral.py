@@ -411,13 +411,14 @@ def verify_symbol_bounds(symbol: DispersionSymbol, grid: PeriodicGrid) -> Symbol
     """Enumerate |kappa| in [max(kappa0, 1), N/2] and check the growth bounds.
 
     Returns the tightest feasible constants on that range together with a
-    pass/fail against the constants stored in the symbol.
+    pass/fail against the constants stored in the symbol.  An empty range
+    (kappa0 > N/2) checks nothing: its constants are NaN, and it fails.
     """
     k_lo = max(symbol.threshold, 1)
     k_hi = grid.size // 2
     ks = np.arange(k_lo, k_hi + 1, dtype=float)
     theta = symbol.values_on(grid)[k_lo : k_hi + 1]  # theta(N/2) is stored at -N/2
-    ratio = theta / ks**symbol.order
+    ratio = theta / ks**symbol.order if ks.size else np.array([math.nan])
     tight_lo = float(ratio.min())
     tight_hi = float(ratio.max())
     slack = 1e-12 * max(1.0, tight_hi)

@@ -396,7 +396,7 @@ def lyapunov_sigma(
 # end-to-end certification
 # ---------------------------------------------------------------------------
 
-def _core(w: TravelingWave, zero_tol: float | None):
+def _core(w: TravelingWave):
     """The wave truncated to its low-mode core, with L and H1's (c1, c2) there.
 
     J is the highest mode of f'(phi) above eps sup|f'(phi)|, and the core
@@ -409,8 +409,7 @@ def _core(w: TravelingWave, zero_tol: float | None):
     delta = (sum_{j != 0} |f'(phi)^_j|)^2 / gamma, which must stay below the
     gap, the least |eigenvalue| of L_K off the kernel band.  The dropped
     block of L - c1 W must also stay above -c2, so c2 is set on the core.
-    With K = N the core is the wave itself.  A given ``zero_tol`` replaces
-    the operator's kernel band, which every later step reads from L_K.
+    With K = N the core is the wave itself.
     """
     grid, sym, N = w.grid, w.symbol, w.grid.size
     v = w.profile.with_values(w.nonlinearity.fprime(w.profile.values))
@@ -427,8 +426,6 @@ def _core(w: TravelingWave, zero_tol: float | None):
             core = replace(w, profile=Field(PeriodicGrid(grid.length, K),
                                             _resample(w.profile.values, K)))
         lin = assemble(core)
-        if zero_tol is not None:
-            lin = replace(lin, zero_tol=float(zero_tol))
         c1, c2 = h1_constants(lin)
         lam = np.abs(lin.eigenvalues)
         guard = {"N": N, "K": K, "modes": modes, "gamma": None, "delta": None,
@@ -493,17 +490,17 @@ class Certification:
         return out
 
 
-def certify(w: TravelingWave, zero_tol: float | None = None) -> Certification:
+def certify(w: TravelingWave) -> Certification:
     """Full pipeline: assemble, H0/H1 checks, surface derivatives, verdict.
 
     Every step past the symbol bounds runs on the wave's low-mode core (see
-    ``_core``); the operator, spectra and kernel band are the core's, and a
-    given ``zero_tol`` is set once as that operator's band.  H1 needs c1 > 0
-    and the symbol's stored growth bounds on the wave's own grid, and the
-    residual, recomputed at N, must be within ``residual_bound``.  The
-    cross-checks c3 and k_r are computed when first read.
+    ``_core``); the operator, spectra and kernel band are the core's.  H1
+    needs c1 > 0 and the symbol's stored growth bounds on the wave's own
+    grid, and the residual, recomputed at N, must be within
+    ``residual_bound``.  The cross-checks c3 and k_r are computed when first
+    read.
     """
-    core, lin, c1, c2, guard = _core(w, zero_tol)
+    core, lin, c1, c2, guard = _core(w)
     res = residual(w).sup_norm(), residual_bound(w.symbol, w.profile)
     h0 = check_H0(lin, core)
     h1_pass = c1 > 0.0 and verify_symbol_bounds(w.symbol, w.grid).passed

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -32,8 +33,9 @@ TWO_PI = 2.0 * math.pi
 
 
 def _full_spectrum_reference(u0, cfg, symbol, nl, n_steps):
-    """Reference ETDRK4 on all N complex modes, with an explicit dealias
-    mask, applied n_steps times at step cfg.dt; returns the final values."""
+    """Reference ETDRK4 on all N complex modes, with an explicit 2/3-rule
+    dealias mask, applied n_steps times at step cfg.dt; returns the final
+    values."""
     g = u0.grid
     xi = g.frequencies.copy()
     xi[g.nyquist_index] = 0.0
@@ -44,7 +46,7 @@ def _full_spectrum_reference(u0, cfg, symbol, nl, n_steps):
     else:
         linear = nl_scale = -1j * xi / (1.0 + theta)
     half = g.size // 2
-    mask = np.abs(g.wavenumbers) <= (2 * half) // 3 if cfg.dealias else np.ones(g.size, bool)
+    mask = np.abs(g.wavenumbers) <= (2 * half) // 3
 
     def nonlinear(uh):
         fh = np.fft.fft(nl.f(np.fft.ifft(uh).real))
@@ -81,7 +83,7 @@ def _allocating_etdrk4(starts, cfg, symbol, nl):
     each step."""
     g = starts[0].grid
     p, c = nl.params
-    sd = evolution._Semidiscretization(g, symbol, nl, cfg.variant, cfg.dealias)
+    sd = evolution._Semidiscretization(g, symbol, nl, cfg.variant)
 
     def nonlinear(uh):
         u = np.fft.irfft(uh, g.size)
@@ -336,14 +338,13 @@ class TestIntegrate:
     def test_blowup_detection(self, grid):
         sym = DispersionSymbol.second_derivative(TWO_PI)
         u0 = Field(grid, 80.0 * np.cos(grid.nodes))
-        cfg = EvolutionConfig(dt=0.05, T=5.0, dealias=False, blowup_factor=1e3)
+        cfg = EvolutionConfig(dt=0.05, T=5.0)
         with pytest.raises(BlowupError) as info:
             integrate(u0, cfg, sym, Nonlinearity.kdv())
         assert info.value.time > 0
 
-    @pytest.mark.parametrize("dealias", [True, False])
     @pytest.mark.parametrize("wave", ["kdv_midk", "bbm_wave"])
-    def test_half_spectrum_steps_match_full_spectrum(self, request, wave, dealias):
+    def test_half_spectrum_steps_match_full_spectrum(self, request, wave):
         w = request.getfixturevalue(wave)
         g = w.grid
         # a rough perturbation and a Nyquist component make the dealias mask
@@ -351,8 +352,7 @@ class TestIntegrate:
         u0 = (w.profile + random_smooth_field(g, seed=5, norm_s=0.0) * 0.1
               + Field(g, 1e-3 * (-1.0) ** np.arange(g.size)))
         dt = 1e-3
-        cfg = EvolutionConfig(dt=dt, T=2 * dt, dealias=dealias, variant=w.variant,
-                              sample_interval=dt)
+        cfg = EvolutionConfig(dt=dt, T=2 * dt, variant=w.variant, sample_interval=dt)
         traj = integrate(u0, cfg, w.symbol, w.nonlinearity)
         for n_steps in (1, 2):
             ref = _full_spectrum_reference(u0, cfg, w.symbol, w.nonlinearity, n_steps)
@@ -360,17 +360,15 @@ class TestIntegrate:
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("rows", [1, 2])
-    @pytest.mark.parametrize("dealias", [True, False])
     @pytest.mark.parametrize("wave", ["kdv_stable", "bbm_wave"])
-    def test_etdrk4_bitwise_equal_to_allocating_step(self, request, wave, dealias, rows):
+    def test_etdrk4_bitwise_equal_to_allocating_step(self, request, wave, rows):
         # every step is sampled, so a sample that aliased a reused stage
         # buffer would be overwritten by later steps and differ here
         w = request.getfixturevalue(wave)
         p = random_smooth_field(w.grid, seed=4, norm_s=1.0)
         starts = [w.profile + p * a for a in (1e-2, 1e-1)][:rows]
         dt = 1e-3
-        cfg = EvolutionConfig(dt=dt, T=50 * dt, dealias=dealias, variant=w.variant,
-                              sample_interval=dt)
+        cfg = EvolutionConfig(dt=dt, T=50 * dt, variant=w.variant, sample_interval=dt)
         trajs = integrate(starts, cfg, w.symbol, w.nonlinearity)
         ref = _allocating_etdrk4(starts, cfg, w.symbol, w.nonlinearity)
         assert len(ref) == 50
@@ -413,7 +411,7 @@ class TestIntegrate:
         # detection in the row that blows up
         sym = DispersionSymbol.second_derivative(TWO_PI)
         u_big = Field(grid, 80.0 * np.cos(grid.nodes))
-        cfg = EvolutionConfig(dt=0.05, T=5.0, dealias=False, blowup_factor=1e3)
+        cfg = EvolutionConfig(dt=0.05, T=5.0)
         with pytest.raises(BlowupError) as alone:
             integrate(u_big, cfg, sym, Nonlinearity.kdv())
         with pytest.raises(BlowupError) as batch:
@@ -425,11 +423,15 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             EvolutionConfig(dt=0.1, T=0.05)
 
-    def test_config_has_no_integrator_choice(self):
-        # ETDRK4 is the only scheme; there is no field that selects another
+    @pytest.mark.parametrize("field, value", [
+        ("integrator", "etdrk4"), ("dealias", True), ("blowup_factor", 1e3)])
+    def test_config_has_no_scheme_choice(self, field, value):
+        # ETDRK4 with the 2/3 rule and a fixed blowup radius is the only
+        # scheme; no field selects another
         with pytest.raises(TypeError):
-            EvolutionConfig(dt=1e-3, T=1.0, integrator="etdrk4")
-        assert not hasattr(EvolutionConfig(dt=1e-3, T=1.0), "integrator")
+            EvolutionConfig(dt=1e-3, T=1.0, **{field: value})
+        assert [f.name for f in dataclasses.fields(EvolutionConfig)] == [
+            "dt", "T", "variant", "sample_interval"]
 
     def test_etdrk4_coefficients_match_closed_forms(self):
         # the contour averages equal the phi-function formulas away from 0,
@@ -507,7 +509,7 @@ class TestStabilityExperiment:
     def test_batch_blowup_names_the_failing_amplitude(self):
         # only the larger amplitude blows up; the batch stops at its time
         w = cnoidal_wave(TWO_PI, 0.9, 128)
-        cfg = EvolutionConfig(dt=0.05, T=5.0, dealias=False, blowup_factor=1e3)
+        cfg = EvolutionConfig(dt=0.05, T=5.0)
         stability_experiment(w, [1e-3], cfg)
         with pytest.raises(BlowupError) as alone:
             stability_experiment(w, [20.0], cfg)

@@ -164,7 +164,9 @@ class TestConfig:
         ("evolve.integrator=rk4", "evolve"),
         ("evolve.integrator=etdrk4", "evolve"),
         ("evolve.sample_interval=null", "evolve/sample_interval"),
-        ("evolve.dealias=1", "evolve/dealias"),
+        # the 2/3 rule always applies: the key is gone, whatever its value
+        ("evolve.dealias=true", "evolve"),
+        ("evolve.dealias=false", "evolve"),
         ("evolve.dt=0", "evolve/dt"),
         ("evolve.dt=50", "evolve/dt"),
         ("evolve.T=0.0001", "evolve/dt"),
@@ -382,6 +384,22 @@ class TestCli:
         assert code == 3
         cert = json.loads(open(os.path.join(out, "certify.json")).read())
         assert cert["conclusion"] == "inconclusive"
+
+    def test_certify_threshold_above_nyquist_exit_3(self, tmp_path):
+        # ILW's kappa0 = 12 exceeds N/2 = 8: the symbol bounds go unchecked,
+        # so H1 fails instead of the bounds check raising
+        out = str(tmp_path / "run")
+        code = self.run(
+            "certify", "--preset", "ilw", "--out", out,
+            "--override", "grid.L=10.0", "--override", "grid.N=16",
+            "--override", "equation.symbol.delta=0.3",
+            "--override", 'solve.guess={"type":"cosine","amplitude":0.3}',
+            "--override", "solve.omega=-0.3",
+        )
+        assert code == 3
+        cert = json.loads(open(os.path.join(out, "certify.json")).read())
+        assert cert["conclusion"] == "inconclusive"
+        assert cert["prerequisites"]["h1_pass"] is False
 
     def test_certify_constant_state_exit_3(self, tmp_path):
         from periwave.spectral import DispersionSymbol
@@ -743,6 +761,24 @@ class TestCli:
         header = open(trace_file).readline().strip()
         assert header == "t,d_orbit,r_star,P,F,M,V"
 
+    def test_evolve_names_traces_by_index(self, tmp_path):
+        # amplitudes that print alike in %.0e must not share a trace file;
+        # each file holds what its amplitude gives when evolved alone
+        def traces(run, amplitudes):
+            out = str(tmp_path / run)
+            assert self.run("evolve", "--preset", "kdv-cnoidal", "--out", out,
+                            "--override", "evolve.T=0.05",
+                            "--override", "evolve.sample_interval=0.01",
+                            "--override", f"evolve.amplitudes={amplitudes}") == 0
+            summary = json.loads(open(os.path.join(out, "evolve_summary.json")).read())
+            names = [t["trace_file"] for t in summary["traces"]]
+            assert sorted(os.listdir(out)) == sorted(names + ["evolve_summary.json"])
+            return [open(os.path.join(out, name), "rb").read() for name in names]
+
+        both = traces("both", "[0.001,0.0012]")
+        assert both == traces("a", "[0.001]") + traces("b", "[0.0012]")
+        assert both[0] != both[1]
+
     def test_evolve_reports_throughput_on_stderr_only(self, tmp_path, capsys):
         outputs = []
         for run in ("a", "b"):
@@ -778,28 +814,31 @@ class TestCli:
         assert trace["drift_F"] < 1e-7
         assert trace["sup_ratio"] is not None and math.isfinite(trace["sup_ratio"])
 
-    def test_saved_config_with_integrator_refused(self, tmp_path, capsys):
-        # configs saved before ETDRK4 became the only integrator carry the key
+    @pytest.mark.parametrize("key, value", [("integrator", "etdrk4"), ("dealias", True)])
+    def test_saved_config_with_removed_key_refused(self, tmp_path, capsys, key, value):
+        # configs saved before ETDRK4 with the 2/3 rule became the only
+        # scheme carry the key
         config = load_config(preset="kdv-cnoidal")
-        config["evolve"]["integrator"] = "etdrk4"
+        config["evolve"][key] = value
         path = tmp_path / "saved.json"
         path.write_text(json.dumps(config))
         out = str(tmp_path / "run")
         assert self.run("evolve", "--config", str(path), "--out", out) == 1
         err = capsys.readouterr().err.strip()
         assert err == ("config error: config schema violation at evolve: "
-                       "unknown key 'integrator'")
+                       f"unknown key '{key}'")
         assert not os.path.exists(out)
 
-    def test_integrator_override_refused(self, tmp_path, capsys):
-        # scripts written for the old key pass it on the command line
+    @pytest.mark.parametrize("key, value", [("integrator", "etdrk4"), ("dealias", "true")])
+    def test_removed_key_override_refused(self, tmp_path, capsys, key, value):
+        # scripts written for the old keys pass them on the command line
         out = str(tmp_path / "run")
         code = self.run("evolve", "--preset", "kdv-cnoidal", "--out", out,
-                        "--override", "evolve.integrator=etdrk4")
+                        "--override", f"evolve.{key}={value}")
         assert code == 1
         err = capsys.readouterr().err.strip()
         assert err == ("config error: config schema violation at evolve: "
-                       "unknown key 'integrator'")
+                       f"unknown key '{key}'")
         assert not os.path.exists(out)
 
     def test_evolve_blowup_exit_5(self, tmp_path):
@@ -809,7 +848,6 @@ class TestCli:
             "--override", "grid.N=128",
             "--override", "evolve.dt=0.05", "--override", "evolve.T=5.0",
             "--override", "evolve.amplitudes=[50.0]",
-            "--override", "evolve.dealias=false",
         )
         assert code == 5
         summary = json.loads(open(os.path.join(out, "evolve_summary.json")).read())

@@ -255,3 +255,11 @@ class TestSymbolBounds:
         s = DispersionSymbol("hilbert_derivative", TWO_PI, 1.0, 2.0, 0.5, 1)
         rep = verify_symbol_bounds(s, grid)
         assert not rep.passed
+
+    def test_threshold_above_nyquist_checks_nothing(self):
+        # kappa0 = 12 > N/2 = 8 leaves no mode to check: NaN bounds, failed
+        s = DispersionSymbol.ilw(0.3, 10.0)
+        assert s.threshold == 12
+        rep = verify_symbol_bounds(s, PeriodicGrid(10.0, 16))
+        assert rep.passed is False
+        assert math.isnan(rep.tightest_lower) and math.isnan(rep.tightest_upper)

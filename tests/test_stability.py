@@ -317,21 +317,23 @@ class TestVerdictOnWaves:
         assert c.verdict.conclusion == INCONCLUSIVE
         assert "h1=False" in c.verdict.reason
 
-    def test_zero_tol_override_near_bifurcation(self):
+    def test_near_bifurcation_mode_reported_ambiguous(self):
         # at small modulus the physical near-zero even mode (2.94e-6 at
-        # k = 0.05) lies within a decade of the default kernel band (3.2e-7
-        # on the K = 16 core): ambiguous at default, resolvable by override
+        # k = 0.05) lies within a decade of the kernel band (3.2e-7 on the
+        # K = 16 core): inconclusive, with the mode reported as ambiguous
         from periwave.waves import bbm_dnoidal_wave
 
-        w = bbm_dnoidal_wave(TWO_PI, 0.05, 256)
-        default = certify(w)
-        assert default.verdict.conclusion == INCONCLUSIVE
-        tightened = certify(w, zero_tol=1e-7)
-        assert tightened.verdict.conclusion == ORBITALLY_STABLE
-        assert tightened.spectral_report.zero_dim == 1
-        # the override is the operator's own band, read by every later step
-        assert tightened.operator.zero_tol == 1e-7
-        assert tightened.spectral_report.zero_tol == 1e-7
+        c = certify(bbm_dnoidal_wave(TWO_PI, 0.05, 256))
+        assert c.verdict.conclusion == INCONCLUSIVE
+        assert c.spectral_report.ambiguous_eigenvalues
+
+    def test_kernel_band_is_the_operators_own(self, kdv_stable):
+        # the band is 1e-8 ||L_K|| on the core; no caller can set another
+        with pytest.raises(TypeError):
+            certify(kdv_stable, zero_tol=1e-7)
+        c = certify(kdv_stable)
+        assert c.spectral_report.zero_tol == c.operator.zero_tol == pytest.approx(
+            1e-8 * np.abs(c.operator.eigenvalues).max(), rel=1e-15)
 
     @pytest.mark.parametrize("N", [128, 256, 1024])
     def test_near_bifurcation_band_does_not_grow_with_N(self, N):
