@@ -180,7 +180,7 @@ def cmd_solve(out: str, wave: TravelingWave, config: dict) -> int:
             "A": wave.A,
             "residual_norm": wave.residual_norm,
             "constraint": wave.constraint,
-            "files": {"profile": base + ".csv", "sidecar": base + ".json"},
+            "files": {"profile": "wave.csv", "sidecar": "wave.json"},  # beside this report
             **wave.newton_report(),
         },
         stamp,
@@ -209,6 +209,26 @@ def cmd_sweep(out: str, seed_wave: TravelingWave, config: dict) -> int:
     if sweep["parameter"] == "xi":
         kwargs["omega_map"] = lambda x: float(np.polyval(sweep["omega_coeffs"][::-1], x))
         kwargs["A_map"] = lambda x: float(np.polyval(sweep["A_coeffs"][::-1], x))
+    stamp = _stamp(config)  # one config hash for every member and sweep.json
+    rows = []
+
+    def visit(w: TravelingWave):
+        """Certify and write one member; its tangent predicts the next."""
+        cert = certify(w)
+        rows.append(
+            {
+                "xi": float(values[len(rows)]),
+                "omega": w.omega,
+                "A": w.A,
+                "mass": mass(w.profile),
+                "momentum": momentum(w.profile, symbol=w.symbol, variant=w.variant),
+                "verdict": cert.verdict.conclusion,
+                "newton_steps": w.newton_report()["newton_steps"],
+            }
+        )
+        save_wave(w, os.path.join(out, f"wave_{len(rows) - 1:03d}"), extra=stamp)
+        return None if cert.eta is None else (cert.eta, cert.beta)
+
     partial = False
     try:
         family = continue_family(
@@ -217,6 +237,7 @@ def cmd_sweep(out: str, seed_wave: TravelingWave, config: dict) -> int:
             values,
             tol=config["solve"]["tol"],
             max_iter=config["solve"]["max_iter"],
+            visit=visit,
             **kwargs,
         )
     except SolverError as exc:
@@ -225,21 +246,6 @@ def cmd_sweep(out: str, seed_wave: TravelingWave, config: dict) -> int:
 
     if not family:
         return EXIT_SWEEP_PARTIAL if partial else EXIT_SOLVE
-
-    stamp = _stamp(config)  # one config hash for every member and sweep.json
-    rows = []
-    for value, w in zip(family.values, family):
-        rows.append(
-            {
-                "xi": float(value),
-                "omega": w.omega,
-                "A": w.A,
-                "mass": mass(w.profile),
-                "momentum": momentum(w.profile, symbol=w.symbol, variant=w.variant),
-                "verdict": certify(w).verdict.conclusion,
-            }
-        )
-        save_wave(w, os.path.join(out, f"wave_{len(rows) - 1:03d}"), extra=stamp)
 
     columns = [[row[key] for row in rows]
                for key in ("xi", "omega", "A", "mass", "momentum", "verdict")]

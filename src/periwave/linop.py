@@ -256,7 +256,7 @@ def solve_on_complement(lin: LinearizedOperator, b: Field) -> Field:
             f"right-hand side has kernel fraction {kernel_frac:.3e}"
         )
     inv = np.zeros_like(coeff)
-    nonker = np.setdiff1d(np.arange(lin.size), kernel)
+    nonker = np.abs(lin.eigenvalues) > lin.zero_tol
     inv[nonker] = coeff[nonker] / lin.eigenvalues[nonker]
     x = lin.eigenvectors @ inv
     # certify the projected system; the bound includes the evaluation floor

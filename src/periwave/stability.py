@@ -397,7 +397,7 @@ def lyapunov_sigma(
 # ---------------------------------------------------------------------------
 
 def _core(w: TravelingWave):
-    """The wave truncated to its low-mode core, with L and H1's (c1, c2) there.
+    """The wave truncated to its low-mode core, with L and H1's c1 there.
 
     J is the highest mode of f'(phi) above eps sup|f'(phi)|, and the core
     size K the least even size >= 16 above 3J, capped at N (the 3/2 rule
@@ -408,7 +408,8 @@ def _core(w: TravelingWave):
     complement).  The complement moves the core's eigenvalues by at most
     delta = (sum_{j != 0} |f'(phi)^_j|)^2 / gamma, which must stay below the
     gap, the least |eigenvalue| of L_K off the kernel band.  The dropped
-    block of L - c1 W must also stay above -c2, so c2 is set on the core.
+    block of L - c1 W must also stay above -c2, so c2 is set on the core;
+    since c2 >= 0, it is computed only when that block is not positive.
     With K = N the core is the wave itself.
     """
     grid, sym, N = w.grid, w.symbol, w.grid.size
@@ -418,7 +419,8 @@ def _core(w: TravelingWave):
     kappa = np.abs(grid.wavenumbers)
     a, b = _linear_coefficients(w.variant, w.omega)
     level = a * sym.values_on(grid) + b - v.sup_norm()
-    weight = _sobolev_weights(grid, 0.5 * sym.order)
+    c1 = 0.5 * sym.lower_bound
+    shifted = level - c1 * _sobolev_weights(grid, 0.5 * sym.order)
     while True:
         K = min(K, N)
         core = w
@@ -426,18 +428,18 @@ def _core(w: TravelingWave):
             core = replace(w, profile=Field(PeriodicGrid(grid.length, K),
                                             _resample(w.profile.values, K)))
         lin = assemble(core)
-        c1, c2 = h1_constants(lin)
         lam = np.abs(lin.eigenvalues)
         guard = {"N": N, "K": K, "modes": modes, "gamma": None, "delta": None,
                  "gap": float(lam[lam > lin.zero_tol].min(initial=math.inf))}
         if K == N:
-            return core, lin, c1, c2, guard
+            return core, lin, c1, guard
         dropped = kappa >= K // 2
         gamma = float(level[dropped].min())
         delta = coupling**2 / gamma if gamma > 0.0 else math.inf
-        if delta < guard["gap"] and (level - c1 * weight)[dropped].min() > -c2:
+        floor = shifted[dropped].min()
+        if delta < guard["gap"] and (floor > 0.0 or floor > -h1_constants(lin)[1]):
             guard.update(gamma=gamma, delta=delta)
-            return core, lin, c1, c2, guard
+            return core, lin, c1, guard
         K *= 2
 
 
@@ -449,9 +451,15 @@ class Certification:
     operator: LinearizedOperator
     spectral_report: SpectralReport
     c1: float
-    c2: float
     surface: Optional[SurfaceDerivatives]
+    eta: Optional[Field]
+    beta: Optional[Field]
     verdict: StabilityVerdict
+
+    @cached_property
+    def c2(self) -> float:
+        """H1's Garding shift on the core (see ``h1_constants``)."""
+        return h1_constants(self.operator)[1]
 
     @cached_property
     def c3(self) -> Optional[float]:
@@ -497,15 +505,16 @@ def certify(w: TravelingWave) -> Certification:
     ``_core``); the operator, spectra and kernel band are the core's.  H1
     needs c1 > 0 and the symbol's stored growth bounds on the wave's own
     grid, and the residual, recomputed at N, must be within
-    ``residual_bound``.  The cross-checks c3 and k_r are computed when first
-    read.
+    ``residual_bound``.  H1's c2 and the cross-checks c3 and k_r are computed
+    when first read.  ``eta`` and ``beta``, the core fields behind the
+    surface derivatives, are None when the surface is.
     """
-    core, lin, c1, c2, guard = _core(w)
+    core, lin, c1, guard = _core(w)
     res = residual(w).sup_norm(), residual_bound(w.symbol, w.profile)
     h0 = check_H0(lin, core)
     h1_pass = c1 > 0.0 and verify_symbol_bounds(w.symbol, w.grid).passed
 
-    surface = None
+    surface = eta = beta = None
     try:
         eta, beta = param_derivatives(core, lin)
         surface = surface_derivatives(core, eta, beta)
@@ -519,7 +528,8 @@ def certify(w: TravelingWave) -> Certification:
         operator=lin,
         spectral_report=h0,
         c1=c1,
-        c2=c2,
         surface=surface,
+        eta=eta,
+        beta=beta,
         verdict=decide(surface, h0, h1_pass, res),
     )

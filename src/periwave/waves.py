@@ -568,13 +568,19 @@ def continue_family(
     A_map: Callable[[float], float] | None = None,
     tol: float = 1e-10,
     max_iter: int = 50,
+    visit: Callable[[TravelingWave], tuple[Field, Field] | None] | None = None,
 ) -> WaveFamily:
-    """Natural-parameter continuation: each converged wave seeds the next.
+    """Continuation along the wave surface: each converged wave seeds the next.
 
     ``parameter`` is "omega" (the seed's constraint carried along: its A,
     zero mean, or its mean), "A" (fixed-A solves at the seed speed), or
-    "xi" with explicit omega/A maps.  A failed solve raises its SolverError
-    with the converged prefix as ``family``.
+    "xi" with explicit omega/A maps.  ``visit`` gets each converged member
+    and may return its tangents (eta, beta) = (d phi/d omega, d phi/d A) on
+    any grid of the period; the next guess is then phi + d_omega eta +
+    d_A beta, d_A the prescribed step in A or, holding the mean to first
+    order, -d_omega int eta / int beta.  Otherwise the guess is the previous
+    profile (the seed's, for the first member).  A failed solve raises its
+    SolverError with the converged prefix as ``family``.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
@@ -594,7 +600,7 @@ def continue_family(
     else:
         raise ValueError(f"unknown continuation parameter {parameter!r}")
 
-    waves = []
+    waves, tangent = [], None
     guess = seed.profile
     for value in values:
         if parameter == "omega":
@@ -603,6 +609,13 @@ def continue_family(
             omega, con = seed.omega, Constraint.fixed_A(float(value))
         else:
             omega, con = float(omega_map(value)), Constraint.fixed_A(float(A_map(value)))
+        if tangent is not None:
+            (eta, beta), prev, N = tangent, waves[-1], guess.grid.size
+            d_omega = omega - prev.omega
+            d_A = (con.value - prev.A if con.mode == "fixed_A"
+                   else -d_omega * integral(eta) / integral(beta))
+            guess = guess.with_values(guess.values + d_omega * _resample(eta.values, N)
+                                      + d_A * _resample(beta.values, N))
         try:
             w = solve_newton(
                 guess,
@@ -620,6 +633,7 @@ def continue_family(
             raise err from exc
         waves.append(w)
         guess = w.profile
+        tangent = None if visit is None else visit(w)
     return WaveFamily(tuple(waves), values)
 
 

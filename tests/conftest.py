@@ -7,6 +7,7 @@ from periwave import elliptic
 from periwave.cli import _solve_wave
 from periwave.config import load_config
 from periwave.spectral import DispersionSymbol, Field, PeriodicGrid
+from periwave.stability import certify
 from periwave.waves import (
     Constraint,
     Nonlinearity,
@@ -85,6 +86,12 @@ def make_bo_wave(N=128):
         Nonlinearity.quadratic(),
         tol=1e-11,
     )
+
+
+def certified_tangent(w):
+    """A ``continue_family`` visit: the member's (eta, beta) from ``certify``."""
+    cert = certify(w)
+    return None if cert.eta is None else (cert.eta, cert.beta)
 
 
 def make_gkdv5_wave(N, omega):

@@ -287,6 +287,17 @@ class TestCli:
         w = load_wave(os.path.join(out, "wave"))
         assert w.residual_norm < 1e-9
 
+    def test_solve_report_names_its_files_relative(self, tmp_path):
+        # one config solved into two directories writes the same report bytes
+        reports = []
+        for name in ("a", "b"):
+            out = str(tmp_path / name)
+            assert self.run("solve", "--preset", "bo", "--out", out) == 0
+            reports.append(open(os.path.join(out, "solve_report.json"), "rb").read())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["files"] == {"profile": "wave.csv",
+                                                   "sidecar": "wave.json"}
+
     def test_solve_invalid_config_exit_1(self, tmp_path):
         assert self.run(
             "solve", "--preset", "kdv-cnoidal", "--override", "grid.N=255",
@@ -679,10 +690,11 @@ class TestCli:
         code = self.run(
             "sweep", "--preset", "kdv-cnoidal", "--out", out,
             "--override", "grid.N=128", "--override", "sweep.count=3",
-            "--override", "sweep.start=0.46", "--override", "sweep.stop=-40",
+            "--override", "sweep.start=0.46", "--override", "sweep.stop=-5",
         )
         assert code == 4
-        # member 0 converged before member 1 collapsed: it is kept
+        # member 0 converged before member 1 (omega = -2.27, below the branch's
+        # bifurcation from the constant state at omega = -1) collapsed: it is kept
         sweep = json.loads(open(os.path.join(out, "sweep.json")).read())
         assert sweep["partial"] is True
         assert len(sweep["members"]) == 1
@@ -738,6 +750,9 @@ class TestCli:
         assert code == 0
         members = json.loads(open(os.path.join(out, "sweep.json")).read())["members"]
         assert len(members) == 10
+        # predicted from the surface tangent, the members after the first take
+        # 2 steps each here; seeded by the previous profile they took 4
+        assert sum(m["newton_steps"] for m in members) < 30
         for i, member in enumerate(members):
             w = load_wave(os.path.join(out, f"wave_{i:03d}"))
             assert w.residual_norm <= residual_bound(w.symbol, w.profile)

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_gkdv5_wave
+from conftest import certified_tangent, make_gkdv5_wave
+from periwave.config import load_config
 from periwave.evolution import momentum
 from periwave.linop import (
     SpectralReport,
@@ -18,6 +19,9 @@ from periwave.spectral import (
     DispersionSymbol,
     Field,
     PeriodicGrid,
+    _band_size,
+    _resample,
+    _sobolev_weights,
     apply_multiplier,
     derivative,
     integral,
@@ -27,6 +31,7 @@ from periwave.stability import (
     ORBITALLY_STABLE,
     SPECTRALLY_UNSTABLE,
     SurfaceDerivatives,
+    _core,
     certify,
     curve_criterion,
     decide,
@@ -41,6 +46,7 @@ from periwave.stability import (
 from periwave.waves import (
     Nonlinearity,
     SolverError,
+    _linear_coefficients,
     constant_state,
     continue_family,
     param_derivatives,
@@ -373,6 +379,37 @@ class TestCurveCriterion:
         assert curve_criterion(fam)[0] == pytest.approx(-dF.min(), rel=1e-6)
 
 
+class TestTangentPredictor:
+    def test_kdv_cnoidal_sweep_matches_plain_continuation(self, preset_wave):
+        sweep = load_config(preset="kdv-cnoidal")["sweep"]
+        values = np.linspace(sweep["start"], sweep["stop"], sweep["count"])
+        seed = preset_wave("kdv-cnoidal")
+        plain = continue_family(seed, "omega", values)
+        fam = continue_family(seed, "omega", values, visit=certified_tangent)
+
+        def steps(family):
+            return sum(len(m.newton_history) - 1 for m in family)
+
+        assert steps(fam) < 30 <= steps(plain)
+        for a, b in zip(plain, fam):
+            bound = max(1e-10, residual_bound(b.symbol, b.profile))
+            assert (a.profile - b.profile).sup_norm() <= bound
+            assert abs(a.A - b.A) <= bound
+            assert certify(a).verdict.conclusion == certify(b).verdict.conclusion
+
+    def test_xi_sweep_takes_the_prescribed_steps(self, kdv_stable):
+        # fixed-A xi steps: d_omega and d_A both come from the maps
+        w = kdv_stable
+        kwargs = dict(omega_map=lambda x: w.omega + 0.05 * x, A_map=lambda x: w.A + 0.01 * x)
+        values = np.linspace(0.0, 1.0, 4)
+        plain = continue_family(w, "xi", values, **kwargs)
+        fam = continue_family(w, "xi", values, visit=certified_tangent, **kwargs)
+        assert [m.A for m in fam] == [m.A for m in plain]
+        for a, b in zip(plain, fam):
+            assert (a.profile - b.profile).sup_norm() <= 1e-10
+        assert len(fam[-1].newton_history) < len(plain[-1].newton_history)
+
+
 class TestHamiltonianSpectrum:
     def test_stable_wave_has_no_right_real_eigenvalues(self, kdv_stable):
         spec = hamiltonian_spectrum(assemble(kdv_stable))
@@ -498,14 +535,17 @@ class TestCertify:
         assert c.c3 == constrained_min_rayleigh(c.operator, [derivative(phi), q])
 
 
+NONE_CALLED = {"hamiltonian_spectrum": 0, "constrained_min_rayleigh": 0, "h1_constants": 0}
+
+
 class TestCrossChecksOnRead:
-    """c3 and k_r are computed when first read, and only then."""
+    """c2, c3 and k_r are computed when first read, and only then."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         from periwave import stability
 
-        counts = {"hamiltonian_spectrum": 0, "constrained_min_rayleigh": 0}
+        counts = dict(NONE_CALLED)
         for name in counts:
             original = getattr(stability, name)
 
@@ -519,29 +559,99 @@ class TestCrossChecksOnRead:
     def test_computed_once_on_first_read(self, kdv_stable, calls):
         c = certify(kdv_stable)
         assert c.verdict.conclusion == ORBITALLY_STABLE
-        assert calls == {"hamiltonian_spectrum": 0, "constrained_min_rayleigh": 0}
-        first = (c.k_r, c.c3)
-        assert (c.k_r, c.c3) == first
+        assert calls == NONE_CALLED
+        first = (c.k_r, c.c3, c.c2)
+        assert (c.k_r, c.c3, c.c2) == first
         assert first[0] == 0 and first[1] > 0.0
-        assert calls == {"hamiltonian_spectrum": 1, "constrained_min_rayleigh": 1}
+        assert first[2] == h1_constants(c.operator)[1]
+        assert calls == {"hamiltonian_spectrum": 1, "constrained_min_rayleigh": 1,
+                         "h1_constants": 1}
 
-    def test_sweep_computes_neither(self, tmp_path, calls):
+    @pytest.mark.parametrize("name", ["kdv-cnoidal", "gkdv-p", "bo", "ilw"])
+    def test_sweep_computes_none(self, tmp_path, calls, name):
         from periwave.cli import main
 
-        assert main(["sweep", "--preset", "gkdv-p", "--out", str(tmp_path)]) == 0
-        assert calls == {"hamiltonian_spectrum": 0, "constrained_min_rayleigh": 0}
+        assert main(["sweep", "--preset", name, "--out", str(tmp_path)]) == 0
+        assert calls == NONE_CALLED
 
     def test_regularized_k_r_is_none_without_a_call(self, bbm_wave, calls):
         c = certify(bbm_wave)
         assert c.verdict.mu_nu is not None
         assert c.k_r is None
-        assert calls == {"hamiltonian_spectrum": 0, "constrained_min_rayleigh": 0}
+        assert calls == NONE_CALLED
 
 
 PRESETS = ["kdv-cnoidal", "gkdv-p", "bo", "ilw", "regularized-bbm-like"]
 
 
+def _eager_core(w):
+    """``_core``'s rule with H1's c2 computed at every K tried; returns the
+    chosen K, the guard and c2."""
+    grid, sym, N = w.grid, w.symbol, w.grid.size
+    v = w.profile.with_values(w.nonlinearity.fprime(w.profile.values))
+    modes, K = _band_size(v)
+    coupling = float((np.abs(v.spectrum) / N)[1:].sum())
+    a, b = _linear_coefficients(w.variant, w.omega)
+    level = a * sym.values_on(grid) + b - v.sup_norm()
+    weight = _sobolev_weights(grid, 0.5 * sym.order)
+    while True:
+        K = min(K, N)
+        core = w if K == N else dataclasses.replace(
+            w, profile=Field(PeriodicGrid(grid.length, K), _resample(w.profile.values, K)))
+        lin = assemble(core)
+        c1, c2 = h1_constants(lin)
+        lam = np.abs(lin.eigenvalues)
+        guard = {"N": N, "K": K, "modes": modes, "gamma": None, "delta": None,
+                 "gap": float(lam[lam > lin.zero_tol].min(initial=math.inf))}
+        if K == N:
+            return K, guard, c2
+        dropped = np.abs(grid.wavenumbers) >= K // 2
+        gamma = float(level[dropped].min())
+        delta = coupling**2 / gamma if gamma > 0.0 else math.inf
+        if delta < guard["gap"] and (level - c1 * weight)[dropped].min() > -c2:
+            guard.update(gamma=gamma, delta=delta)
+            return K, guard, c2
+        K *= 2
+
+
 class TestCore:
+    @pytest.mark.parametrize("N", [None, 1024])
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_lazy_c2_guard_matches_eager_rule(self, preset_wave, name, N):
+        w = preset_wave(name, N)
+        K, guard, c2 = _eager_core(w)
+        core, lin, c1, lazy_guard = _core(w)
+        assert lazy_guard == guard and lin.size == core.grid.size == K
+        assert c1 == h1_constants(lin)[0]
+        assert certify(w).c2 == c2
+
+    def test_guard_computes_c2_only_when_the_dropped_block_is_not_positive(
+        self, monkeypatch
+    ):
+        # L - c1 W is (1 - c1) kappa^2 - 90.5 - c1 for the constant state 91
+        # at omega = 0.5, c1 = v1 / 2.  On the K = 32 core's dropped modes
+        # |kappa| >= 16 it is positive at v1 = 1; at v1 = 1.8 it is not, but
+        # stays above -c2 = -91.4
+        from periwave import stability
+
+        seen = []
+
+        def counted(lin):
+            seen.append(lin.size)
+            return h1_constants(lin)
+
+        monkeypatch.setattr(stability, "h1_constants", counted)
+        grid = PeriodicGrid(TWO_PI, 64)
+        for v1, needs_c2, c2_exact in ((1.0, False, 91.0), (1.8, True, 91.4)):
+            sym = dataclasses.replace(DispersionSymbol.second_derivative(TWO_PI), lower_bound=v1)
+            w = constant_state(grid, 91.0, 0.5, sym, Nonlinearity.kdv())
+            seen.clear()
+            guard = _core(w)[3]
+            assert seen == ([32] if needs_c2 else [])
+            K, eager_guard, c2 = _eager_core(w)
+            assert guard == eager_guard and K == 32
+            assert c2 == pytest.approx(c2_exact, rel=1e-12)
+
     def test_guard_raises_K(self):
         # f'(phi) = 91 has no modes, so the resolution rule gives K = 16, but
         # modes 8..15 of L = kappa^2 + 0.5 - 91 are negative: the guard must

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import certified_tangent
 from periwave import elliptic, waves
 from periwave.cli import _solve_wave
 from periwave.config import load_config
@@ -462,6 +463,26 @@ class TestFamily:
         fam = continue_family(gkdv2_wave, "A", np.linspace(0.0, 0.02, 3))
         assert [m.A for m in fam] == pytest.approx([0.0, 0.01, 0.02])
         assert all(m.residual_norm < 1e-8 for m in fam)
+
+    def test_A_sweep_predicted_from_tangent(self, gkdv2_wave):
+        # a fixed-A step follows beta alone: d_omega = 0, d_A the prescribed step
+        values = np.linspace(0.0, 0.02, 3)
+        plain = continue_family(gkdv2_wave, "A", values)
+        seen = []
+
+        def visit(w):
+            seen.append(w)
+            return certified_tangent(w)
+
+        fam = continue_family(gkdv2_wave, "A", values, visit=visit)
+        assert seen == list(fam.waves)
+        assert [m.A for m in fam] == pytest.approx([0.0, 0.01, 0.02])
+        assert all(m.residual_norm < 1e-8 for m in fam)
+        for a, b in zip(plain, fam):
+            assert (a.profile - b.profile).sup_norm() <= 1e-10
+        steps = [len(m.newton_history) - 1 for m in fam]
+        assert steps[0] == len(plain[0].newton_history) - 1
+        assert sum(steps[1:]) < sum(len(m.newton_history) - 1 for m in plain[1:])
 
     def test_xi_maps(self, kdv_stable):
         w = kdv_stable
