@@ -576,11 +576,11 @@ def continue_family(
     zero mean, or its mean), "A" (fixed-A solves at the seed speed), or
     "xi" with explicit omega/A maps.  ``visit`` gets each converged member
     and may return its tangents (eta, beta) = (d phi/d omega, d phi/d A) on
-    any grid of the period; the next guess is then phi + d_omega eta +
-    d_A beta, d_A the prescribed step in A or, holding the mean to first
-    order, -d_omega int eta / int beta.  Otherwise the guess is the previous
-    profile (the seed's, for the first member).  A failed solve raises its
-    SolverError with the converged prefix as ``family``.
+    any grid of the period; the next guess is phi + d_omega eta + d_A beta
+    (d_A the prescribed step in A or, holding the mean to first order,
+    -d_omega int eta / int beta) if that step is within sup|phi| / 2, else
+    the previous profile, as without tangents (and for the first member).
+    A failed solve's SolverError carries the converged prefix as ``family``.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
@@ -610,12 +610,12 @@ def continue_family(
         else:
             omega, con = float(omega_map(value)), Constraint.fixed_A(float(A_map(value)))
         if tangent is not None:
-            (eta, beta), prev, N = tangent, waves[-1], guess.grid.size
-            d_omega = omega - prev.omega
-            d_A = (con.value - prev.A if con.mode == "fixed_A"
+            (eta, beta), N, d_omega = tangent, guess.grid.size, omega - waves[-1].omega
+            d_A = (con.value - waves[-1].A if con.mode == "fixed_A"
                    else -d_omega * integral(eta) / integral(beta))
-            guess = guess.with_values(guess.values + d_omega * _resample(eta.values, N)
-                                      + d_A * _resample(beta.values, N))
+            step = d_omega * _resample(eta.values, N) + d_A * _resample(beta.values, N)
+            if np.abs(step).max() <= 0.5 * guess.sup_norm():  # a farther one may change branch
+                guess = guess.with_values(guess.values + step)
         try:
             w = solve_newton(
                 guess,

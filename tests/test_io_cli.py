@@ -690,11 +690,10 @@ class TestCli:
         code = self.run(
             "sweep", "--preset", "kdv-cnoidal", "--out", out,
             "--override", "grid.N=128", "--override", "sweep.count=3",
-            "--override", "sweep.start=0.46", "--override", "sweep.stop=-5",
+            "--override", "sweep.start=0.46", "--override", "sweep.stop=-40",
         )
         assert code == 4
-        # member 0 converged before member 1 (omega = -2.27, below the branch's
-        # bifurcation from the constant state at omega = -1) collapsed: it is kept
+        # member 0 converged before member 1 collapsed: it is kept
         sweep = json.loads(open(os.path.join(out, "sweep.json")).read())
         assert sweep["partial"] is True
         assert len(sweep["members"]) == 1

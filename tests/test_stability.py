@@ -409,6 +409,22 @@ class TestTangentPredictor:
             assert (a.profile - b.profile).sup_norm() <= 1e-10
         assert len(fam[-1].newton_history) < len(plain[-1].newton_history)
 
+    def test_far_step_is_seeded_by_the_previous_profile(self, preset_wave):
+        # a step of 20 in omega is ten times sup|phi| along the tangent: the
+        # linear guess would converge to a 5-humped wave on another branch, so
+        # the previous profile seeds it and it collapses as without a tangent
+        seed = preset_wave("kdv-cnoidal", 128)
+        values = [0.46, -19.77]
+        errors = []
+        for visit in (None, certified_tangent):
+            with pytest.raises(SolverError, match="collapsed") as info:
+                continue_family(seed, "omega", values, visit=visit)
+            errors.append(info.value)
+        assert str(errors[0]) == str(errors[1])
+        assert len(errors[1].family) == 1
+        assert np.array_equal(errors[0].family[0].profile.values,
+                              errors[1].family[0].profile.values)
+
 
 class TestHamiltonianSpectrum:
     def test_stable_wave_has_no_right_real_eigenvalues(self, kdv_stable):
