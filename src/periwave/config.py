@@ -216,6 +216,8 @@ def load_config(
     ev, sweep = config["evolve"], config.get("sweep", {})
     if ev["dt"] >= ev["T"]:
         _fail(("evolve", "dt"), f"{ev['dt']!r} is not below evolve.T = {ev['T']!r}")
+    if not ev["amplitudes"]:
+        _fail(("evolve", "amplitudes"), "evolve needs at least one amplitude")
     if sweep.get("parameter") == "xi" and not (sweep.get("omega_coeffs")
                                                and sweep.get("A_coeffs")):
         _fail(("sweep",), "xi sweeps need nonempty omega_coeffs and A_coeffs")

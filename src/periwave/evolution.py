@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.fft import _pocketfft_umath
 
 from .spectral import (
     DispersionSymbol,
@@ -248,7 +249,6 @@ class _Semidiscretization:
     def __init__(self, grid: PeriodicGrid, symbol: DispersionSymbol, nl: Nonlinearity,
                  variant: str):
         half = grid.size // 2
-        self.size = grid.size
         self.f = nl.f
         xi = grid.frequencies[: half + 1].copy()
         xi[half] = 0.0  # zeroes both parts at Nyquist
@@ -260,12 +260,6 @@ class _Semidiscretization:
             self.linear = -1j * xi / (1.0 + theta)
             self.nl_scale = -1j * xi / (1.0 + theta)
         self.nl_scale[np.arange(half + 1) > (2 * half) // 3] = 0.0
-
-    def nonlinear(self, uh: np.ndarray, out: np.ndarray, phys: np.ndarray) -> None:
-        """Write the nonlinear term of ``uh`` into ``out``, through ``phys``."""
-        np.fft.irfft(uh, self.size, out=phys)
-        np.fft.rfft(self.f(phys, out=phys), out=out)
-        out *= self.nl_scale
 
 
 def integrate(
@@ -313,17 +307,29 @@ def integrate(
     # round differently with their factors swapped
     n0, na, nb, nc, half, a, b, c, tmp = np.empty((9,) + uh.shape, dtype=complex)
     phys = np.empty((len(fields), grid.size))
+    # the pocketfft gufuncs that np.fft.irfft(uh, N) and np.fft.rfft (N is
+    # even) call, with the same factors 1/N and 1: bitwise their results,
+    # without the wrappers' argument handling at every call
+    irfft, rfft = _pocketfft_umath.irfft, _pocketfft_umath.rfft_n_even
+    inv_n = np.reciprocal(grid.size, dtype=float)
+    f, nl_scale = sd.f, sd.nl_scale
+
+    def nonlinear(uh, out):
+        """Write the nonlinear term of ``uh`` into ``out``, through ``phys``."""
+        irfft(uh, inv_n, out=phys)
+        rfft(f(phys, out=phys), 1.0, out=out)
+        out *= nl_scale
 
     def step(uh, out):
-        sd.nonlinear(uh, n0, phys)
+        nonlinear(uh, n0)
         np.multiply(exp_half, uh, out=half)
         np.add(half, np.multiply(Q, n0, out=a), out=a)
-        sd.nonlinear(a, na, phys)
+        nonlinear(a, na)
         np.add(half, np.multiply(Q, na, out=b), out=b)
-        sd.nonlinear(b, nb, phys)
+        nonlinear(b, nb)
         np.subtract(np.multiply(2.0, nb, out=c), n0, out=c)
         np.add(np.multiply(exp_half, a, out=tmp), np.multiply(Q, c, out=c), out=c)
-        sd.nonlinear(c, nc, phys)
+        nonlinear(c, nc)
         np.multiply(exp_full, uh, out=out)
         out += np.multiply(f1, n0, out=tmp)
         out += np.multiply(f2, np.add(na, nb, out=tmp), out=tmp)

@@ -41,7 +41,6 @@ __all__ = [
     "derivative",
     "integral",
     "mean_value",
-    "inner",
     "sobolev_inner",
     "sobolev_norm",
     "apply_multiplier",
@@ -266,12 +265,6 @@ def integral(u: Field) -> float:
 
 def mean_value(u: Field) -> float:
     return integral(u) / u.grid.length
-
-
-def inner(u: Field, v: Field) -> float:
-    """L2 pairing over one period."""
-    _check_same_grid(u, v)
-    return float(u.grid.spacing * (u.values * v.values).sum())
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -6,7 +6,7 @@ import pytest
 from periwave import elliptic
 from periwave.cli import _solve_wave
 from periwave.config import load_config
-from periwave.spectral import DispersionSymbol, Field, PeriodicGrid
+from periwave.spectral import DispersionSymbol, Field, PeriodicGrid, _check_same_grid
 from periwave.stability import certify
 from periwave.waves import (
     Constraint,
@@ -18,6 +18,12 @@ from periwave.waves import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def inner(u: Field, v: Field) -> float:
+    """L2 pairing over one period."""
+    _check_same_grid(u, v)
+    return float(u.grid.spacing * (u.values * v.values).sum())
 
 
 @pytest.fixture(scope="session")

@@ -359,14 +359,14 @@ class TestIntegrate:
             got = traj.states[n_steps].values
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("rows", [1, 2])
+    @pytest.mark.parametrize("rows", [1, 2, 3])
     @pytest.mark.parametrize("wave", ["kdv_stable", "bbm_wave"])
     def test_etdrk4_bitwise_equal_to_allocating_step(self, request, wave, rows):
         # every step is sampled, so a sample that aliased a reused stage
         # buffer would be overwritten by later steps and differ here
         w = request.getfixturevalue(wave)
         p = random_smooth_field(w.grid, seed=4, norm_s=1.0)
-        starts = [w.profile + p * a for a in (1e-2, 1e-1)][:rows]
+        starts = [w.profile + p * a for a in (1e-2, 1e-1, 0.0)][:rows]
         dt = 1e-3
         cfg = EvolutionConfig(dt=dt, T=50 * dt, variant=w.variant, sample_interval=dt)
         trajs = integrate(starts, cfg, w.symbol, w.nonlinearity)
@@ -376,6 +376,48 @@ class TestIntegrate:
             assert len(traj.states) == 51
             for state, values in zip(traj.states[1:], ref):
                 assert np.array_equal(state.values, values[row])
+
+    @pytest.mark.parametrize("N", [16, 96, 256])
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_step_transforms_bitwise_equal_to_public_fft(self, rows, N):
+        # the gufuncs integrate calls, through its out= buffers and with phys
+        # overwritten in place by the flux, against np.fft's public functions;
+        # at N = 96, dividing by N rounds differently from the factor 1/N
+        pfu = evolution._pocketfft_umath
+        f = Nonlinearity.kdv().f
+        rng = np.random.default_rng(rows * N)
+        phys = np.empty((rows, N))
+        out = np.empty((rows, N // 2 + 1), dtype=complex)
+        inv_n = np.reciprocal(N, dtype=float)
+        for _ in range(2):  # a second pass through the same buffers
+            y = rng.standard_normal((rows, N // 2 + 1)) + 1j * rng.standard_normal(
+                (rows, N // 2 + 1))
+            want_phys = np.fft.irfft(y, N)
+            assert pfu.irfft(y, inv_n, out=phys) is phys
+            assert np.array_equal(phys, want_phys)
+            want_out = np.fft.rfft(f(want_phys))
+            assert pfu.rfft_n_even(f(phys, out=phys), 1.0, out=out) is out
+            assert np.array_equal(out, want_out)
+
+    def test_public_fft_calls_scale_with_samples_not_steps(self, kdv_midk, monkeypatch):
+        w = kdv_midk
+        calls = []
+        for name in ("rfft", "irfft"):
+            original = getattr(np.fft, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counting)
+        cfg = EvolutionConfig(dt=5e-4, T=0.1, sample_interval=0.025)
+        traj = integrate([w.profile, w.profile * 1.01], cfg, w.symbol, w.nonlinearity)[0]
+        n_samples = len(traj.times) - 1
+        assert n_samples == 4
+        # one forward transform of the starts, one inverse per sample; the
+        # 200 steps make none
+        assert calls.count("rfft") == 1
+        assert calls.count("irfft") == n_samples
 
     @pytest.mark.parametrize("c", [1.0, 2.0])
     @pytest.mark.parametrize("p", [1, 2, 5])

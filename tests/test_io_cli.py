@@ -159,6 +159,7 @@ class TestConfig:
         ("evolve.amplitudes=[0.001,-0.01]", "evolve/amplitudes/1"),
         ("evolve.amplitudes=0.001", "evolve/amplitudes"),
         ("evolve.amplitudes=[0,0.001]", None),
+        ("evolve.amplitudes=[]", "evolve/amplitudes"),
         ("evolve.seed=-1", "evolve/seed"),
         # ETDRK4 is the only integrator: the key is gone, whatever its value
         ("evolve.integrator=rk4", "evolve"),

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import inner
 from periwave.cli import _solve_wave, main
 from periwave.config import list_presets, load_config
 from periwave.io import save_wave
@@ -24,7 +25,6 @@ from periwave.spectral import (
     PeriodicGrid,
     apply_multiplier,
     derivative,
-    inner,
     random_smooth_field,
     sobolev_weight_matrix,
 )

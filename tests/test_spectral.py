@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import inner
 from periwave.spectral import (
     DispersionSymbol,
     Field,
@@ -12,7 +13,6 @@ from periwave.spectral import (
     apply_multiplier,
     derivative,
     derivative_matrix,
-    inner,
     integral,
     mean_value,
     multiplier_matrix,
