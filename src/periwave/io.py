@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 import warnings
 from dataclasses import replace
 from functools import lru_cache
@@ -98,10 +97,11 @@ def config_hash(config: dict) -> str:
 
 
 def atomic_write_text(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write through a temp file beside ``path``; the mode follows the umask."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)

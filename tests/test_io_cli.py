@@ -12,6 +12,7 @@ from periwave.cli import main
 from periwave.config import ConfigError, list_presets, load_config, symbol_from_config
 from periwave.io import (
     _csv_text,
+    atomic_write_text,
     canonical_json,
     config_hash,
     format_float,
@@ -59,6 +60,12 @@ class TestSerialization:
     def test_config_hash_stable(self):
         cfg = {"grid": {"L": TWO_PI, "N": 64}}
         assert config_hash(cfg) == config_hash(json.loads(json.dumps(cfg)))
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(str(path), "\ud800")
+        assert os.listdir(tmp_path) == []
 
     def test_field_csv_roundtrip(self, tmp_path):
         grid = PeriodicGrid(TWO_PI, 64)
@@ -775,6 +782,26 @@ class TestCli:
         trace_file = os.path.join(out, pert["trace_file"])
         header = open(trace_file).readline().strip()
         assert header == "t,d_orbit,r_star,P,F,M,V"
+
+    def test_outputs_follow_the_umask(self, tmp_path):
+        runs = {
+            "solve": ["--preset", "kdv-cnoidal"],
+            "certify": ["--preset", "kdv-cnoidal"],
+            "sweep": ["--preset", "kdv-cnoidal", "--override", "grid.N=128",
+                      "--override", "sweep.count=2"],
+            "evolve": ["--preset", "kdv-cnoidal", "--override", "evolve.T=0.01"],
+        }
+        old = os.umask(0o022)
+        try:
+            for command, args in runs.items():
+                assert self.run(command, *args, "--out", str(tmp_path / command)) == 0
+        finally:
+            os.umask(old)
+        for command in runs:
+            names = os.listdir(tmp_path / command)
+            assert names and not [n for n in names if n.endswith(".tmp")]
+            for name in names:
+                assert os.stat(tmp_path / command / name).st_mode & 0o777 == 0o644, name
 
     def test_evolve_names_traces_by_index(self, tmp_path):
         # amplitudes that print alike in %.0e must not share a trace file;
