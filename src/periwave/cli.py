@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 configuration error, 2 solver failure,
 3 certification prerequisites failed (inconclusive verdict),
-4 sweep aborted partway (converged members written), 5 blowup detected.
+4 sweep aborted partway (family.csv and sweep.json, marked partial, hold
+the members converged so far, possibly none), 5 blowup detected.
 """
 
 from __future__ import annotations
@@ -231,7 +232,7 @@ def cmd_sweep(out: str, seed_wave: TravelingWave, config: dict) -> int:
 
     partial = False
     try:
-        family = continue_family(
+        continue_family(
             seed_wave,
             sweep["parameter"],
             values,
@@ -242,10 +243,7 @@ def cmd_sweep(out: str, seed_wave: TravelingWave, config: dict) -> int:
         )
     except SolverError as exc:
         print(f"sweep aborted: {exc}", file=sys.stderr)
-        family, partial = exc.family, True
-
-    if not family:
-        return EXIT_SWEEP_PARTIAL if partial else EXIT_SOLVE
+        partial = True
 
     columns = [[row[key] for row in rows]
                for key in ("xi", "omega", "A", "mass", "momentum", "verdict")]
@@ -254,8 +252,8 @@ def cmd_sweep(out: str, seed_wave: TravelingWave, config: dict) -> int:
 
     curve_value = None
     curve_mu_nu = None
-    if len(family) >= 3:
-        curve_value, curve_mu_nu = curve_criterion(family)
+    if len(rows) >= 3:
+        curve_value, curve_mu_nu = curve_criterion(*columns[:5])
     _write_json(
         {
             "curve_criterion": curve_value,

@@ -221,6 +221,8 @@ def load_config(
     if sweep.get("parameter") == "xi" and not (sweep.get("omega_coeffs")
                                                and sweep.get("A_coeffs")):
         _fail(("sweep",), "xi sweeps need nonempty omega_coeffs and A_coeffs")
+    if sweep and sweep["count"] > 1 and sweep["start"] == sweep["stop"]:
+        _fail(("sweep",), f"{sweep['count']} members need start != stop")
     return config
 
 

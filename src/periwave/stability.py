@@ -61,7 +61,6 @@ from .waves import (
     NearSingularError,
     SolverError,
     TravelingWave,
-    WaveFamily,
     _linear_coefficients,
     param_derivatives,
     residual,
@@ -294,27 +293,17 @@ def decide(
 # parametrization-free criteria
 # ---------------------------------------------------------------------------
 
-def curve_criterion(fam: WaveFamily) -> tuple[float, tuple[float, float]]:
+def curve_criterion(xi, omega, A, M, F) -> tuple[float, tuple[float, float]]:
     """Curve form -A'(xi) dM/dxi - omega'(xi) dF/dxi by central differences.
 
-    Evaluated at every interior grid point of the family; the maximum is
-    returned, so a negative result certifies the criterion along the whole
-    sampled curve.  It comes paired with the auxiliary-quantity direction
-    (mu, nu) = (dA/dxi, domega/dxi) at the mid interior point.
+    Reads sweep's family.csv columns: the sampled curve xi -> (omega, A)
+    and each member's mass M and momentum F.  The maximum over the interior
+    points is returned, so a negative result certifies the criterion along
+    the sampled curve, with (mu, nu) = (dA/dxi, domega/dxi) at the middle one.
     """
-    if len(fam) < 3:
+    if len(xi) < 3:
         raise ValueError("curve criterion needs at least 3 family members")
-    xi = fam.values
-    omegas = fam.omegas
-    consts = fam.constants
-    masses = np.array([mass(w.profile) for w in fam])
-    momenta = np.array(
-        [momentum(w.profile, symbol=w.symbol, variant=w.variant) for w in fam]
-    )
-    dA = np.gradient(consts, xi)[1:-1]
-    dom = np.gradient(omegas, xi)[1:-1]
-    dM = np.gradient(masses, xi)[1:-1]
-    dF = np.gradient(momenta, xi)[1:-1]
+    dA, dom, dM, dF = (np.gradient(col, xi)[1:-1] for col in (A, omega, M, F))
     value = float(np.max(-dA * dM - dom * dF))
     mid = len(dA) // 2
     return value, (float(dA[mid]), float(dom[mid]))

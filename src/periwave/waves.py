@@ -32,7 +32,6 @@ __all__ = [
     "Nonlinearity",
     "Constraint",
     "TravelingWave",
-    "WaveFamily",
     "SolverError",
     "ConvergenceError",
     "BifurcationError",
@@ -53,12 +52,7 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """Base class for wave-solver failures.
-
-    A failed continuation attaches the converged prefix as ``family``.
-    """
-
-    family: "WaveFamily | None" = None
+    """Base class for wave-solver failures."""
 
 
 class ConvergenceError(SolverError):
@@ -526,34 +520,6 @@ def ilw_wave(L: float, delta: float, k, N: int) -> TravelingWave:
 # families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WaveFamily:
-    """Ordered waves along a one-parameter sweep sharing grid/symbol/flux."""
-
-    waves: tuple
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-    def __len__(self) -> int:
-        return len(self.waves)
-
-    def __iter__(self):
-        return iter(self.waves)
-
-    def __getitem__(self, i) -> TravelingWave:
-        return self.waves[i]
-
-    @property
-    def omegas(self) -> np.ndarray:
-        return np.array([w.omega for w in self.waves])
-
-    @property
-    def constants(self) -> np.ndarray:
-        return np.array([w.A for w in self.waves])
-
-
 def continue_family(
     seed: TravelingWave,
     parameter: str,
@@ -563,7 +529,7 @@ def continue_family(
     tol: float = 1e-10,
     max_iter: int = 50,
     visit: Callable[[TravelingWave], tuple[Field, Field] | None] | None = None,
-) -> WaveFamily:
+) -> tuple[TravelingWave, ...]:
     """Continuation along the wave surface: each converged wave seeds the next.
 
     ``parameter`` is "omega" (the seed's constraint carried along: its A,
@@ -574,7 +540,8 @@ def continue_family(
     (d_A the prescribed step in A or, holding the mean to first order,
     -d_omega int eta / int beta) if that step is within sup|phi| / 2, else
     the previous profile, as without tangents (and for the first member).
-    A failed solve's SolverError carries the converged prefix as ``family``.
+    Returns the converged waves, one per value; a failed solve raises
+    SolverError, after ``visit`` has seen every member before it.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
@@ -622,13 +589,11 @@ def continue_family(
                 variant=seed.variant,
             )
         except SolverError as exc:
-            err = type(exc)(f"continuation failed at {parameter}={value}: {exc}")
-            err.family = WaveFamily(tuple(waves), values[: len(waves)])
-            raise err from exc
+            raise type(exc)(f"continuation failed at {parameter}={value}: {exc}") from exc
         waves.append(w)
         guess = w.profile
         tangent = None if visit is None else visit(w)
-    return WaveFamily(tuple(waves), values)
+    return tuple(waves)
 
 
 # ---------------------------------------------------------------------------

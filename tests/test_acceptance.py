@@ -100,9 +100,10 @@ def test_criterion_1_closed_form_certification():
 
             # omega-grid of 10 points above the bifurcation speed
             span = 0.3 * (w.omega + 1.0)
-            fam = continue_family(w, "omega", np.linspace(w.omega, w.omega + span, 10))
+            omegas = np.linspace(w.omega, w.omega + span, 10)
+            fam = continue_family(w, "omega", omegas)
             momenta = np.array([momentum(m.profile) for m in fam])
-            slopes = np.gradient(momenta, fam.values)
+            slopes = np.gradient(momenta, omegas)
             assert np.all(slopes > 0.0), (k, slopes)
 
             cert = certify(w)
@@ -151,9 +152,10 @@ def test_criterion_3_ilw_reproduction():
             assert cert.verdict.conclusion == "orbitally_stable", (delta, cert.verdict)
 
             span = 0.3 * (w.omega + float(w.symbol.value(1)))
-            fam = continue_family(w, "omega", np.linspace(w.omega, w.omega + span, 5))
+            omegas = np.linspace(w.omega, w.omega + span, 5)
+            fam = continue_family(w, "omega", omegas)
             momenta = np.array([momentum(m.profile) for m in fam])
-            assert np.all(np.gradient(momenta, fam.values) > 0.0), delta
+            assert np.all(np.gradient(momenta, omegas) > 0.0), delta
 
 
 def test_criterion_4_lyapunov_properties(kdv_stable):

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from periwave.io import (
     save_wave,
 )
 from periwave.spectral import PeriodicGrid, mean_value, random_smooth_field
+from periwave.stability import curve_criterion
 from periwave.waves import residual_bound
 
 TWO_PI = 2.0 * math.pi
@@ -155,6 +157,9 @@ class TestConfig:
         ('sweep={"parameter":"xi","start":0,"stop":1,"count":3,'
          '"omega_coeffs":[1,2.5],"A_coeffs":[0]}', None),
         ('sweep={"parameter":"omega","start":0}', "sweep"),
+        # members at one point have no curve between them; a single one is certify
+        ('sweep={"parameter":"omega","start":0.5,"stop":0.5,"count":2}', "sweep"),
+        ('sweep={"parameter":"omega","start":0.5,"stop":0.5,"count":1}', None),
         ('sweep={"parameter":"xi","start":0,"stop":1,"count":3}', "sweep"),
         ('sweep={"parameter":"xi","start":0,"stop":1,"count":3,'
          '"omega_coeffs":[],"A_coeffs":[0]}', "sweep"),
@@ -554,8 +559,12 @@ class TestCli:
             ("gkdv-p", ["sweep.parameter=xi", "sweep.A_coeffs=[0]"],
              "config error: config schema violation at sweep: "
              "xi sweeps need nonempty omega_coeffs and A_coeffs"),
+            # np.gradient would divide by the zero spacing of the members
+            ("bo", ["sweep.start=-0.4", "sweep.stop=-0.4", "sweep.count=3"],
+             "config error: config schema violation at sweep: "
+             "3 members need start != stop"),
         ],
-        ids=["no-section", "xi-without-coeffs"],
+        ids=["no-section", "xi-without-coeffs", "start-equals-stop"],
     )
     def test_sweep_without_section_writes_nothing(self, tmp_path, capsys, preset,
                                                   overrides, message):
@@ -681,6 +690,22 @@ class TestCli:
         assert lines[0] == "xi,omega,A,M,F,verdict"
         assert len(lines) == 5
 
+    @pytest.mark.parametrize("preset", ["kdv-cnoidal", "gkdv-p", "bo", "ilw"])
+    def test_curve_criterion_is_read_off_family_csv(self, tmp_path, preset):
+        # family.csv's 17-digit columns round-trip, so the curve they give is
+        # sweep.json's to the bit
+        out = str(tmp_path / preset)
+        assert self.run("sweep", "--preset", preset, "--out", out,
+                        "--override", "sweep.count=4") == 0
+        with open(os.path.join(out, "family.csv")) as handle:
+            header, *rows = csv.reader(handle)
+        assert header == ["xi", "omega", "A", "M", "F", "verdict"]
+        columns = [[float(cell) for cell in col] for col in list(zip(*rows))[:5]]
+        value, mu_nu = curve_criterion(*columns)
+        sweep = json.loads(open(os.path.join(out, "sweep.json")).read())
+        assert sweep["curve_criterion"] == value
+        assert sweep["curve_mu_nu"] == list(mu_nu)
+
     def test_single_point_sweep_degenerates_to_certify(self, tmp_path):
         out = str(tmp_path / "run")
         code = self.run(
@@ -735,6 +760,12 @@ class TestCli:
         )
         assert code == 4
         assert "no convergence in 1 iterations" in capsys.readouterr().err
+        # no member converged: the record of the sweep is empty, not missing
+        sweep = json.loads(open(os.path.join(out, "sweep.json")).read())
+        assert sweep["members"] == [] and sweep["partial"] is True
+        assert sweep["curve_criterion"] is None and sweep["curve_mu_nu"] is None
+        assert open(os.path.join(out, "family.csv")).read() == "xi,omega,A,M,F,verdict\n"
+        assert not os.path.exists(os.path.join(out, "wave_000.json"))
 
     @pytest.mark.parametrize("command, override, path", [
         ("certify", "grid.L=NaN", "grid/L"),

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import certified_tangent, make_gkdv5_wave
 from periwave.config import load_config
-from periwave.evolution import momentum
+from periwave.evolution import mass, momentum
 from periwave.linop import (
     SpectralReport,
     assemble,
@@ -353,30 +353,37 @@ class TestVerdictOnWaves:
         assert c.spectral_report.zero_dim == 1
 
 
+def _curve_columns(values, fam):
+    """family.csv's xi, omega, A, M and F columns for a continuation."""
+    return (values, [m.omega for m in fam], [m.A for m in fam],
+            [mass(m.profile) for m in fam], [momentum(m.profile) for m in fam])
+
+
 class TestCurveCriterion:
     def test_needs_three_members(self, kdv_stable):
-        fam = continue_family(kdv_stable, "omega", [kdv_stable.omega])
+        values = [kdv_stable.omega]
+        fam = continue_family(kdv_stable, "omega", values)
         with pytest.raises(ValueError):
-            curve_criterion(fam)
+            curve_criterion(*_curve_columns(values, fam))
 
     def test_cnoidal_branch_negative(self, kdv_stable):
         w = kdv_stable
-        fam = continue_family(w, "omega", np.linspace(w.omega, w.omega + 0.2, 5))
-        value, _ = curve_criterion(fam)
+        values = np.linspace(w.omega, w.omega + 0.2, 5)
+        columns = _curve_columns(values, continue_family(w, "omega", values))
+        value, _ = curve_criterion(*columns)
         assert value < 0.0
         # on the zero-mean branch it reduces to -dF/domega
-        Fs = np.array([momentum(m.profile) for m in fam])
-        dF = np.gradient(Fs, fam.values)[1:-1]
+        dF = np.gradient(columns[4], values)[1:-1]
         assert value == pytest.approx(-dF.min(), rel=1e-6)
 
     def test_fixed_A_family_reduces_to_momentum_slope(self, gkdv2_wave):
         # A identically zero: the form is -omega'(xi) dF/dxi = -dF/domega
         w = gkdv2_wave
-        fam = continue_family(w, "omega", np.linspace(w.omega, w.omega + 0.06, 5))
-        assert max(abs(m.A) for m in fam) == 0.0
-        Fs = np.array([momentum(m.profile) for m in fam])
-        dF = np.gradient(Fs, fam.values)[1:-1]
-        assert curve_criterion(fam)[0] == pytest.approx(-dF.min(), rel=1e-6)
+        values = np.linspace(w.omega, w.omega + 0.06, 5)
+        columns = _curve_columns(values, continue_family(w, "omega", values))
+        assert max(map(abs, columns[2])) == 0.0
+        dF = np.gradient(columns[4], values)[1:-1]
+        assert curve_criterion(*columns)[0] == pytest.approx(-dF.min(), rel=1e-6)
 
 
 class TestTangentPredictor:
@@ -415,15 +422,22 @@ class TestTangentPredictor:
         # the previous profile seeds it and it collapses as without a tangent
         seed = preset_wave("kdv-cnoidal", 128)
         values = [0.46, -19.77]
-        errors = []
-        for visit in (None, certified_tangent):
+        errors, converged = [], []
+        for tangent in (lambda w: None, certified_tangent):
+            members = []
+            converged.append(members)
+
+            def visit(w):
+                members.append(w)
+                return tangent(w)
+
             with pytest.raises(SolverError, match="collapsed") as info:
                 continue_family(seed, "omega", values, visit=visit)
             errors.append(info.value)
         assert str(errors[0]) == str(errors[1])
-        assert len(errors[1].family) == 1
-        assert np.array_equal(errors[0].family[0].profile.values,
-                              errors[1].family[0].profile.values)
+        assert len(converged[1]) == 1
+        assert np.array_equal(converged[0][0].profile.values,
+                              converged[1][0].profile.values)
 
 
 class TestHamiltonianSpectrum:

@@ -475,7 +475,7 @@ class TestFamily:
             return certified_tangent(w)
 
         fam = continue_family(gkdv2_wave, "A", values, visit=visit)
-        assert seen == list(fam.waves)
+        assert seen == list(fam)
         assert [m.A for m in fam] == pytest.approx([0.0, 0.01, 0.02])
         assert all(m.residual_norm < 1e-8 for m in fam)
         for a, b in zip(plain, fam):
