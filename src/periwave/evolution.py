@@ -15,7 +15,7 @@ one array: ``stability_experiment`` advances all its amplitudes as one batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.fft import _pocketfft_umath
@@ -376,7 +376,6 @@ class EvolutionTrace:
     momentum: np.ndarray
     mass: np.ndarray
     lyapunov: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def sup_ratio(self) -> float:
         """sup_t d(u(t), orbit) / d(u(0), orbit); inf if the start is on the orbit."""
@@ -404,9 +403,9 @@ def stability_experiment(
     The perturbation direction is one fixed seeded mean-free random field of
     unit H^(m/2) norm shared by all amplitudes, so traces are comparable;
     orbital distances are measured in the same norm.
-    Finite-horizon runs can only falsify stability, never prove it; the
-    metadata carries that caveat.  The run uses cfg with the wave's variant,
-    and all amplitudes are evolved together by one ``integrate`` call.
+    Finite-horizon runs can only falsify stability, never prove it.  The run
+    uses cfg with the wave's variant, and all amplitudes are evolved together
+    by one ``integrate`` call.
     """
     s = w.sobolev_index
     cfg = replace(cfg, variant=w.variant)
@@ -444,15 +443,6 @@ def stability_experiment(
                 momentum=np.asarray(Fs),
                 mass=np.asarray(Ms),
                 lyapunov=np.asarray(Vs),
-                metadata={
-                    "seed": seed,
-                    "sobolev_index": s,
-                    "dt": cfg.dt,
-                    "sigma": sigma,
-                    "mu": mu,
-                    "nu": nu,
-                    "note": "finite-horizon falsification run, not a proof of stability",
-                },
             )
         )
     return traces

@@ -169,7 +169,7 @@ def nonlinearity_from_dict(data: dict) -> Nonlinearity:
     if data["kind"] == "quadratic":
         return Nonlinearity.quadratic()
     if data["kind"] == "power":
-        return Nonlinearity.power_law(int(data.get("p", 1)), float(data.get("c", 1.0)))
+        return Nonlinearity.power_law(data.get("p", 1), float(data.get("c", 1.0)))
     raise ValueError(f"unknown nonlinearity kind {data['kind']!r}")
 
 
@@ -210,8 +210,7 @@ def load_wave(basepath: str) -> TravelingWave:
         raise ValueError(f"profile {basepath}.csv holds no x, u rows")
     try:
         grid = PeriodicGrid(float(meta["L"]), int(meta["N"]))
-        w = TravelingWave(
-            profile=Field(grid, data[:, 1]),
+        entries = dict(
             omega=float(meta["omega"]),
             A=float(meta["A"]),
             symbol=symbol_from_dict(meta["symbol"], grid.length),
@@ -219,8 +218,9 @@ def load_wave(basepath: str) -> TravelingWave:
             variant=meta.get("variant", "standard"),
             constraint=meta.get("constraint", ""),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"sidecar {basepath}.json: bad or missing entry ({exc!r})") from None
+    w = TravelingWave(profile=Field(grid, data[:, 1]), **entries)
     return replace(w, residual_norm=residual(w).sup_norm())
 
 

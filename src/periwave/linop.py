@@ -2,10 +2,11 @@
 
 The linearization about a profile phi is ``L = M + omega - f'(phi)`` for the
 standard evolution and ``L = omega M + (omega - 1) - f'(phi)`` for the
-regularized one.  In collocation form the multiplier part is the transform-
-conjugated diagonal and the potential part is diagonal, so L is a real
-symmetric N x N matrix diagonalized once at assembly by dense solves (they win
-at N <= 1024), in its two parity blocks when f'(phi) is even about x = 0.
+regularized one.  Its collocation matrix (the multiplier a transform-conjugated
+diagonal, f'(phi) diagonal) is real symmetric N x N and is diagonalized once at
+assembly by dense solves (they win at N <= 1024): when f'(phi) is even about
+x = 0, in its two parity blocks in the real Fourier basis, where the multiplier
+and the H^s weight are diagonal (``spectral._even_odd_blocks``); else whole.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ import numpy as np
 from .spectral import (
     Field,
     PeriodicGrid,
+    _even_odd_blocks,
+    _mode_weights,
+    _sobolev_weights,
     derivative,
     multiplier_matrix,
     sobolev_weight_matrix,
@@ -54,6 +58,7 @@ class LinearizedOperator:
     eigenvalues: np.ndarray      # ascending
     eigenvectors: np.ndarray     # orthonormal columns, matching order
     zero_tol: float
+    blocks: tuple | None = None  # (even, odd) from _even_odd_blocks; None if not even
 
     @property
     def size(self) -> int:
@@ -70,34 +75,20 @@ class LinearizedOperator:
         return Field(self.grid, self.matrix @ u.values)
 
 
-def _parity_blocks(mat: np.ndarray):
-    """Even and odd blocks of the reflection-symmetrized ``mat``, or None when
-    its diagonal is not even to tau = 1e-10 max(1, max|mat_ij|), assembly's
-    symmetry tolerance.  ``mat`` is an even circulant off its diagonal, so the
-    dropped odd part is diagonal and by Weyl moves each eigenvalue by at most
-    tau, 100x below the kernel band if ||L|| >= 1.  Basis: delta_0, delta_{K/2},
-    (delta_j +- delta_-j)/sqrt 2, giving blocks of K/2+1 and K/2-1."""
-    K, h = mat.shape[0], mat.shape[0] // 2
-    up, down, diag = np.arange(h + 1), -np.arange(h + 1) % K, np.diagonal(mat)
-    if np.abs(diag[up] - diag[down]).max() > 1e-10 * max(1.0, np.abs(mat).max()):
-        return None
-    top, bottom = mat[:h + 1], mat.take(down, axis=0)
-    same = top[:, :h + 1] + bottom.take(down, axis=1)
-    cross = top.take(down, axis=1) + bottom[:, :h + 1]
-    s = np.where((up == 0) | (up == h), 0.5, 0.5**0.5)
-    return s[:, None] * (same + cross) * s, 0.5 * (same - cross)[1:h, 1:h]
-
-
-def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh(mat)``; from parity blocks, each vector is exactly even or odd."""
-    blocks = _parity_blocks(mat)
-    if blocks is None:
-        return np.linalg.eigh(mat)
-    (lam_e, vec_e), (lam_o, vec_o) = map(np.linalg.eigh, blocks)
-    K, h = mat.shape[0], mat.shape[0] // 2
-    vec = np.zeros((K, K))
-    vec[:h + 1, :h + 1], vec[1:h, h + 1:] = vec_e, vec_o
-    vec[1:h] *= 0.5**0.5
+def _synthesized_eigh(even: np.ndarray, odd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of the parity blocks of ``_even_odd_blocks``.  Each
+    vector is synthesized on nodes 0..K/2 from the orthonormal cos and sin basis
+    (read off one table at n j mod K) and mirrored onto the rest of the K
+    nodes, so it is exactly even or odd."""
+    (lam_e, vec_e), (lam_o, vec_o) = map(np.linalg.eigh, (even, odd))
+    h = even.shape[0] - 1
+    K = 2 * h
+    nj, angle = np.outer(np.arange(h + 1), np.arange(h + 1)), np.pi * np.arange(K) / h
+    cos, sin = np.cos(angle) * (2.0 / K) ** 0.5, np.sin(angle) * (2.0 / K) ** 0.5
+    sin[h] = 0.0  # sin(pi): odd vectors vanish at node K/2 to the bit, as at node 0
+    vec = np.empty((K, K))
+    vec[:h + 1, :h + 1] = np.take(cos, nj, mode="wrap") * _mode_weights(K, h + 1) @ vec_e
+    vec[:h + 1, h + 1:] = np.take(sin, nj[:, 1:h], mode="wrap") @ vec_o
     vec[K - 1:h:-1] = vec[1:h] * np.repeat([1.0, -1.0], [h + 1, h - 1])
     lam = np.concatenate((lam_e, lam_o))
     order = np.argsort(lam, kind="stable")
@@ -109,13 +100,15 @@ def assemble(w: "TravelingWave") -> LinearizedOperator:
     wave's own variant; its kernel band is 1e-8 times the spectral norm."""
     a_M, b_lin = _linear_coefficients(w.variant, w.omega)
     grid = w.grid
-    mat = a_M * multiplier_matrix(w.symbol, grid) + b_lin * np.eye(grid.size)
-    mat -= np.diag(w.nonlinearity.fprime(w.profile.values))
+    fprime = w.nonlinearity.fprime(w.profile.values)
+    mat = a_M * multiplier_matrix(w.symbol, grid)
+    mat.flat[::grid.size + 1] = mat.flat[::grid.size + 1] + b_lin - fprime  # + b I - f'(phi)
     asym = np.abs(mat - mat.T).max()
     if asym > 1e-10 * max(1.0, np.abs(mat).max()):
         raise ValueError(f"assembled operator is not symmetric (defect {asym:.3e})")
     mat = 0.5 * (mat + mat.T)
-    lam, vec = _eigh(mat)
+    blocks = _even_odd_blocks(a_M * w.symbol.values_on(grid)[:grid.size // 2 + 1] + b_lin, fprime)
+    lam, vec = np.linalg.eigh(mat) if blocks is None else _synthesized_eigh(*blocks)
     return LinearizedOperator(
         grid=grid,
         matrix=mat,
@@ -125,6 +118,7 @@ def assemble(w: "TravelingWave") -> LinearizedOperator:
         eigenvalues=lam,
         eigenvectors=vec,
         zero_tol=1e-8 * float(np.abs(lam).max()),
+        blocks=blocks,
     )
 
 
@@ -199,12 +193,16 @@ def h1_constants(lin: LinearizedOperator) -> tuple[float, float]:
 
     c1 is fixed at half the symbol's lower growth constant; c2 is the
     smallest nonnegative shift making L - c1 W + c2 I positive
-    semidefinite, where W is the H^(m/2) weight in collocation form.
+    semidefinite, where W is the H^(m/2) weight: diagonal in the parity
+    blocks, a collocation circulant for a wave that is not even.
     """
-    c1 = 0.5 * lin.symbol.lower_bound
-    shifted = lin.matrix - c1 * sobolev_weight_matrix(lin.grid, 0.5 * lin.symbol.order)
-    blocks = _parity_blocks(shifted) or (shifted,)
-    return c1, max(0.0, -min(float(np.linalg.eigvalsh(b)[0]) for b in blocks))
+    c1, s, h = 0.5 * lin.symbol.lower_bound, 0.5 * lin.symbol.order, lin.size // 2
+    if lin.blocks is None:
+        parts = (lin.matrix - c1 * sobolev_weight_matrix(lin.grid, s),)
+    else:
+        weight = c1 * _sobolev_weights(lin.grid, s)[:h + 1]
+        parts = (lin.blocks[0] - np.diag(weight), lin.blocks[1] - np.diag(weight[1:h]))
+    return c1, max(0.0, -min(float(np.linalg.eigvalsh(b)[0]) for b in parts))
 
 
 def _complement_basis(vectors: np.ndarray) -> np.ndarray:

@@ -383,6 +383,32 @@ def sobolev_weight_matrix(grid: PeriodicGrid, s: float) -> np.ndarray:
     return _conjugated_diagonal(_sobolev_weights, grid, s)
 
 
+def _mode_weights(N: int, m: int) -> np.ndarray:
+    """t_j for modes j < m: 1/sqrt 2 at modes 0 and N/2, 1 elsewhere."""
+    return np.where(np.arange(m) % (N // 2) == 0, 0.5**0.5, 1.0)
+
+
+def _even_odd_blocks(diag: np.ndarray, fprime: np.ndarray):
+    """Even and odd blocks of L = diag(d) - f'(phi) on the modes 0..m-1 of the
+    multiplier's diagonal d = a theta + b (m <= N/2 + 1) and the N samples of
+    f'(phi), in the orthonormal real Fourier basis cos 0, sqrt2 cos jx,
+    cos (N/2)x | sqrt2 sin jx.  With g = fft(f'(phi))/N, indices mod N and t from
+    ``_mode_weights``, entry (j, l) is d_j delta_jl - t_j t_l (g_|j-l| +- g_(j+l));
+    the odd block drops modes 0 and N/2, where sin vanishes on the grid.  None
+    when f'(phi) is not even to tau = 1e-10 max(1, max|L_ij|); otherwise its
+    dropped odd part, of sup at most tau, moves each eigenvalue by at most tau."""
+    N, m, step = fprime.size, diag.size, np.dtype(float).itemsize
+    g, t, d = np.fft.fft(fprime).real / N, _mode_weights(N, m), np.diag(diag)
+    # near[j, l] = g_|j-l| and far[j, l] = g_(j+l): windows onto r_i = g_|i-m+1|
+    r = g[np.abs(np.arange(1 - m, 2 * m - 1)) % N]
+    near = np.ndarray((m, m), float, r, (m - 1) * step, (-step, step))
+    far = np.ndarray((m, m), float, r, (m - 1) * step, (step, step))
+    even = d - np.outer(t, t) * (near + far)
+    odd = (d - (near - far))[1:N // 2, 1:N // 2]
+    tau = 1e-10 * max(1.0, np.abs(even).max(), np.abs(odd).max())
+    return None if np.abs(fprime - fprime[-np.arange(N) % N]).max() > tau else (even, odd)
+
+
 # ---------------------------------------------------------------------------
 # symbol bound verification
 # ---------------------------------------------------------------------------

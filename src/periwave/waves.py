@@ -21,11 +21,12 @@ from .spectral import (
     Field,
     PeriodicGrid,
     _band_size,
+    _even_odd_blocks,
+    _mode_weights,
     _resample,
     apply_multiplier,
     integral,
     mean_value,
-    multiplier_matrix,
 )
 
 __all__ = [
@@ -95,9 +96,10 @@ class Nonlinearity:
 
     @classmethod
     def power_law(cls, p: int, c: float = 1.0) -> "Nonlinearity":
-        """f(u) = c u^(p+1) / (p+1); p = 1, c = 1 is the KdV flux u^2/2."""
-        if p < 1:
-            raise ValueError(f"power-law exponent must be >= 1, got {p}")
+        """f(u) = c u^(p+1) / (p+1) for an integer p >= 1; p = 1, c = 1 is the KdV flux."""
+        number = isinstance(p, (int, float, np.integer)) and not isinstance(p, bool)
+        if not (number and p >= 1 and p % 1 == 0):
+            raise ValueError(f"power-law exponent must be an integer >= 1, got {p!r}")
         p = int(p)
 
         def f(u):
@@ -238,16 +240,6 @@ def constant_state(
 # Newton solver on the even subspace
 # ---------------------------------------------------------------------------
 
-def _symmetrize(values: np.ndarray) -> np.ndarray:
-    reflected = np.concatenate(([values[0]], values[:0:-1]))
-    return 0.5 * (values + reflected)
-
-
-def _embed_even(v: np.ndarray, N: int) -> np.ndarray:
-    """Even field from its values on nodes 0..N/2."""
-    return np.concatenate((v, v[-2:0:-1]))
-
-
 def solve_newton(
     guess: Field,
     omega: float,
@@ -260,44 +252,47 @@ def solve_newton(
 ) -> TravelingWave:
     """Newton iteration for the profile equation on the cosine subspace.
 
-    Under ``fixed_A`` the constant A is prescribed; under ``zero_mean`` or
-    ``fixed_mean`` A joins the unknowns, starting from the zero mode of the
-    profile equation at the guess (theta(0) = 0), and the mean of phi supplies
-    the extra equation.  The guess is symmetrized about x = 0 first; an even
-    profile makes the translation mode phi' odd, hence invisible to the
-    reduced Jacobian.
+    The unknown is the real half spectrum rfft(phi): the guess's even part to
+    start, less its coefficients below eps times the largest (the rounding of
+    its samples), so that a solution carries no rounding above its band into
+    the next solve.  An even profile makes the translation mode phi' odd,
+    hence invisible to the Jacobian.  Under ``fixed_A`` the constant A is
+    prescribed; under ``zero_mean`` or ``fixed_mean`` A joins the unknowns,
+    starting from the zero mode of the profile equation at the guess
+    (theta(0) = 0), and the mean of phi, its zero mode, is the extra equation.
 
     Every iterate's residual is the one ``residual`` evaluates at N, and the
-    acceptance tests below read it there.  The Jacobian solve alone runs at a
-    working size K_s: the band rule of ``_band_size`` on the iterate, never
-    shrinking, doubled while the residual's modes |kappa| >= K_s/2 sum above
-    ``residual_bound``, and capped at N (the plain iteration).  The residual
-    is truncated to K_s modes and the step zero-padded back to N; the wave
-    records the last K_s as ``newton_size``.  An iterate is accepted once its
-    residual is below both ``tol`` and ``residual_bound``, or once it has
-    stalled within ``residual_bound``: its residual is above half the
-    previous one and its Newton step is no smaller than the previous step.
-    An iterate within max(tol, residual_bound) whose profile is constant raises
-    DegenerateBranchError; its residual_bound is 0, so it is never accepted.
+    acceptance tests below read it there.  The Jacobian, L's even block
+    (``_even_odd_blocks``, f'(phi) sampled at N), alone is cut to the modes
+    below K_s/2 + 1 for a working size K_s: the band rule of ``_band_size``
+    on the iterate, never shrinking, doubled while the residual's modes
+    |kappa| >= K_s/2 sum above ``residual_bound``, and capped at N; each step
+    moves those modes, and the wave records the last K_s as ``newton_size``.
+    An iterate is accepted once its residual is below both ``tol`` and
+    ``residual_bound``, or once it has stalled within ``residual_bound``: its
+    residual is above half the previous one and its step is no smaller than
+    the previous step.  An iterate within max(tol, residual_bound) whose
+    profile is constant raises DegenerateBranchError (its residual_bound is 0).
     """
     grid = guess.grid
     N = grid.size
     half = N // 2
 
-    v = _symmetrize(guess.values)[: half + 1].copy()
-    if np.ptp(v) < 1e-14 * (1.0 + np.abs(v).max()):
-        raise ConstantGuessError("guess is constant; the trivial branch is excluded")
-
+    v = np.fft.rfft(guess.values).real
+    v[np.abs(v) <= np.finfo(float).eps * np.abs(v).max()] = 0.0
     a_M, b_lin = _linear_coefficients(variant, omega)
+    diag = a_M * symbol.values_on(grid)[: half + 1] + b_lin
+    # the block's orthonormal coordinates, scaled so that the zero mode is the
+    # mean of phi and A's column is the zero mode
+    scale = _mode_weights(N, half + 1) * (2.0**0.5 / N)
     solve_A = constraint.mode in ("zero_mean", "fixed_mean")
     A = constraint.value if constraint.mode == "fixed_A" else 0.0
-    target_mean = constraint.target_mean()
 
-    history = []
-    last_step = np.inf
-    Ks, lin_mat = 0, np.zeros((0, 0))
+    history, last_step, Ks = [], np.inf, 0
     for _ in range(max_iter):
-        phi = Field(grid, _embed_even(v, N))
+        phi = Field(grid, np.fft.irfft(v, N))
+        if not history and np.ptp(phi.values) < 1e-14 * (1.0 + np.abs(phi.values).max()):
+            raise ConstantGuessError("guess is constant; the trivial branch is excluded")
         with np.errstate(over="ignore", invalid="ignore"):
             if solve_A and not history:
                 A = float(np.mean(nonlinearity.f(phi.values) - b_lin * phi.values))
@@ -307,9 +302,7 @@ def solve_newton(
             raise ConvergenceError(f"Newton iterates diverged (omega={omega})")
         history.append(sup)
         Ks = max(Ks, _band_size(phi)[1])
-        mean_defect = 0.0
-        if solve_A:
-            mean_defect = float(grid.spacing * phi.values.sum() / grid.length - target_mean)
+        mean_defect = v[0] / N - constraint.target_mean() if solve_A else 0.0
         mean_ok = abs(mean_defect) <= tol
         bound = residual_bound(symbol, phi)
         if sup <= max(tol, bound) and np.ptp(phi.values) < 1e-10 * (1.0 + phi.sup_norm()):
@@ -319,29 +312,21 @@ def solve_newton(
         if sup <= min(tol, bound) and mean_ok:
             break
 
-        tail = np.abs(np.fft.rfft(res_full)) * (2.0 / N)
+        spec = np.fft.rfft(res_full)
+        tail = np.abs(spec) * (2.0 / N)
         while Ks < N and tail[Ks // 2:].sum() >= bound:
             Ks = min(2 * Ks, N)
-        work = PeriodicGrid(grid.length, Ks)
         K = Ks // 2 + 1
-        if lin_mat.shape[0] != Ks:
-            lin_mat = a_M * multiplier_matrix(symbol, work) + b_lin * np.eye(Ks)
         with np.errstate(over="ignore", invalid="ignore"):
-            jac_full = lin_mat - np.diag(nonlinearity.fprime(_resample(phi.values, Ks)))
-        jac = jac_full[:K, :K].copy()
-        jac[:, 1 : K - 1] += jac_full[:K, : K - 1 : -1]
-        rhs = _resample(res_full, Ks)[:K]
+            jac = _even_odd_blocks(diag[:K], nonlinearity.fprime(phi.values))[0]
+        rhs = scale[:K] * spec.real[:K]
 
         try:
             if solve_A:
-                # row weights of mean(phi) with respect to the reduced coordinates
-                mean_row = np.full(K, 2.0 * work.spacing / work.length)
-                mean_row[0] = mean_row[-1] = work.spacing / work.length
                 aug = np.zeros((K + 1, K + 1))
                 aug[:K, :K] = jac
-                aug[:K, K] = 1.0
-                aug[K, :K] = mean_row
-                step = np.linalg.solve(aug, np.concatenate((rhs, [mean_defect])))
+                aug[0, K] = aug[K, 0] = 1.0
+                step = np.linalg.solve(aug, np.append(rhs, mean_defect))
             else:
                 step = np.linalg.solve(jac, rhs)
         except np.linalg.LinAlgError as exc:
@@ -355,7 +340,7 @@ def solve_newton(
         if stalled and mean_ok and sup <= bound:
             break
         last_step = size
-        v -= _resample(_embed_even(step[:K], Ks), N)[: half + 1]
+        v[:K] -= step[:K] / scale[:K]
         if solve_A:
             A -= step[K]
         if not np.all(np.isfinite(v)):

@@ -512,7 +512,6 @@ class TestStabilityExperiment:
         assert trace.d_orbit[0] == pytest.approx(1e-3, rel=0.3)
         assert trace.sup_ratio() < 20.0
         assert trace.drift(trace.mass) < 1e-12
-        assert trace.metadata["note"].startswith("finite-horizon")
 
     @pytest.mark.parametrize("wave", ["kdv_midk", "bbm_wave"])
     def test_batch_equals_single_amplitude_runs(self, request, wave):
@@ -524,17 +523,6 @@ class TestStabilityExperiment:
             for name in ("times", "d_orbit", "r_star", "energy", "momentum", "mass",
                          "lyapunov"):
                 assert np.array_equal(getattr(trace, name), getattr(alone, name)), name
-            assert trace.metadata == alone.metadata
-
-    def test_metadata_records_the_run(self, kdv_midk):
-        cfg = EvolutionConfig(dt=5e-4, T=0.05)
-        (trace,) = stability_experiment(kdv_midk, [1e-3], cfg, seed=3, sigma=2.0,
-                                        mu=0.5, nu=-0.25)
-        meta = trace.metadata
-        assert set(meta) == {"seed", "sobolev_index", "dt", "sigma", "mu", "nu", "note"}
-        assert (meta["seed"], meta["dt"]) == (3, cfg.dt)
-        assert (meta["sigma"], meta["mu"], meta["nu"]) == (2.0, 0.5, -0.25)
-        assert meta["sobolev_index"] == kdv_midk.sobolev_index
 
     def test_one_integrate_call_for_all_amplitudes(self, kdv_midk, monkeypatch):
         calls = []

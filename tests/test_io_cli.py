@@ -641,6 +641,28 @@ class TestCli:
         assert err.startswith("config error: cannot load wave") and "\n" not in err
         assert problem in err
 
+    @pytest.mark.parametrize("p", [2.7, True, "2"])
+    def test_certify_rejects_a_flux_exponent_that_is_not_an_integer(self, tmp_path, capsys, p):
+        # the sidecar of a solved gkdv-p wave with its p = 2 rewritten: the
+        # value is refused, not truncated to an integer that certify then uses
+        from periwave.cli import _solve_wave
+
+        base = str(tmp_path / "w")
+        save_wave(_solve_wave(load_config(preset="gkdv-p")), base)
+        with open(base + ".json") as handle:
+            sidecar = json.load(handle)
+        sidecar["nonlinearity"]["p"] = p
+        with open(base + ".json", "w") as handle:
+            json.dump(sidecar, handle)
+        with pytest.raises(ValueError, match="power-law exponent must be an integer >= 1"):
+            load_wave(base)
+        code = self.run("certify", "--wave", base, "--preset", "gkdv-p",
+                        "--out", str(tmp_path / "run"))
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error: cannot load wave") and "\n" not in err
+        assert f"sidecar {base}.json" in err and "power-law exponent" in err
+
     @pytest.mark.parametrize("preset", ["kdv-cnoidal", "gkdv-p", "regularized-bbm-like"])
     def test_certify_at_n1024_matches_own_n(self, tmp_path, preset):
         # the residual bound grows with N, so the closed forms and Newton

@@ -12,7 +12,6 @@ from periwave.config import list_presets, load_config
 from periwave.io import save_wave
 from periwave.linop import (
     KernelIncompatibilityError,
-    _parity_blocks,
     assemble,
     check_H0,
     constrained_min_rayleigh,
@@ -124,14 +123,27 @@ class TestParitySplit:
         c2 = max(0.0, -np.linalg.eigvalsh(lin.matrix - cert.c1 * W)[0])
         assert abs(cert.c2 - c2) < 1e-12 * scale
 
+    def test_eigenpairs_at_n96_match_eigvalsh(self):
+        # 96 is not a power of two: the blocks and the synthesis to the nodes
+        # hold at any even N
+        lin = assemble(cnoidal_wave(TWO_PI, 0.9, 96))
+        lam, vec, scale = lin.eigenvalues, lin.eigenvectors, lin.norm
+        assert lin.blocks is not None
+        assert np.abs(lam - np.linalg.eigvalsh(lin.matrix)).max() < 1e-12 * scale
+        assert np.abs(vec.T @ vec - np.eye(lin.size)).max() < 1e-12
+        assert np.linalg.norm(lin.matrix @ vec - vec * lam) < 1e-12 * scale
+        mirror = -np.arange(lin.size) % lin.size
+        for v in vec.T:
+            assert np.array_equal(v[mirror], v) or np.array_equal(v[mirror], -v)
+
     @pytest.mark.parametrize("preset", ["bo", "kdv-cnoidal"])
     def test_translated_wave_certifies_as_the_wave(self, tmp_path, preset):
         # a translate is not even about x = 0, so its L takes one full eigh
         w = _solve_wave(load_config(preset=preset))
         moved = replace(w, profile=Field(w.grid, np.roll(w.profile.values, 17)))
         even, translate = certify(w), certify(moved)
-        assert _parity_blocks(even.operator.matrix) is not None
-        assert _parity_blocks(translate.operator.matrix) is None
+        assert even.operator.blocks is not None
+        assert translate.operator.blocks is None
         base, out = str(tmp_path / "moved"), str(tmp_path / "run")
         save_wave(moved, base)
         assert main(["certify", "--wave", base, "--preset", preset, "--out", out]) == 0
@@ -207,6 +219,7 @@ class TestH1Constants:
             lin,
             matrix=lin.matrix - shift * np.eye(lin.size),
             eigenvalues=lin.eigenvalues - shift,
+            blocks=tuple(b - shift * np.eye(len(b)) for b in lin.blocks),
         )
         _, c2_shifted = h1_constants(shifted)
         assert c2_shifted <= c2 + shift + 1e-10

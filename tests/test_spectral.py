@@ -10,6 +10,8 @@ from periwave.spectral import (
     PeriodicGrid,
     _band_size,
     _conjugated_diagonal,
+    _even_odd_blocks,
+    _mode_weights,
     apply_multiplier,
     derivative,
     derivative_matrix,
@@ -22,6 +24,7 @@ from periwave.spectral import (
     sobolev_weight_matrix,
     verify_symbol_bounds,
 )
+from periwave.waves import Nonlinearity, _profile_map
 
 TWO_PI = 2.0 * math.pi
 
@@ -263,3 +266,35 @@ class TestSymbolBounds:
         rep = verify_symbol_bounds(s, PeriodicGrid(10.0, 16))
         assert rep.passed is False
         assert math.isnan(rep.tightest_lower) and math.isnan(rep.tightest_upper)
+
+
+class TestEvenOddBlocks:
+    """The parity blocks are the profile map's Jacobian in the orthonormal
+    real Fourier basis, so Newton's matrix is the even block."""
+
+    @pytest.mark.parametrize("Ks", [96, 48])
+    def test_blocks_are_the_profile_maps_jacobian(self, Ks):
+        # full-band even samples: g_(j+l) wraps mod N, and at K_s = N the
+        # even block reaches the Nyquist mode, weighted 1/sqrt 2
+        N, m, h = 96, Ks // 2 + 1, 1e-5
+        grid = PeriodicGrid(TWO_PI, N)
+        symbol, nl = DispersionSymbol.second_derivative(TWO_PI), Nonlinearity.power_law(2)
+        a, b = 1.0, 0.7
+        v = np.random.default_rng(8).standard_normal(N)
+        phi = 0.5 * (v + v[-np.arange(N) % N])
+        angles = 2.0 * np.pi * np.outer(np.arange(m), np.arange(N)) / N
+        cos = np.cos(angles) * (_mode_weights(N, m) * (2.0 / N) ** 0.5)[:, None]
+        sin = (np.sin(angles) * (2.0 / N) ** 0.5)[1:N // 2]
+
+        def jacobian(basis):
+            def P(u):
+                return _profile_map(Field(grid, u), symbol, a, b, nl.f, 0.0)
+            return basis @ np.array([(P(phi + h * c) - P(phi - h * c)) / (2.0 * h)
+                                     for c in basis]).T
+
+        diag = a * symbol.values_on(grid)[: N // 2 + 1] + b
+        even, odd = _even_odd_blocks(diag[:m], nl.fprime(phi))
+        for block, basis in ((even, cos), (odd, sin)):
+            fd = jacobian(basis)
+            assert block.shape == fd.shape
+            assert np.abs(block - fd).max() < 1e-8 * np.abs(fd).max()

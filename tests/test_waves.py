@@ -57,6 +57,15 @@ class TestNonlinearity:
         with pytest.raises(ValueError):
             Nonlinearity.power_law(0)
 
+    @pytest.mark.parametrize("p", [2.7, 1.5, True, False, "2", math.inf, math.nan])
+    def test_power_exponent_must_be_an_integer(self, p):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            Nonlinearity.power_law(p)
+
+    def test_integral_float_exponent_is_that_integer(self):
+        assert Nonlinearity.power_law(2.0).params == (2, 1.0)
+        assert type(Nonlinearity.power_law(np.int64(3)).params[0]) is int
+
 
 class TestNamedCasesOfGeneralPath:
     """The named flux, symbols, closed forms and energy are parameter values of
@@ -301,20 +310,21 @@ class TestNewton:
 
     @pytest.mark.parametrize("preset", ["bo", "gkdv-p"])
     def test_jacobian_at_working_size(self, monkeypatch, preset):
-        # only the Jacobian solve leaves N: one dense build per working size,
-        # each below N, the sizes never shrinking
+        # only the Jacobian solve leaves N: one even block per step, on the
+        # modes below K_s/2 + 1, each K_s below N, the sizes never shrinking
         sizes = []
-        real = waves.multiplier_matrix
-        monkeypatch.setattr(waves, "multiplier_matrix",
-                            lambda symbol, grid: sizes.append(grid.size) or real(symbol, grid))
+        real = waves._even_odd_blocks
+        monkeypatch.setattr(waves, "_even_odd_blocks",
+                            lambda diag, fprime: sizes.append(2 * (diag.size - 1))
+                            or real(diag, fprime))
         w = _solve_wave(load_config(preset=preset, overrides=["grid.N=1024"]))
         assert sizes and max(sizes) < 1024
-        assert sizes == sorted(set(sizes)) and w.newton_size == sizes[-1]
+        assert sizes == sorted(sizes) and w.newton_size == sizes[-1]
         assert w.residual_norm <= residual_bound(w.symbol, w.profile)
 
     def test_polish_without_a_step_builds_no_matrix(self, monkeypatch):
         w = cnoidal_wave(TWO_PI, 0.99, 1024)
-        monkeypatch.setattr(waves, "multiplier_matrix", None)
+        monkeypatch.setattr(waves, "_even_odd_blocks", None)
         out = solve_newton(
             w.profile, w.omega, Constraint.fixed_A(w.A), w.symbol, w.nonlinearity, tol=1e-8
         )
