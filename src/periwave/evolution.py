@@ -43,7 +43,6 @@ __all__ = [
     "energy",
     "constrained_energy",
     "auxiliary_quantity",
-    "lyapunov_value",
     "orbital_distance",
     "integrate",
     "stability_experiment",
@@ -111,11 +110,6 @@ def auxiliary_quantity(
     if mu == 0.0 and nu == 0.0:
         raise ValueError("auxiliary quantity needs (mu, nu) != (0, 0)")
     return mu * mass(u) + nu * momentum(u, symbol=symbol, variant=variant)
-
-
-def lyapunov_value(v: Field, w: TravelingWave, sigma: float, mu: float, nu: float) -> float:
-    """V(v) = G(v) - G(phi) + sigma (Q(v) - Q(phi))^2; zero on the wave orbit."""
-    return _lyapunov_functional(w, sigma, mu, nu)(v)
 
 
 def _lyapunov_functional(w: TravelingWave, sigma: float, mu: float, nu: float):

@@ -3,10 +3,13 @@
 The linearization about a profile phi is ``L = M + omega - f'(phi)`` for the
 standard evolution and ``L = omega M + (omega - 1) - f'(phi)`` for the
 regularized one.  Its collocation matrix (the multiplier a transform-conjugated
-diagonal, f'(phi) diagonal) is real symmetric N x N and is diagonalized once at
-assembly by dense solves (they win at N <= 1024): when f'(phi) is even about
-x = 0, in its two parity blocks in the real Fourier basis, where the multiplier
-and the H^s weight are diagonal (``spectral._even_odd_blocks``); else whole.
+diagonal, f'(phi) diagonal) is real symmetric N x N.  Assembly keeps its
+eigenvalues, never an eigenbasis: when f'(phi) is even about x = 0, those of
+its two parity blocks in the real Fourier basis, where the multiplier and the
+H^s weight are diagonal (``spectral._even_odd_blocks``); else of the whole
+matrix.  The kernel is checked against the unit translation mode
+v = phi'/|phi'| by a Davis-Kahan bound, and solves off the kernel use the
+even block (an even wave's tangent) or the system bordered by v.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ class LinearizedOperator:
     omega: float
     symbol: "DispersionSymbol"
     eigenvalues: np.ndarray      # ascending
-    eigenvectors: np.ndarray     # orthonormal columns, matching order
+    translation_mode: np.ndarray | None  # phi'/|phi'|; None when phi' vanishes
     zero_tol: float
     blocks: tuple | None = None  # (even, odd) from _even_odd_blocks; None if not even
 
@@ -75,26 +78,6 @@ class LinearizedOperator:
         return Field(self.grid, self.matrix @ u.values)
 
 
-def _synthesized_eigh(even: np.ndarray, odd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenpairs of the parity blocks of ``_even_odd_blocks``.  Each
-    vector is synthesized on nodes 0..K/2 from the orthonormal cos and sin basis
-    (read off one table at n j mod K) and mirrored onto the rest of the K
-    nodes, so it is exactly even or odd."""
-    (lam_e, vec_e), (lam_o, vec_o) = map(np.linalg.eigh, (even, odd))
-    h = even.shape[0] - 1
-    K = 2 * h
-    nj, angle = np.outer(np.arange(h + 1), np.arange(h + 1)), np.pi * np.arange(K) / h
-    cos, sin = np.cos(angle) * (2.0 / K) ** 0.5, np.sin(angle) * (2.0 / K) ** 0.5
-    sin[h] = 0.0  # sin(pi): odd vectors vanish at node K/2 to the bit, as at node 0
-    vec = np.empty((K, K))
-    vec[:h + 1, :h + 1] = np.take(cos, nj, mode="wrap") * _mode_weights(K, h + 1) @ vec_e
-    vec[:h + 1, h + 1:] = np.take(sin, nj[:, 1:h], mode="wrap") @ vec_o
-    vec[K - 1:h:-1] = vec[1:h] * np.repeat([1.0, -1.0], [h + 1, h - 1])
-    lam = np.concatenate((lam_e, lam_o))
-    order = np.argsort(lam, kind="stable")
-    return lam[order], vec[:, order]
-
-
 def assemble(w: "TravelingWave") -> LinearizedOperator:
     """Collocation matrix of the linearization about a solved wave, for the
     wave's own variant; its kernel band is 1e-8 times the spectral norm."""
@@ -108,7 +91,10 @@ def assemble(w: "TravelingWave") -> LinearizedOperator:
         raise ValueError(f"assembled operator is not symmetric (defect {asym:.3e})")
     mat = 0.5 * (mat + mat.T)
     blocks = _even_odd_blocks(a_M * w.symbol.values_on(grid)[:grid.size // 2 + 1] + b_lin, fprime)
-    lam, vec = np.linalg.eigh(mat) if blocks is None else _synthesized_eigh(*blocks)
+    lam = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks or (mat,)]))
+    pp = derivative(w.profile).values
+    norm_pp = np.linalg.norm(pp)
+    mode = pp / norm_pp if norm_pp >= 1e-14 * (1.0 + w.profile.sup_norm()) else None
     return LinearizedOperator(
         grid=grid,
         matrix=mat,
@@ -116,7 +102,7 @@ def assemble(w: "TravelingWave") -> LinearizedOperator:
         omega=w.omega,
         symbol=w.symbol,
         eigenvalues=lam,
-        eigenvectors=vec,
+        translation_mode=mode,
         zero_tol=1e-8 * float(np.abs(lam).max()),
         blocks=blocks,
     )
@@ -128,7 +114,13 @@ def assemble(w: "TravelingWave") -> LinearizedOperator:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Negative/zero eigenvalue counts and kernel alignment with phi'."""
+    """Negative/zero eigenvalue counts and kernel alignment with phi'.
+
+    ``kernel_alignment`` is a certified lower bound in [0, 1] on the cosine
+    between phi' and the eigenvector of L nearest its Rayleigh quotient (the
+    Davis-Kahan bound of ``check_H0``); 0 when phi' vanishes.  It was once
+    that cosine as computed, which rounding could put above 1.
+    """
 
     n_negative: int
     zero_dim: int
@@ -149,33 +141,32 @@ class SpectralReport:
 
 
 def check_H0(lin: LinearizedOperator, w: "TravelingWave") -> SpectralReport:
-    """Count negative/zero eigenvalues and test the translation-kernel shape.
+    """Count negative/zero eigenvalues of L, assembled about ``w``, and test
+    the translation-kernel shape.
 
     Passes iff there is exactly one negative eigenvalue, the zero eigenvalue
-    is simple, and its eigenvector aligns with phi' to 1 - 1e-6.  Eigenvalues
+    is simple, and the kernel aligns with phi' to 1 - 1e-6.  The alignment is
+    the Davis-Kahan lower bound sqrt(1 - min(1, r/delta)^2) for the unit
+    v = phi'/|phi'|, with rho = v'Lv, r = |Lv - rho v| and delta the distance
+    from rho to the rest of the spectrum (Davis & Kahan 1970).  Eigenvalues
     within a decade above the zero band are reported as ambiguous (a warning,
     never a silent resolution).
     """
-    tol = lin.zero_tol
-    lam = lin.eigenvalues
+    if not w.grid.same_as(lin.grid):
+        raise ValueError("wave grid does not match operator grid")
+    tol, lam, v = lin.zero_tol, lin.eigenvalues, lin.translation_mode
     n_neg = int(np.sum(lam < -tol))
-    kernel = np.flatnonzero(np.abs(lam) <= tol)
-    zero_dim = int(kernel.size)
+    zero_dim = int(np.sum(np.abs(lam) <= tol))
     ambiguous = tuple(float(x) for x in lam[(np.abs(lam) > tol) & (np.abs(lam) <= 10.0 * tol)])
 
-    phi_prime = derivative(w.profile).values
-    norm_pp = np.linalg.norm(phi_prime)
-    if norm_pp < 1e-14 * (1.0 + np.abs(w.profile.values).max()):
-        alignment = 0.0
-    else:
-        if zero_dim > 0:
-            # pick the kernel vector best aligned with phi'
-            overlaps = np.abs(phi_prime @ lin.eigenvectors[:, kernel]) / norm_pp
-            idx = kernel[int(np.argmax(overlaps))]
-        else:
-            idx = int(np.argmin(np.abs(lam)))
-        v0 = lin.eigenvectors[:, idx]
-        alignment = float(abs(v0 @ phi_prime) / (np.linalg.norm(v0) * norm_pp))
+    alignment = 0.0
+    if v is not None:
+        Lv = lin.matrix @ v
+        rho = float(v @ Lv)
+        r = float(np.linalg.norm(Lv - rho * v))
+        delta = np.abs(np.delete(lam, np.argmin(np.abs(lam - rho))) - rho).min(initial=np.inf)
+        sin = r / delta if r < delta else 1.0
+        alignment = float(np.sqrt(1.0 - sin * sin))
 
     h0 = n_neg == 1 and zero_dim == 1 and alignment > 1.0 - 1e-6
     return SpectralReport(
@@ -228,42 +219,68 @@ def constrained_min_rayleigh(lin: LinearizedOperator, constraints: list) -> floa
     return float(np.linalg.eigvalsh(B.T @ lin.matrix @ B)[0])
 
 
+def _certified(lin: LinearizedOperator, x: np.ndarray, residual: np.ndarray,
+               b_norm) -> np.ndarray:
+    """x, once the residual of each row is within 1e-9 max(1, |b|) plus the
+    evaluation floor eps |L| |x| that even the exact solution cannot beat."""
+    floor = 100.0 * np.finfo(float).eps * lin.norm * np.linalg.norm(x, axis=-1)
+    res = np.linalg.norm(residual, axis=-1)
+    if np.any(res > 1e-9 * np.maximum(1.0, b_norm) + floor):
+        raise NearSingularError(
+            f"solve residual {res.max():.3e} exceeds tolerance (ill-conditioned operator)"
+        )
+    return x
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve``, an exactly singular ``a`` raising NearSingularError."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise NearSingularError(f"singular system ({exc})") from exc
+
+
+def _solve_even(lin: LinearizedOperator, b: np.ndarray) -> np.ndarray:
+    """Rows x of L x = b for rows b even about x = 0, by one solve of the even
+    block (nonsingular: the kernel phi' is odd).  Its orthonormal basis gives
+    b the coefficients Re rfft(b) t sqrt(2/K), and x comes back by irfft."""
+    K = lin.size
+    scale = _mode_weights(K, K // 2 + 1) * (2.0 / K) ** 0.5
+    c = _solve(lin.blocks[0], (np.fft.rfft(b).real * scale).T).T
+    x = np.fft.irfft(c / scale, K)
+    return _certified(lin, x, x @ lin.matrix - b, np.linalg.norm(b, axis=-1))
+
+
 def solve_on_complement(lin: LinearizedOperator, b: Field) -> Field:
     """Solve L x = b on the orthogonal complement of the numerical kernel.
 
-    With no numerical kernel the solve is plain (L invertible).  A right-hand
-    side lying essentially inside the kernel projects to zero and returns the
-    zero field; a mixed significant kernel component raises
-    KernelIncompatibilityError.
+    With no numerical kernel the solve is plain (L invertible).  Otherwise
+    the kernel must be simple and is taken as the translation mode v (else
+    NearSingularError), and x solves the system bordered by v,
+    [[L, v], [v', 0]] [x; s] = [b; 0].  A right-hand side lying essentially
+    along v projects to zero and returns the zero field; a mixed significant
+    kernel component raises KernelIncompatibilityError.
     """
     if not b.grid.same_as(lin.grid):
         raise ValueError("field grid does not match operator grid")
-    kernel = np.flatnonzero(np.abs(lin.eigenvalues) <= lin.zero_tol)
-    coeff = lin.eigenvectors.T @ b.values
-    b_norm = np.linalg.norm(b.values)
-    if kernel.size == 0:
-        x = lin.eigenvectors @ (coeff / lin.eigenvalues)
-        return Field(lin.grid, x)
+    kernel_dim = int(np.sum(np.abs(lin.eigenvalues) <= lin.zero_tol))
+    if kernel_dim == 0:
+        return Field(lin.grid, _solve(lin.matrix, b.values))
+    v, b_norm = lin.translation_mode, np.linalg.norm(b.values)
+    if v is None or kernel_dim > 1:
+        raise NearSingularError(
+            f"numerical kernel of dimension {kernel_dim} is not the translation mode"
+        )
     if b_norm == 0.0:
         return Field(lin.grid, np.zeros(lin.size))
-    kernel_frac = np.linalg.norm(coeff[kernel]) / b_norm
+    along = float(v @ b.values)
+    kernel_frac = abs(along) / b_norm
     if kernel_frac >= 1.0 - 1e-8:
         return Field(lin.grid, np.zeros(lin.size))
     if kernel_frac > 1e-8:
         raise KernelIncompatibilityError(
             f"right-hand side has kernel fraction {kernel_frac:.3e}"
         )
-    inv = np.zeros_like(coeff)
-    nonker = np.abs(lin.eigenvalues) > lin.zero_tol
-    inv[nonker] = coeff[nonker] / lin.eigenvalues[nonker]
-    x = lin.eigenvectors @ inv
-    # certify the projected system; the bound includes the evaluation floor
-    # eps ||L|| ||x|| that even the exact solution cannot beat
-    proj_b = b.values - lin.eigenvectors[:, kernel] @ coeff[kernel]
-    res = np.linalg.norm(lin.matrix @ x - proj_b)
-    floor = 100.0 * np.finfo(float).eps * lin.norm * np.linalg.norm(x)
-    if res > 1e-9 * max(1.0, b_norm) + floor:
-        raise NearSingularError(
-            f"projected solve residual {res:.3e} exceeds tolerance (ill-conditioned operator)"
-        )
-    return Field(lin.grid, x)
+    bordered = np.block([[lin.matrix, v[:, None]], [v, 0.0]])
+    x = _solve(bordered, np.append(b.values, 0.0))[:-1]
+    return Field(lin.grid, _certified(lin, x, lin.matrix @ x - (b.values - along * v), b_norm))

@@ -44,7 +44,6 @@ __all__ = [
     "sobolev_inner",
     "sobolev_norm",
     "apply_multiplier",
-    "shift",
     "random_smooth_field",
     "multiplier_matrix",
     "derivative_matrix",
@@ -294,16 +293,6 @@ def apply_multiplier(symbol: DispersionSymbol, u: Field) -> Field:
     The symbol is even, so the Nyquist mode is kept at its true value.
     """
     return Field.from_spectrum(u.grid, u.spectrum * symbol.values_on(u.grid))
-
-
-def shift(u: Field, r: float) -> Field:
-    """Exact translate u(. + r) via Fourier phase factors (r need not be a node)."""
-    g = u.grid
-    steps = r / g.spacing
-    if abs(steps - round(steps)) < 1e-13:
-        return Field(g, np.roll(u.values, -int(round(steps)) % g.size))
-    phase = np.exp(1j * g.frequencies * r)
-    return Field.from_spectrum(g, u.spectrum * phase)
 
 
 def _band_size(u: Field) -> tuple[int, int]:

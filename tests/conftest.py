@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from periwave import elliptic
 from periwave.cli import _solve_wave
 from periwave.config import load_config
+from periwave.evolution import _lyapunov_functional
 from periwave.spectral import DispersionSymbol, Field, PeriodicGrid, _check_same_grid
 from periwave.stability import certify
 from periwave.waves import (
@@ -24,6 +26,21 @@ def inner(u: Field, v: Field) -> float:
     """L2 pairing over one period."""
     _check_same_grid(u, v)
     return float(u.grid.spacing * (u.values * v.values).sum())
+
+
+def shift(u: Field, r: float) -> Field:
+    """Exact translate u(. + r) via Fourier phase factors (r need not be a node)."""
+    g = u.grid
+    steps = r / g.spacing
+    if abs(steps - round(steps)) < 1e-13:
+        return Field(g, np.roll(u.values, -int(round(steps)) % g.size))
+    phase = np.exp(1j * g.frequencies * r)
+    return Field.from_spectrum(g, u.spectrum * phase)
+
+
+def lyapunov_value(v: Field, w, sigma: float, mu: float, nu: float) -> float:
+    """V(v) = G(v) - G(phi) + sigma (Q(v) - Q(phi))^2; zero on the wave orbit."""
+    return _lyapunov_functional(w, sigma, mu, nu)(v)
 
 
 @pytest.fixture(scope="session")
@@ -127,6 +144,26 @@ def preset_wave():
             overrides = [] if N is None else [f"grid.N={N}"]
             cache[name, N] = _solve_wave(load_config(preset=name, overrides=overrides))
         return cache[name, N]
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def preset_cert(preset_wave):
+    """preset_cert(name, N, roll): ``certify`` of the preset's wave at grid size N
+    (None: its own N), translated by ``np.roll`` of ``roll`` nodes.
+
+    Each (name, N, roll) is certified once per session.
+    """
+    cache = {}
+
+    def get(name, N=None, roll=0):
+        if (name, N, roll) not in cache:
+            w = preset_wave(name, N)
+            if roll:
+                w = replace(w, profile=Field(w.grid, np.roll(w.profile.values, roll)))
+            cache[name, N, roll] = certify(w)
+        return cache[name, N, roll]
 
     return get
 

@@ -14,7 +14,6 @@ from periwave.evolution import (
     EvolutionConfig,
     energy,
     integrate,
-    lyapunov_value,
     mass,
     momentum,
     orbital_distance,
@@ -26,7 +25,6 @@ from periwave.spectral import (
     Field,
     PeriodicGrid,
     random_smooth_field,
-    shift,
     sobolev_norm,
     verify_symbol_bounds,
 )
@@ -50,7 +48,7 @@ from periwave.waves import (
     speed_gradient_field,
 )
 
-from conftest import make_bo_wave
+from conftest import lyapunov_value, make_bo_wave, shift
 
 TWO_PI = 2.0 * math.pi
 

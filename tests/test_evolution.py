@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import lyapunov_value, shift
 from periwave import evolution
 from periwave.evolution import (
     BlowupError,
@@ -12,7 +13,6 @@ from periwave.evolution import (
     constrained_energy,
     energy,
     integrate,
-    lyapunov_value,
     mass,
     momentum,
     orbital_distance,
@@ -23,7 +23,6 @@ from periwave.spectral import (
     Field,
     PeriodicGrid,
     random_smooth_field,
-    shift,
     sobolev_inner,
     sobolev_norm,
 )

@@ -1,7 +1,7 @@
 import json
 import math
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -33,6 +33,7 @@ from periwave.waves import (
     cnoidal_wave,
     constant_state,
     param_derivatives,
+    speed_gradient_field,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -105,36 +106,69 @@ class TestAssemble:
 
 
 class TestParitySplit:
-    """An even wave's L is diagonalized in its even and odd blocks."""
+    """An even wave's L keeps the eigenvalues of its even and odd blocks, and
+    its tangent comes from one even-block solve."""
 
     @pytest.mark.parametrize("overrides", [[], ["grid.N=1024"]])
     @pytest.mark.parametrize("preset", list_presets())
-    def test_split_matches_full_eigh(self, preset, overrides):
-        cert = certify(_solve_wave(load_config(preset=preset, overrides=overrides)))
+    def test_split_matches_full_eigh(self, preset_cert, preset, overrides):
+        cert = preset_cert(preset, 1024 if overrides else None)
         lin = cert.operator
-        lam, vec, scale = lin.eigenvalues, lin.eigenvectors, lin.norm
+        lam, scale = lin.eigenvalues, lin.norm
+        assert lin.blocks is not None
         assert np.abs(lam - np.linalg.eigvalsh(lin.matrix)).max() < 1e-12 * scale
-        assert np.abs(vec.T @ vec - np.eye(lin.size)).max() < 1e-12
-        assert np.linalg.norm(lin.matrix @ vec - vec * lam) < 1e-12 * scale
-        mirror = -np.arange(lin.size) % lin.size
-        for v in vec.T:
-            assert np.array_equal(v[mirror], v) or np.array_equal(v[mirror], -v)
         W = sobolev_weight_matrix(lin.grid, 0.5 * lin.symbol.order)
         c2 = max(0.0, -np.linalg.eigvalsh(lin.matrix - cert.c1 * W)[0])
         assert abs(cert.c2 - c2) < 1e-12 * scale
+        # the even-block tangent is the bordered solve's, and phi' is odd
+        w, v = cert.core, lin.translation_mode
+        assert np.abs(v[-np.arange(lin.size) % lin.size] + v).max() < 1e-12
+        eta = solve_on_complement(lin, -speed_gradient_field(w))
+        beta = solve_on_complement(lin, Field.constant(w.grid, -1.0))
+        for got, ref in ((cert.eta, eta), (cert.beta, beta)):
+            assert (got - ref).sup_norm() < 1e-12 * ref.sup_norm()
 
     def test_eigenpairs_at_n96_match_eigvalsh(self):
-        # 96 is not a power of two: the blocks and the synthesis to the nodes
-        # hold at any even N
-        lin = assemble(cnoidal_wave(TWO_PI, 0.9, 96))
-        lam, vec, scale = lin.eigenvalues, lin.eigenvectors, lin.norm
+        # 96 is not a power of two: the blocks and the coefficient map of the
+        # even-block solve hold at any even N
+        w = cnoidal_wave(TWO_PI, 0.9, 96)
+        lin = assemble(w)
+        lam, scale = lin.eigenvalues, lin.norm
         assert lin.blocks is not None
         assert np.abs(lam - np.linalg.eigvalsh(lin.matrix)).max() < 1e-12 * scale
-        assert np.abs(vec.T @ vec - np.eye(lin.size)).max() < 1e-12
-        assert np.linalg.norm(lin.matrix @ vec - vec * lam) < 1e-12 * scale
-        mirror = -np.arange(lin.size) % lin.size
-        for v in vec.T:
-            assert np.array_equal(v[mirror], v) or np.array_equal(v[mirror], -v)
+        eta, beta = param_derivatives(w, lin)
+        for x, b in ((eta, -speed_gradient_field(w)), (beta, Field.constant(w.grid, -1.0))):
+            assert np.abs(lin.matrix @ x.values - b.values).max() < 1e-12 * scale * x.sup_norm()
+            assert np.abs(x.values[-np.arange(96) % 96] - x.values).max() < 1e-12 * x.sup_norm()
+
+    @pytest.mark.parametrize("roll", [0, 17])
+    @pytest.mark.parametrize("N", [None, 1024])
+    @pytest.mark.parametrize("preset", list_presets())
+    def test_kernel_alignment_is_a_lower_bound_on_the_cosine(self, preset_cert, preset, N, roll):
+        # a cosine, it lies in [0, 1]; a bound, it is at most the cosine
+        # between phi' and the kernel eigenvector of the full eigh
+        cert = preset_cert(preset, N, roll)
+        lin, bound = cert.operator, cert.spectral_report.kernel_alignment
+        assert 0.0 <= bound <= 1.0
+        assert bound > 1.0 - 1e-6
+        lam, vec = np.linalg.eigh(lin.matrix)
+        kernel = vec[:, np.argmin(np.abs(lam))]
+        pp = derivative(cert.core.profile).values
+        assert bound <= abs(kernel @ pp) / np.linalg.norm(pp) + 1e-15
+
+    @pytest.mark.parametrize("N", [None, 1024])
+    @pytest.mark.parametrize("preset", list_presets())
+    def test_translate_takes_the_full_matrix_path(self, preset_cert, preset, N):
+        even, moved = preset_cert(preset, N), preset_cert(preset, N, 17)
+        assert even.operator.blocks is not None
+        assert moved.operator.blocks is None
+        assert moved.verdict.conclusion == even.verdict.conclusion
+        for key in ("n_neg", "zero_dim"):
+            assert moved.spectral_report.to_dict()[key] == even.spectral_report.to_dict()[key]
+        assert moved.k_r == even.k_r
+        assert moved.core_guard["K"] == even.core_guard["K"]
+        for key, x in asdict(even.surface).items():
+            assert abs(getattr(moved.surface, key) - x) <= 1e-11 * max(1.0, abs(x)), key
 
     @pytest.mark.parametrize("preset", ["bo", "kdv-cnoidal"])
     def test_translated_wave_certifies_as_the_wave(self, tmp_path, preset):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import inner
+from conftest import inner, shift
 from periwave.spectral import (
     DispersionSymbol,
     Field,
@@ -19,7 +19,6 @@ from periwave.spectral import (
     mean_value,
     multiplier_matrix,
     random_smooth_field,
-    shift,
     sobolev_norm,
     sobolev_weight_matrix,
     verify_symbol_bounds,

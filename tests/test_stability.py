@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import certified_tangent, make_gkdv5_wave
-from periwave.config import load_config
+from periwave.config import list_presets, load_config
 from periwave.evolution import mass, momentum
 from periwave.linop import (
     SpectralReport,
@@ -87,6 +87,15 @@ class TestSurfaceDerivatives:
             eta, beta = param_derivatives(w, lin)
             sd = surface_derivatives(w, eta, beta)
             assert abs(sd.F_A - sd.M_omega) < 1e-5 * (1 + abs(sd.M_omega)), name
+
+    @pytest.mark.parametrize("N", [None, 1024])
+    @pytest.mark.parametrize("preset", list_presets())
+    def test_M_omega_equals_F_A_to_roundoff(self, preset_cert, preset, N):
+        # int eta = -(eta, L beta) = -(L eta, beta) = int beta g: both are
+        # d^2 d / d omega dA of the wave surface's d(omega, A)
+        sd = preset_cert(preset, N).surface
+        eps = np.finfo(float).eps
+        assert abs(sd.M_omega - sd.F_A) <= 16.0 * eps * max(1.0, abs(sd.M_omega))
 
     def test_resolvent_two_paths(self, kdv_stable):
         w = kdv_stable

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import certified_tangent
+from conftest import certified_tangent, shift
 from periwave import elliptic, waves
 from periwave.cli import _solve_wave
 from periwave.config import load_config
@@ -17,7 +17,6 @@ from periwave.spectral import (
     _resample,
     mean_value,
     random_smooth_field,
-    shift,
 )
 from periwave.waves import (
     Constraint,
