@@ -151,7 +151,7 @@ def _load_or_solve(args, config: dict) -> TravelingWave:
     otherwise) and must solve its equation to roundoff: a recomputed residual
     above ``residual_bound`` raises SolverError.
     """
-    if not getattr(args, "wave", None):
+    if not args.wave:
         return _solve_wave(config)
     try:
         wave = load_wave(args.wave)
@@ -340,35 +340,6 @@ def cmd_evolve(out: str, wave: TravelingWave, config: dict) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="periwave",
-        description="Periodic traveling waves: solve, certify stability, sweep, evolve.",
-    )
-    parser.add_argument("--version", action="version", version=f"periwave {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_wave in (
-        ("solve", False),
-        ("certify", True),
-        ("sweep", True),
-        ("evolve", True),
-    ):
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--preset", help="named built-in preset")
-        p.add_argument("--out", help="output directory (defaults to config output.directory)")
-        p.add_argument(
-            "--override",
-            action="append",
-            default=[],
-            metavar="KEY.PATH=VALUE",
-            help="override a config entry (value parsed as JSON)",
-        )
-        if needs_wave:
-            p.add_argument("--wave", help="basepath of a saved wave (.csv/.json pair)")
-    return parser
-
-
 _COMMANDS = {
     "solve": cmd_solve,
     "certify": cmd_certify,
@@ -377,8 +348,27 @@ _COMMANDS = {
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="periwave",
+        description="Periodic traveling waves: solve, certify stability, sweep, evolve.",
+    )
+    parser.add_argument("--version", action="version", version=f"periwave {__version__}")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", help="JSON config file")
+    parser.add_argument("--preset", help="named built-in preset")
+    parser.add_argument("--out", help="output directory (defaults to config output.directory)")
+    parser.add_argument("--override", action="append", default=[], metavar="KEY.PATH=VALUE",
+                        help="override a config entry (value parsed as JSON)")
+    parser.add_argument("--wave", help="basepath of a saved wave (.csv/.json pair); not for solve")
+    return parser
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "solve" and args.wave:
+        parser.error("solve takes no --wave")
     if not args.config and not args.preset:
         print("need --config or --preset (also with --wave)", file=sys.stderr)
         return EXIT_CONFIG

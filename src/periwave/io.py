@@ -2,8 +2,10 @@
 
 Every float is printed with 17 significant digits (round-trip exact for
 doubles), keys are sorted, and files are written atomically (temp file +
-rename), so identical inputs yield byte-identical outputs at a fixed BLAS
-thread count (``ilw``'s c3 differs between 1 and 2 OpenBLAS threads).
+rename), so identical inputs yield byte-identical outputs.  The presets'
+outputs are also byte-identical at 1 and 2 OpenBLAS threads (c3, the one
+value that differed, now comes from L's parity blocks); compare a wave that
+is not even, which goes through the K x K matrix, at one thread count.
 """
 
 from __future__ import annotations

@@ -2,19 +2,20 @@
 
 The linearization about a profile phi is ``L = M + omega - f'(phi)`` for the
 standard evolution and ``L = omega M + (omega - 1) - f'(phi)`` for the
-regularized one.  Its collocation matrix (the multiplier a transform-conjugated
-diagonal, f'(phi) diagonal) is real symmetric N x N.  Assembly keeps its
-eigenvalues, never an eigenbasis: when f'(phi) is even about x = 0, those of
-its two parity blocks in the real Fourier basis, where the multiplier and the
-H^s weight are diagonal (``spectral._even_odd_blocks``); else of the whole
-matrix.  The kernel is checked against the unit translation mode
-v = phi'/|phi'| by a Davis-Kahan bound, and solves off the kernel use the
-even block (an even wave's tangent) or the system bordered by v.
+regularized one.  When f'(phi) is even about x = 0, L splits into two parity
+blocks in the real Fourier basis, where the multiplier and the H^s weight are
+diagonal (``spectral._even_odd_blocks``), and everything read here comes from
+them: the eigenvalues (never an eigenbasis), the kernel's Davis-Kahan check
+against the unit translation mode v = phi'/|phi'|, the tangent's solve, H1's
+shift and c3.  Otherwise the real symmetric collocation matrix L_K (the
+multiplier a transform-conjugated diagonal, f'(phi) diagonal) serves, built
+when first read, and solves off the kernel use the system bordered by v.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -53,59 +54,61 @@ class KernelIncompatibilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearizedOperator:
+    """L about a wave, held as its defining data; eigenvalues and matrix are computed on read."""
+
     grid: PeriodicGrid
-    matrix: np.ndarray
     variant: str
     omega: float
     symbol: "DispersionSymbol"
-    eigenvalues: np.ndarray      # ascending
+    fprime: np.ndarray           # f'(phi) on the nodes
     translation_mode: np.ndarray | None  # phi'/|phi'|; None when phi' vanishes
-    zero_tol: float
-    blocks: tuple | None = None  # (even, odd) from _even_odd_blocks; None if not even
+    blocks: tuple | None         # (even, odd) from _even_odd_blocks; None if not even
 
     @property
     def size(self) -> int:
         return self.grid.size
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending; of the two blocks, or of ``matrix`` for a wave that is not even."""
+        parts = self.blocks or (self.matrix,)
+        return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in parts]))
 
     @property
     def norm(self) -> float:
         """Spectral norm (largest |eigenvalue|)."""
         return float(np.abs(self.eigenvalues).max())
 
-    def apply(self, u: Field) -> Field:
-        if not u.grid.same_as(self.grid):
-            raise ValueError("field grid does not match operator grid")
-        return Field(self.grid, self.matrix @ u.values)
+    @property
+    def zero_tol(self) -> float:
+        """The kernel band, 1e-8 times the spectral norm."""
+        return 1e-8 * self.norm
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Collocation matrix L_K, real symmetric.  An even wave's
+        certification never reads it."""
+        a_M, b_lin = _linear_coefficients(self.variant, self.omega)
+        mat = a_M * multiplier_matrix(self.symbol, self.grid)
+        mat.flat[::self.size + 1] = mat.flat[::self.size + 1] + b_lin - self.fprime
+        asym = np.abs(mat - mat.T).max()
+        if asym > 1e-10 * max(1.0, np.abs(mat).max()):
+            raise ValueError(f"assembled operator is not symmetric (defect {asym:.3e})")
+        return 0.5 * (mat + mat.T)
 
 
 def assemble(w: "TravelingWave") -> LinearizedOperator:
-    """Collocation matrix of the linearization about a solved wave, for the
-    wave's own variant; its kernel band is 1e-8 times the spectral norm."""
+    """The linearization about a solved wave, for the wave's own variant."""
     a_M, b_lin = _linear_coefficients(w.variant, w.omega)
-    grid = w.grid
-    fprime = w.nonlinearity.fprime(w.profile.values)
-    mat = a_M * multiplier_matrix(w.symbol, grid)
-    mat.flat[::grid.size + 1] = mat.flat[::grid.size + 1] + b_lin - fprime  # + b I - f'(phi)
-    asym = np.abs(mat - mat.T).max()
-    if asym > 1e-10 * max(1.0, np.abs(mat).max()):
-        raise ValueError(f"assembled operator is not symmetric (defect {asym:.3e})")
-    mat = 0.5 * (mat + mat.T)
-    blocks = _even_odd_blocks(a_M * w.symbol.values_on(grid)[:grid.size // 2 + 1] + b_lin, fprime)
-    lam = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks or (mat,)]))
+    grid, fprime = w.grid, w.nonlinearity.fprime(w.profile.values)
     pp = derivative(w.profile).values
     norm_pp = np.linalg.norm(pp)
     mode = pp / norm_pp if norm_pp >= 1e-14 * (1.0 + w.profile.sup_norm()) else None
-    return LinearizedOperator(
-        grid=grid,
-        matrix=mat,
-        variant=w.variant,
-        omega=w.omega,
-        symbol=w.symbol,
-        eigenvalues=lam,
-        translation_mode=mode,
-        zero_tol=1e-8 * float(np.abs(lam).max()),
-        blocks=blocks,
-    )
+    blocks = _even_odd_blocks(a_M * w.symbol.values_on(grid)[:grid.size // 2 + 1] + b_lin, fprime)
+    lin = LinearizedOperator(grid=grid, variant=w.variant, omega=w.omega, symbol=w.symbol,
+                             fprime=fprime, translation_mode=mode, blocks=blocks)
+    lin.eigenvalues  # the eigensolve is part of assembly, and of its time
+    return lin
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +150,9 @@ def check_H0(lin: LinearizedOperator, w: "TravelingWave") -> SpectralReport:
     Passes iff there is exactly one negative eigenvalue, the zero eigenvalue
     is simple, and the kernel aligns with phi' to 1 - 1e-6.  The alignment is
     the Davis-Kahan lower bound sqrt(1 - min(1, r/delta)^2) for the unit
-    v = phi'/|phi'|, with rho = v'Lv, r = |Lv - rho v| and delta the distance
-    from rho to the rest of the spectrum (Davis & Kahan 1970).  Eigenvalues
+    v = phi'/|phi'|, with rho = v'Lv, r = |Lv - rho v| (in the blocks'
+    coordinates when L splits) and delta the distance from rho to the rest
+    of the spectrum (Davis & Kahan 1970).  Eigenvalues
     within a decade above the zero band are reported as ambiguous (a warning,
     never a silent resolution).
     """
@@ -161,7 +165,9 @@ def check_H0(lin: LinearizedOperator, w: "TravelingWave") -> SpectralReport:
 
     alignment = 0.0
     if v is not None:
-        Lv = lin.matrix @ v
+        parts = (v,) if lin.blocks is None else _coordinates(v)[:2]
+        Lv = np.concatenate([b @ x for b, x in zip(lin.blocks or (lin.matrix,), parts)])
+        v = np.concatenate(parts)
         rho = float(v @ Lv)
         r = float(np.linalg.norm(Lv - rho * v))
         delta = np.abs(np.delete(lam, np.argmin(np.abs(lam - rho))) - rho).min(initial=np.inf)
@@ -206,17 +212,32 @@ def _complement_basis(vectors: np.ndarray) -> np.ndarray:
     return u[:, rank:]
 
 
+def _least_on_complement(mat: np.ndarray, rows: np.ndarray) -> float:
+    """Least eigenvalue of the symmetric ``mat`` on the orthogonal complement of ``rows``."""
+    B = _complement_basis(rows.T)
+    return float(np.linalg.eigvalsh(B.T @ mat @ B)[0])
+
+
 def constrained_min_rayleigh(lin: LinearizedOperator, constraints: list) -> float:
     """Least Rayleigh quotient of L over the orthogonal complement of the constraints.
 
     A positive value certifies coercivity of L on that subspace (the
     codimension-two positivity hypothesis when the constraints are phi' and
-    the gradient of the auxiliary quantity).
+    the gradient of the auxiliary quantity).  When L splits and each constraint
+    is even or odd (its other part below 1e-10 of it), it is the lesser of the
+    two blocks' values, each on its own parity's constraints; else, L_K's.
     """
     if not constraints:
         return float(lin.eigenvalues[0])
-    B = _complement_basis(np.stack([c.values for c in constraints], axis=1))
-    return float(np.linalg.eigvalsh(B.T @ lin.matrix @ B)[0])
+    rows = np.stack([c.values for c in constraints])
+    if lin.blocks is not None:
+        parts = _coordinates(rows)[:2]
+        norms = [np.linalg.norm(x, axis=1) for x in parts]
+        single = [norms[1] <= 1e-10 * norms[0], norms[0] <= 1e-10 * norms[1]]
+        if np.all(single[0] | single[1]):
+            return min(_least_on_complement(b, x[keep])
+                       for b, x, keep in zip(lin.blocks, parts, single))
+    return _least_on_complement(lin.matrix, rows)
 
 
 def _certified(lin: LinearizedOperator, x: np.ndarray, residual: np.ndarray,
@@ -240,15 +261,23 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise NearSingularError(f"singular system ({exc})") from exc
 
 
+def _coordinates(b: np.ndarray):
+    """Rows b (K samples) in the parity blocks' orthonormal basis: (even, odd, s)
+    with even = Re rfft(b) s on modes 0..K/2, odd = -Im rfft(b) s on modes
+    1..K/2-1, s = t sqrt(2/K) (``_mode_weights``); norms are those of b's parts."""
+    K = b.shape[-1]
+    f, s = np.fft.rfft(b), _mode_weights(K, K // 2 + 1) * (2.0 / K) ** 0.5
+    return f.real * s, -(f.imag * s)[..., 1:K // 2], s
+
+
 def _solve_even(lin: LinearizedOperator, b: np.ndarray) -> np.ndarray:
     """Rows x of L x = b for rows b even about x = 0, by one solve of the even
-    block (nonsingular: the kernel phi' is odd).  Its orthonormal basis gives
-    b the coefficients Re rfft(b) t sqrt(2/K), and x comes back by irfft."""
-    K = lin.size
-    scale = _mode_weights(K, K // 2 + 1) * (2.0 / K) ** 0.5
-    c = _solve(lin.blocks[0], (np.fft.rfft(b).real * scale).T).T
-    x = np.fft.irfft(c / scale, K)
-    return _certified(lin, x, x @ lin.matrix - b, np.linalg.norm(b, axis=-1))
+    block (nonsingular: the kernel phi' is odd) in ``_coordinates``; x comes
+    back by irfft of c / s, and the residual is checked in those coordinates."""
+    bc, _, s = _coordinates(b)
+    c = _solve(lin.blocks[0], bc.T).T
+    _certified(lin, c, c @ lin.blocks[0] - bc, np.linalg.norm(b, axis=-1))
+    return np.fft.irfft(c / s, lin.size)
 
 
 def solve_on_complement(lin: LinearizedOperator, b: Field) -> Field:

@@ -322,6 +322,20 @@ class HamiltonianSpectrum:
     symmetry_defect: float
 
 
+def _hamiltonian_matrix(lin: LinearizedOperator) -> np.ndarray:
+    """d/dx composed with L: Dx L_K on the nodes, or, when L splits, in the
+    parity blocks' basis, where d/dx maps cos jx to -xi_j sin jx and sin jx
+    to xi_j cos jx (modes 0 and K/2 to zero): [[0, D1 L_odd], [D2 L_even, 0]]."""
+    if lin.blocks is None:
+        return derivative_matrix(lin.grid) @ lin.matrix
+    (even, odd), h = lin.blocks, lin.size // 2
+    xi = lin.grid.frequencies[1:h, None]
+    H = np.zeros((lin.size, lin.size))
+    H[1:h, h + 1:] = xi * odd
+    H[h + 1:, :h + 1] = -xi * even[1:h]
+    return H
+
+
 def hamiltonian_spectrum(lin: LinearizedOperator) -> HamiltonianSpectrum:
     """Eigenvalues of d/dx composed with L, with the real-axis count k_r.
 
@@ -333,8 +347,7 @@ def hamiltonian_spectrum(lin: LinearizedOperator) -> HamiltonianSpectrum:
     if lin.variant != "standard":
         raise ValueError("hamiltonian spectrum is defined for the standard variant")
     re_tol = im_tol = 1e-6 * lin.norm
-    Dx = derivative_matrix(lin.grid)
-    ev = np.linalg.eigvals(Dx @ lin.matrix)
+    ev = np.linalg.eigvals(_hamiltonian_matrix(lin))
     k_r = int(np.sum((ev.real > re_tol) & (np.abs(ev.imag) < im_tol)))
     dist = np.abs(ev[:, None] + ev[None, :]).min(axis=1)
     defect = float(dist.max() / max(1.0, np.abs(ev).max()))

@@ -28,6 +28,13 @@ def inner(u: Field, v: Field) -> float:
     return float(u.grid.spacing * (u.values * v.values).sum())
 
 
+def apply(lin, u: Field) -> Field:
+    """L u by the operator's collocation matrix."""
+    if not u.grid.same_as(lin.grid):
+        raise ValueError("field grid does not match operator grid")
+    return Field(lin.grid, lin.matrix @ u.values)
+
+
 def shift(u: Field, r: float) -> Field:
     """Exact translate u(. + r) via Fourier phase factors (r need not be a node)."""
     g = u.grid

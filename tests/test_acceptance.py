@@ -48,7 +48,7 @@ from periwave.waves import (
     speed_gradient_field,
 )
 
-from conftest import lyapunov_value, make_bo_wave, shift
+from conftest import apply, lyapunov_value, make_bo_wave, shift
 
 TWO_PI = 2.0 * math.pi
 
@@ -328,8 +328,8 @@ def test_criterion_9_regularized_variant(bbm_wave):
         eta, beta = param_derivatives(w, lin)
         # L eta = -(M phi + phi), the regularized analog of L eta = -phi
         rhs = speed_gradient_field(w)
-        assert (lin.apply(eta) + rhs).sup_norm() < 1e-8
-        assert (lin.apply(beta) + Field.constant(w.grid, 1.0)).sup_norm() < 1e-8
+        assert (apply(lin, eta) + rhs).sup_norm() < 1e-8
+        assert (apply(lin, beta) + Field.constant(w.grid, 1.0)).sup_norm() < 1e-8
 
         cert = certify(w)
         assert cert.verdict.conclusion == "orbitally_stable"

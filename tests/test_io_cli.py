@@ -948,6 +948,34 @@ class TestCli:
         summary = json.loads(open(os.path.join(out, "evolve_summary.json")).read())
         assert summary["blowup_time"] > 0
 
+    def test_solve_takes_no_wave(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--preset", "bo", "--wave", "x"])
+        assert info.value.code == 2
+        assert "solve takes no --wave" in capsys.readouterr().err
+
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # c3 read the K x K collocation matrix, whose products OpenBLAS splits
+        # across threads: its last digits differed between 1 and 2 threads
+        # for ilw at its own N and for ilw and bo at N = 1024
+        runs = {"ilw": [], "ilw-1024": ["--override", "grid.N=1024"],
+                "bo-1024": ["--override", "grid.N=1024"]}
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            sys.modules["periwave.cli"].__file__)))
+        script = ("import json, sys\nfrom periwave.cli import main\n"
+                  "sys.exit(max([main(argv) for argv in json.loads(sys.argv[1])]))")
+        for threads in ("1", "2"):
+            argvs = [["certify", "--preset", name.split("-")[0],
+                      "--out", str(tmp_path / threads / name), *overrides]
+                     for name, overrides in runs.items()]
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
+                           check=True, capture_output=True)
+        for name in runs:
+            for file in ("certify.json", "spectrum.csv"):
+                one, two = ((tmp_path / t / name / file).read_bytes() for t in "12")
+                assert one == two, (name, file)
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["--version"])

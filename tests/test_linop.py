@@ -6,12 +6,14 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from conftest import inner
+from conftest import apply, inner
 from periwave.cli import _solve_wave, main
 from periwave.config import list_presets, load_config
 from periwave.io import save_wave
+from periwave import cli, evolution, linop, spectral, stability, waves
 from periwave.linop import (
     KernelIncompatibilityError,
+    _complement_basis,
     assemble,
     check_H0,
     constrained_min_rayleigh,
@@ -62,7 +64,7 @@ class TestAssemble:
     def test_translation_mode_in_kernel(self, kdv_stable):
         lin = assemble(kdv_stable)
         pp = derivative(kdv_stable.profile)
-        ratio = lin.apply(pp).sup_norm() / pp.sup_norm()
+        ratio = apply(lin, pp).sup_norm() / pp.sup_norm()
         assert ratio < 1e-8
 
     def test_apply_matches_multiplier_plus_pointwise(self, kdv_stable):
@@ -74,7 +76,7 @@ class TestAssemble:
             + w.omega * u.values
             - w.nonlinearity.fprime(w.profile.values) * u.values
         )
-        assert np.abs(lin.apply(u).values - direct).max() < 1e-10 * (
+        assert np.abs(apply(lin, u).values - direct).max() < 1e-10 * (
             1 + np.abs(direct).max()
         )
 
@@ -82,8 +84,8 @@ class TestAssemble:
         lin = assemble(kdv_stable)
         u = random_smooth_field(lin.grid, seed=1)
         v = random_smooth_field(lin.grid, seed=2)
-        a = inner(lin.apply(u), v)
-        b = inner(u, lin.apply(v))
+        a = inner(apply(lin, u), v)
+        b = inner(u, apply(lin, v))
         assert abs(a - b) < 1e-10 * (1 + abs(a))
 
     def test_regularized_variant_assembly(self, bbm_wave):
@@ -95,7 +97,7 @@ class TestAssemble:
             + (bbm_wave.omega - 1.0) * u.values
             - bbm_wave.profile.values * u.values
         )
-        assert np.abs(lin.apply(u).values - direct).max() < 1e-9
+        assert np.abs(apply(lin, u).values - direct).max() < 1e-9
 
     def test_refinement_stability_of_eigenvalues(self):
         lam = {}
@@ -190,6 +192,83 @@ class TestParitySplit:
             assert report["h0"]["kernel_alignment"] > 1.0 - 1e-6
 
 
+NO_BUILDS = {"multiplier_matrix": 0, "derivative_matrix": 0}
+
+
+@pytest.fixture
+def builder_calls(monkeypatch):
+    """Calls of the collocation builders, counted in every module that binds them."""
+    calls, real = dict(NO_BUILDS), {name: getattr(spectral, name) for name in NO_BUILDS}
+    for module in (spectral, linop, stability, waves, evolution, cli):
+        for name in calls:
+            if hasattr(module, name):
+                def counted(*args, _name=name):
+                    calls[_name] += 1
+                    return real[_name](*args)
+
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def dense_c3(lin, constraints):
+    """c3's least Rayleigh quotient taken on the whole collocation matrix."""
+    B = _complement_basis(np.stack([c.values for c in constraints], axis=1))
+    return float(np.linalg.eigvalsh(B.T @ lin.matrix @ B)[0])
+
+
+class TestBlockRoute:
+    """An even wave is certified on L's parity blocks alone: c3, k_r, H0's
+    residual and the tangent's residual check never build L_K."""
+
+    @pytest.mark.parametrize("N", [None, 1024])
+    @pytest.mark.parametrize("preset", list_presets())
+    def test_certify_builds_no_collocation_matrix(self, preset_wave, builder_calls, preset, N):
+        cert = certify(preset_wave(preset, N))
+        cert.to_dict()
+        assert cert.operator.blocks is not None
+        assert builder_calls == NO_BUILDS
+
+    @pytest.mark.parametrize("preset", ["kdv-cnoidal", "gkdv-p", "bo", "ilw"])
+    def test_sweep_builds_no_collocation_matrix(self, tmp_path, builder_calls, preset):
+        assert main(["sweep", "--preset", preset, "--out", str(tmp_path)]) == 0
+        assert builder_calls == NO_BUILDS
+
+    def test_translate_builds_the_collocation_matrix(self, preset_wave, builder_calls):
+        w = preset_wave("bo")
+        cert = certify(replace(w, profile=Field(w.grid, np.roll(w.profile.values, 17))))
+        cert.to_dict()
+        assert cert.operator.blocks is None
+        assert builder_calls == {"multiplier_matrix": 1, "derivative_matrix": 1}
+
+    @pytest.mark.parametrize("preset", list_presets())
+    def test_c3_agrees_at_own_N_and_1024(self, preset_cert, preset):
+        own, big = preset_cert(preset).c3, preset_cert(preset, 1024).c3
+        assert (own is None) == (big is None)
+        if own is not None:
+            assert abs(big - own) <= 5e-14 * abs(own)
+
+    @pytest.mark.parametrize("N", [None, 1024])
+    @pytest.mark.parametrize("preset", list_presets())
+    def test_c3_matches_the_whole_matrix(self, preset_cert, preset, N):
+        cert = preset_cert(preset, N)
+        if cert.c3 is None:
+            return
+        mu, nu = cert.verdict.mu_nu
+        q = Field(cert.core.grid, mu + nu * speed_gradient_field(cert.core).values)
+        dense = dense_c3(cert.operator, [derivative(cert.core.profile), q])
+        # both are eigenvalues computed to roundoff, eps ||L|| times a modest factor
+        assert abs(cert.c3 - dense) <= 1e-14 * cert.operator.norm
+
+    def test_single_and_mixed_parity_constraints(self, kdv_stable):
+        w = kdv_stable
+        lin = assemble(w)
+        pp, one = derivative(w.profile), Field.constant(w.grid, 1.0)
+        mixed = w.profile.with_values(np.roll(w.profile.values, 5))
+        for constraints in ([pp], [one, w.profile], [pp, one, w.profile], [pp, mixed]):
+            got = constrained_min_rayleigh(lin, constraints)
+            assert abs(got - dense_c3(lin, constraints)) <= 1e-11 * lin.norm
+
+
 class TestCheckH0:
     def test_stable_cnoidal_passes(self, kdv_stable):
         lin = assemble(kdv_stable)
@@ -249,12 +328,11 @@ class TestH1Constants:
         lin = assemble(kdv_stable)
         _, c2 = h1_constants(lin)
         shift = 0.7
+        # the blocks define the operator: its eigenvalues follow them
         shifted = dataclasses.replace(
-            lin,
-            matrix=lin.matrix - shift * np.eye(lin.size),
-            eigenvalues=lin.eigenvalues - shift,
-            blocks=tuple(b - shift * np.eye(len(b)) for b in lin.blocks),
+            lin, blocks=tuple(b - shift * np.eye(len(b)) for b in lin.blocks)
         )
+        assert np.abs(shifted.eigenvalues - (lin.eigenvalues - shift)).max() < 1e-12 * lin.norm
         _, c2_shifted = h1_constants(shifted)
         assert c2_shifted <= c2 + shift + 1e-10
 
@@ -323,5 +401,5 @@ class TestSolveOnComplement:
         lin = assemble(w)
         b = Field.constant(w.grid, -1.0)
         x = solve_on_complement(lin, b)
-        res = (lin.apply(x) - b).sup_norm()
+        res = (apply(lin, x) - b).sup_norm()
         assert res < 1e-9

@@ -24,6 +24,7 @@ from periwave.spectral import (
     _sobolev_weights,
     apply_multiplier,
     derivative,
+    derivative_matrix,
     integral,
 )
 from periwave.stability import (
@@ -32,6 +33,7 @@ from periwave.stability import (
     SPECTRALLY_UNSTABLE,
     SurfaceDerivatives,
     _core,
+    _hamiltonian_matrix,
     certify,
     curve_criterion,
     decide,
@@ -498,6 +500,50 @@ class TestHamiltonianSpectrum:
     def test_regularized_variant_rejected(self, bbm_wave):
         with pytest.raises(ValueError):
             hamiltonian_spectrum(assemble(bbm_wave))
+
+
+def real_fourier_basis(K):
+    """Rows: the parity blocks' orthonormal basis on K nodes, cos 0,
+    sqrt2 cos jx, cos (K/2)x | sqrt2 sin jx, each over sqrt K."""
+    x = 2.0 * math.pi * np.arange(K) / K
+    j = np.arange(K // 2 + 1)[:, None]
+    even = np.cos(j * x) * np.where(j % (K // 2) == 0, 1.0, math.sqrt(2.0))
+    odd = np.sin(j[1:K // 2] * x) * math.sqrt(2.0)
+    return np.vstack((even, odd)) / math.sqrt(K)
+
+
+def collocation_k_r(lin):
+    """``hamiltonian_spectrum``'s k_r from the eigenvalues of Dx L_K on the nodes."""
+    ev = np.linalg.eigvals(derivative_matrix(lin.grid) @ lin.matrix)
+    tol = 1e-6 * lin.norm
+    return int(np.sum((ev.real > tol) & (np.abs(ev.imag) < tol)))
+
+
+class TestHamiltonianOnTheBlocks:
+    """An even wave's d/dx L is a signed swap of L's parity blocks."""
+
+    @pytest.mark.parametrize("N", [None, 1024])
+    @pytest.mark.parametrize("name", list_presets())
+    def test_block_matrix_is_Dx_L_in_the_fourier_basis(self, preset_cert, name, N):
+        lin = preset_cert(name, N).operator
+        assert lin.blocks is not None
+        Q = real_fourier_basis(lin.size)
+        assert np.abs(Q @ Q.T - np.eye(lin.size)).max() < 1e-13
+        DL = derivative_matrix(lin.grid) @ lin.matrix
+        assert np.abs(_hamiltonian_matrix(lin) - Q @ DL @ Q.T).max() <= 1e-12 * np.linalg.norm(DL, 2)
+
+    @pytest.mark.parametrize("N", [None, 1024])
+    @pytest.mark.parametrize("name", ["kdv-cnoidal", "gkdv-p", "bo", "ilw"])
+    def test_k_r_matches_the_collocation_route_on_presets(self, preset_cert, name, N):
+        cert = preset_cert(name, N)
+        assert cert.k_r == collocation_k_r(cert.operator)
+
+    @pytest.mark.parametrize("N", [256, 1024])
+    @pytest.mark.parametrize("omega", [2.0, 2.3, 2.644, 3.0])
+    def test_k_r_matches_the_collocation_route_on_gkdv5(self, omega, N):
+        cert = certify(make_gkdv5_wave(N, omega))
+        assert cert.operator.blocks is not None
+        assert cert.k_r == collocation_k_r(cert.operator)
 
 
 class TestLyapunovSigma:

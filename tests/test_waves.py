@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import certified_tangent, shift
+from conftest import apply, certified_tangent, shift
 from periwave import elliptic, waves
 from periwave.cli import _solve_wave
 from periwave.config import load_config
@@ -515,7 +515,7 @@ class TestParamDerivatives:
         w = kdv_stable
         lin = assemble(w)
         _, beta = param_derivatives(w, lin)
-        res = lin.apply(beta) + Field.constant(w.grid, 1.0)
+        res = apply(lin, beta) + Field.constant(w.grid, 1.0)
         assert res.sup_norm() < 1e-9
 
     def test_eta_matches_finite_difference(self, kdv_stable):
