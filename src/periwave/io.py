@@ -2,7 +2,9 @@
 
 Every float is printed with 17 significant digits (round-trip exact for
 doubles), keys are sorted, and files are written atomically (temp file +
-rename), so identical inputs yield byte-identical outputs.  The presets'
+rename), so identical inputs yield byte-identical outputs.  A file holds its
+text's UTF-8 bytes, with no newline translation; a missing parent directory is
+made on demand.  The presets'
 outputs are also byte-identical at 1 and 2 OpenBLAS threads (c3, the one
 value that differed, now comes from L's parity blocks); compare a wave that
 is not even, which goes through the K x K matrix, at one thread count.
@@ -98,14 +100,23 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode()).hexdigest()[:16]
 
 
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+
+
 def atomic_write_text(path: str, text: str):
-    """Write through a temp file beside ``path``; the mode follows the umask."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    tmp = f"{path}.{os.getpid()}.tmp"
+    """Write ``text``'s UTF-8 bytes via a temp file beside ``path``; the mode follows the umask."""
+    data, tmp = memoryview(text.encode()), f"{path}.{os.getpid()}.tmp"
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        try:
+            fd = os.open(tmp, _WRITE_FLAGS, 0o666)
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+            fd = os.open(tmp, _WRITE_FLAGS, 0o666)
+        try:
+            while data:  # os.write may write fewer bytes than it is given
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .spectral import (
+    _EPS,
     Field,
     PeriodicGrid,
     _even_odd_blocks,
@@ -244,7 +245,7 @@ def _certified(lin: LinearizedOperator, x: np.ndarray, residual: np.ndarray,
                b_norm) -> np.ndarray:
     """x, once the residual of each row is within 1e-9 max(1, |b|) plus the
     evaluation floor eps |L| |x| that even the exact solution cannot beat."""
-    floor = 100.0 * np.finfo(float).eps * lin.norm * np.linalg.norm(x, axis=-1)
+    floor = 100.0 * _EPS * lin.norm * np.linalg.norm(x, axis=-1)
     res = np.linalg.norm(residual, axis=-1)
     if np.any(res > 1e-9 * np.maximum(1.0, b_norm) + floor):
         raise NearSingularError(

@@ -26,6 +26,8 @@ import numpy as np
 # grid, the symbol or the Sobolev index, keyed by value
 _CACHE_SIZE = 64
 
+_EPS = float(np.finfo(float).eps)
+
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     """``arr``, which a cache shares, made read-only: a write into it raises ValueError."""
@@ -245,6 +247,11 @@ class DispersionSymbol:
             )
         return _read_only(self.value(grid.wavenumbers))
 
+    @lru_cache(maxsize=_CACHE_SIZE)
+    def max_on(self, grid: PeriodicGrid) -> float:
+        """max |theta| over the grid's wavenumbers."""
+        return float(np.abs(self.values_on(grid)).max())
+
 
 # ---------------------------------------------------------------------------
 # calculus on fields
@@ -299,7 +306,7 @@ def _band_size(u: Field) -> tuple[int, int]:
     """(J, K): J the highest mode above eps sup|u|, K the least even size
     >= 16 above 3J (the 3/2 rule: no aliasing onto the band), capped at N."""
     coef, N = np.abs(u.spectrum) / u.grid.size, u.grid.size
-    J = int(np.abs(u.grid.wavenumbers)[coef > np.finfo(float).eps * u.sup_norm()].max(initial=0))
+    J = int(np.abs(u.grid.wavenumbers)[coef > _EPS * u.sup_norm()].max(initial=0))
     return J, min(N, max(16, 2 * (3 * J // 2 + 1)))
 
 
@@ -372,9 +379,16 @@ def sobolev_weight_matrix(grid: PeriodicGrid, s: float) -> np.ndarray:
     return _conjugated_diagonal(_sobolev_weights, grid, s)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _mode_weights(N: int, m: int) -> np.ndarray:
     """t_j for modes j < m: 1/sqrt 2 at modes 0 and N/2, 1 elsewhere."""
-    return np.where(np.arange(m) % (N // 2) == 0, 0.5**0.5, 1.0)
+    return _read_only(np.where(np.arange(m) % (N // 2) == 0, 0.5**0.5, 1.0))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _window_index(N: int, m: int) -> np.ndarray:
+    """|i - m + 1| mod N for i < 3m - 2: the gather of ``_even_odd_blocks``' window."""
+    return _read_only(np.abs(np.arange(1 - m, 2 * m - 1)) % N)
 
 
 def _even_odd_blocks(diag: np.ndarray, fprime: np.ndarray):
@@ -386,14 +400,18 @@ def _even_odd_blocks(diag: np.ndarray, fprime: np.ndarray):
     the odd block drops modes 0 and N/2, where sin vanishes on the grid.  None
     when f'(phi) is not even to tau = 1e-10 max(1, max|L_ij|); otherwise its
     dropped odd part, of sup at most tau, moves each eigenvalue by at most tau."""
-    N, m, step = fprime.size, diag.size, np.dtype(float).itemsize
-    g, t, d = np.fft.fft(fprime).real / N, _mode_weights(N, m), np.diag(diag)
+    N, m, h, step = fprime.size, diag.size, fprime.size // 2, np.dtype(float).itemsize
+    g, t = np.fft.fft(fprime).real / N, _mode_weights(N, m)
     # near[j, l] = g_|j-l| and far[j, l] = g_(j+l): windows onto r_i = g_|i-m+1|
-    r = g[np.abs(np.arange(1 - m, 2 * m - 1)) % N]
+    r = g[_window_index(N, m)]
     near = np.ndarray((m, m), float, r, (m - 1) * step, (-step, step))
     far = np.ndarray((m, m), float, r, (m - 1) * step, (step, step))
-    even = d - np.outer(t, t) * (near + far)
-    odd = (d - (near - far))[1:N // 2, 1:N // 2]
+    # d added in place on the diagonal: d + (-x) = d - x and d + (b - a) = d - (a - b)
+    even = near + far
+    even *= np.outer(-t, t)
+    even.reshape(-1)[::m + 1] += diag
+    odd = far[1:h, 1:h] - near[1:h, 1:h]
+    odd.reshape(-1)[::odd.shape[0] + 1] += diag[1:h]
     tau = 1e-10 * max(1.0, np.abs(even).max(), np.abs(odd).max())
     return None if np.abs(fprime - fprime[-np.arange(N) % N]).max() > tau else (even, odd)
 

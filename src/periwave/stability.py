@@ -319,7 +319,13 @@ class HamiltonianSpectrum:
     k_r: int
     re_tol: float
     im_tol: float
-    symmetry_defect: float
+
+    @cached_property
+    def symmetry_defect(self) -> float:
+        """Worst relative distance from the spectrum to its negation (0 when symmetric)."""
+        ev = self.eigenvalues
+        dist = np.abs(ev[:, None] + ev[None, :]).min(axis=1)
+        return float(dist.max() / max(1.0, np.abs(ev).max()))
 
 
 def _hamiltonian_matrix(lin: LinearizedOperator) -> np.ndarray:
@@ -340,20 +346,14 @@ def hamiltonian_spectrum(lin: LinearizedOperator) -> HamiltonianSpectrum:
     """Eigenvalues of d/dx composed with L, with the real-axis count k_r.
 
     k_r counts eigenvalues with real part above re_tol and imaginary part
-    within im_tol of zero, both 1e-6 times the spectral norm of L.  The
-    quadruple symmetry (lambda, -lambda, +-conj) is summarized by the worst
-    relative distance from spectrum to its negation.
+    within im_tol of zero, both 1e-6 times the spectral norm of L.
     """
     if lin.variant != "standard":
         raise ValueError("hamiltonian spectrum is defined for the standard variant")
     re_tol = im_tol = 1e-6 * lin.norm
     ev = np.linalg.eigvals(_hamiltonian_matrix(lin))
     k_r = int(np.sum((ev.real > re_tol) & (np.abs(ev.imag) < im_tol)))
-    dist = np.abs(ev[:, None] + ev[None, :]).min(axis=1)
-    defect = float(dist.max() / max(1.0, np.abs(ev).max()))
-    return HamiltonianSpectrum(
-        eigenvalues=ev, k_r=k_r, re_tol=re_tol, im_tol=im_tol, symmetry_defect=defect
-    )
+    return HamiltonianSpectrum(eigenvalues=ev, k_r=k_r, re_tol=re_tol, im_tol=im_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import elliptic
 from .spectral import (
+    _EPS,
     DispersionSymbol,
     Field,
     PeriodicGrid,
@@ -211,8 +212,7 @@ def residual_bound(symbol: DispersionSymbol, profile: Field) -> float:
     largest symbol value, so the attainable residual grows with N; a fixed
     absolute tolerance cannot hold at every resolution.
     """
-    theta_max = float(np.abs(symbol.values_on(profile.grid)).max())
-    return 1e3 * np.finfo(float).eps * theta_max * profile.sup_norm()
+    return 1e3 * _EPS * symbol.max_on(profile.grid) * profile.sup_norm()
 
 
 def constant_state(
@@ -279,7 +279,7 @@ def solve_newton(
     half = N // 2
 
     v = np.fft.rfft(guess.values).real
-    v[np.abs(v) <= np.finfo(float).eps * np.abs(v).max()] = 0.0
+    v[np.abs(v) <= _EPS * np.abs(v).max()] = 0.0
     a_M, b_lin = _linear_coefficients(variant, omega)
     diag = a_M * symbol.values_on(grid)[: half + 1] + b_lin
     # the block's orthonormal coordinates, scaled so that the zero mode is the

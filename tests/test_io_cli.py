@@ -69,6 +69,25 @@ class TestSerialization:
             atomic_write_text(str(path), "\ud800")
         assert os.listdir(tmp_path) == []
 
+    def test_write_makes_missing_parents(self, tmp_path):
+        path = tmp_path / "a" / "b" / "report.json"
+        atomic_write_text(str(path), "x,u\n1,2\n")
+        assert path.read_bytes() == b"x,u\n1,2\n"
+
+    def test_rewrite_leaves_only_the_new_bytes(self, tmp_path):
+        path = tmp_path / "report.json"
+        atomic_write_text(str(path), "a much longer first text\n")
+        atomic_write_text(str(path), "short\n")
+        assert path.read_bytes() == b"short\n"
+        assert os.listdir(tmp_path) == ["report.json"]
+
+    def test_short_writes_still_write_every_byte(self, tmp_path, monkeypatch):
+        write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, bytes(data[:7])))
+        text = canonical_json({"omega": 0.1, "members": list(range(20))})
+        atomic_write_text(str(tmp_path / "report.json"), text)
+        assert (tmp_path / "report.json").read_bytes() == text.encode()
+
     def test_field_csv_roundtrip(self, tmp_path):
         grid = PeriodicGrid(TWO_PI, 64)
         u = random_smooth_field(grid, seed=1)

@@ -12,6 +12,7 @@ from periwave.spectral import (
     _conjugated_diagonal,
     _even_odd_blocks,
     _mode_weights,
+    _window_index,
     apply_multiplier,
     derivative,
     derivative_matrix,
@@ -297,3 +298,32 @@ class TestEvenOddBlocks:
             fd = jacobian(basis)
             assert block.shape == fd.shape
             assert np.abs(block - fd).max() < 1e-8 * np.abs(fd).max()
+
+    @pytest.mark.parametrize("m", [2, 17, 49])
+    def test_blocks_equal_their_entry_formula_bit_for_bit(self, m):
+        # m < N/2 + 1 clips the odd block to (m - 1)^2, as Newton's call does;
+        # m = N/2 + 1 gives assemble's full (m - 2)^2 odd block
+        N = 96
+        rng = np.random.default_rng(m)
+        v = rng.standard_normal(N)
+        fprime, d = 0.5 * (v + v[-np.arange(N) % N]), rng.standard_normal(m)
+        g = np.fft.fft(fprime).real / N
+        t = [math.sqrt(0.5) if j in (0, N // 2) else 1.0 for j in range(m)]
+
+        def entry(j, l, sign, weight):
+            diag = d[j] if j == l else 0.0
+            return diag - weight * (g[abs(j - l) % N] + sign * g[(j + l) % N])
+
+        even, odd = _even_odd_blocks(d, fprime)
+        odd_modes = range(1, min(m, N // 2))
+        assert even.shape == (m, m)
+        assert odd.shape == (len(odd_modes),) * 2 == ((m - 1,) * 2 if m < 49 else (m - 2,) * 2)
+        assert all(even[j, l] == entry(j, l, 1.0, t[j] * t[l])
+                   for j in range(m) for l in range(m))
+        assert all(odd[j - 1, l - 1] == entry(j, l, -1.0, 1.0)
+                   for j in odd_modes for l in odd_modes)
+        again = _even_odd_blocks(d, fprime)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip((even, odd), again))
+        for cached in (_window_index(N, m), _mode_weights(N, m)):
+            with pytest.raises(ValueError):
+                cached[0] = 1
