@@ -7,7 +7,7 @@ text's UTF-8 bytes, with no newline translation; a missing parent directory is
 made on demand.  The presets'
 outputs are also byte-identical at 1 and 2 OpenBLAS threads (c3, the one
 value that differed, now comes from L's parity blocks); compare a wave that
-is not even, which goes through the K x K matrix, at one thread count.
+is not even, whose L is one K x K block, at one thread count.
 """
 
 from __future__ import annotations

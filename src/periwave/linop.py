@@ -2,14 +2,13 @@
 
 The linearization about a profile phi is ``L = M + omega - f'(phi)`` for the
 standard evolution and ``L = omega M + (omega - 1) - f'(phi)`` for the
-regularized one.  When f'(phi) is even about x = 0, L splits into two parity
-blocks in the real Fourier basis, where the multiplier and the H^s weight are
-diagonal (``spectral._even_odd_blocks``), and everything read here comes from
-them: the eigenvalues (never an eigenbasis), the kernel's Davis-Kahan check
-against the unit translation mode v = phi'/|phi'|, the tangent's solve, H1's
-shift and c3.  Otherwise the real symmetric collocation matrix L_K (the
-multiplier a transform-conjugated diagonal, f'(phi) diagonal) serves, built
-when first read, and solves off the kernel use the system bordered by v.
+regularized one.  L is held in the orthonormal real Fourier basis, where the
+multiplier and the H^s weight are diagonal (``spectral._even_odd_blocks``), as
+its even and odd blocks when f'(phi) is even about x = 0, else as one block.
+Everything read here comes from them, Fields mapped in by ``_coordinates`` and
+out by ``_samples``: the eigenvalues (never an eigenbasis), the kernel's
+Davis-Kahan check against the unit translation mode v = phi'/|phi'|, the
+tangent's solve, H1's shift and c3.  Solves off the kernel are bordered by v.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ from .spectral import (
     _mode_weights,
     _sobolev_weights,
     derivative,
-    multiplier_matrix,
-    sobolev_weight_matrix,
 )
 from .waves import NearSingularError, _linear_coefficients
 
@@ -55,15 +52,13 @@ class KernelIncompatibilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearizedOperator:
-    """L about a wave, held as its defining data; eigenvalues and matrix are computed on read."""
+    """L about a wave, held as its blocks in ``_coordinates``; eigenvalues are computed on read."""
 
     grid: PeriodicGrid
     variant: str
-    omega: float
     symbol: "DispersionSymbol"
-    fprime: np.ndarray           # f'(phi) on the nodes
     translation_mode: np.ndarray | None  # phi'/|phi'|; None when phi' vanishes
-    blocks: tuple | None         # (even, odd) from _even_odd_blocks; None if not even
+    blocks: tuple                # (even, odd), or (one block,) for a wave that is not even
 
     @property
     def size(self) -> int:
@@ -71,9 +66,8 @@ class LinearizedOperator:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Ascending; of the two blocks, or of ``matrix`` for a wave that is not even."""
-        parts = self.blocks or (self.matrix,)
-        return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in parts]))
+        """Ascending; of the blocks."""
+        return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in self.blocks]))
 
     @property
     def norm(self) -> float:
@@ -85,18 +79,6 @@ class LinearizedOperator:
         """The kernel band, 1e-8 times the spectral norm."""
         return 1e-8 * self.norm
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Collocation matrix L_K, real symmetric.  An even wave's
-        certification never reads it."""
-        a_M, b_lin = _linear_coefficients(self.variant, self.omega)
-        mat = a_M * multiplier_matrix(self.symbol, self.grid)
-        mat.flat[::self.size + 1] = mat.flat[::self.size + 1] + b_lin - self.fprime
-        asym = np.abs(mat - mat.T).max()
-        if asym > 1e-10 * max(1.0, np.abs(mat).max()):
-            raise ValueError(f"assembled operator is not symmetric (defect {asym:.3e})")
-        return 0.5 * (mat + mat.T)
-
 
 def assemble(w: "TravelingWave") -> LinearizedOperator:
     """The linearization about a solved wave, for the wave's own variant."""
@@ -106,8 +88,7 @@ def assemble(w: "TravelingWave") -> LinearizedOperator:
     norm_pp = np.linalg.norm(pp)
     mode = pp / norm_pp if norm_pp >= 1e-14 * (1.0 + w.profile.sup_norm()) else None
     blocks = _even_odd_blocks(a_M * w.symbol.values_on(grid)[:grid.size // 2 + 1] + b_lin, fprime)
-    lin = LinearizedOperator(grid=grid, variant=w.variant, omega=w.omega, symbol=w.symbol,
-                             fprime=fprime, translation_mode=mode, blocks=blocks)
+    lin = LinearizedOperator(grid, w.variant, w.symbol, translation_mode=mode, blocks=blocks)
     lin.eigenvalues  # the eigensolve is part of assembly, and of its time
     return lin
 
@@ -122,8 +103,7 @@ class SpectralReport:
 
     ``kernel_alignment`` is a certified lower bound in [0, 1] on the cosine
     between phi' and the eigenvector of L nearest its Rayleigh quotient (the
-    Davis-Kahan bound of ``check_H0``); 0 when phi' vanishes.  It was once
-    that cosine as computed, which rounding could put above 1.
+    Davis-Kahan bound of ``check_H0``); 0 when phi' vanishes.
     """
 
     n_negative: int
@@ -151,11 +131,10 @@ def check_H0(lin: LinearizedOperator, w: "TravelingWave") -> SpectralReport:
     Passes iff there is exactly one negative eigenvalue, the zero eigenvalue
     is simple, and the kernel aligns with phi' to 1 - 1e-6.  The alignment is
     the Davis-Kahan lower bound sqrt(1 - min(1, r/delta)^2) for the unit
-    v = phi'/|phi'|, with rho = v'Lv, r = |Lv - rho v| (in the blocks'
-    coordinates when L splits) and delta the distance from rho to the rest
-    of the spectrum (Davis & Kahan 1970).  Eigenvalues
-    within a decade above the zero band are reported as ambiguous (a warning,
-    never a silent resolution).
+    v = phi'/|phi'|, with rho = v'Lv, r = |Lv - rho v| (in ``_coordinates``)
+    and delta the distance from rho to the rest of the spectrum (Davis &
+    Kahan 1970).  Eigenvalues within a decade above the zero band are
+    reported as ambiguous (a warning, never a silent resolution).
     """
     if not w.grid.same_as(lin.grid):
         raise ValueError("wave grid does not match operator grid")
@@ -166,9 +145,8 @@ def check_H0(lin: LinearizedOperator, w: "TravelingWave") -> SpectralReport:
 
     alignment = 0.0
     if v is not None:
-        parts = (v,) if lin.blocks is None else _coordinates(v)[:2]
-        Lv = np.concatenate([b @ x for b, x in zip(lin.blocks or (lin.matrix,), parts)])
-        v = np.concatenate(parts)
+        v = _coordinates(v)[0]
+        Lv = np.concatenate([b @ x for b, x in zip(lin.blocks, _parts(lin, v))])
         rho = float(v @ Lv)
         r = float(np.linalg.norm(Lv - rho * v))
         delta = np.abs(np.delete(lam, np.argmin(np.abs(lam - rho))) - rho).min(initial=np.inf)
@@ -191,16 +169,13 @@ def h1_constants(lin: LinearizedOperator) -> tuple[float, float]:
 
     c1 is fixed at half the symbol's lower growth constant; c2 is the
     smallest nonnegative shift making L - c1 W + c2 I positive
-    semidefinite, where W is the H^(m/2) weight: diagonal in the parity
-    blocks, a collocation circulant for a wave that is not even.
+    semidefinite, where W is the H^(m/2) weight, diagonal in ``_coordinates``:
+    each block's own diagonal is shifted.
     """
-    c1, s, h = 0.5 * lin.symbol.lower_bound, 0.5 * lin.symbol.order, lin.size // 2
-    if lin.blocks is None:
-        parts = (lin.matrix - c1 * sobolev_weight_matrix(lin.grid, s),)
-    else:
-        weight = c1 * _sobolev_weights(lin.grid, s)[:h + 1]
-        parts = (lin.blocks[0] - np.diag(weight), lin.blocks[1] - np.diag(weight[1:h]))
-    return c1, max(0.0, -min(float(np.linalg.eigvalsh(b)[0]) for b in parts))
+    c1, s = 0.5 * lin.symbol.lower_bound, 0.5 * lin.symbol.order
+    weight = _parts(lin, c1 * _diagonal(_sobolev_weights(lin.grid, s)))
+    return c1, max(0.0, -min(float(np.linalg.eigvalsh(b - np.diag(x))[0])
+                             for b, x in zip(lin.blocks, weight)))
 
 
 def _complement_basis(vectors: np.ndarray) -> np.ndarray:
@@ -213,12 +188,6 @@ def _complement_basis(vectors: np.ndarray) -> np.ndarray:
     return u[:, rank:]
 
 
-def _least_on_complement(mat: np.ndarray, rows: np.ndarray) -> float:
-    """Least eigenvalue of the symmetric ``mat`` on the orthogonal complement of ``rows``."""
-    B = _complement_basis(rows.T)
-    return float(np.linalg.eigvalsh(B.T @ mat @ B)[0])
-
-
 def constrained_min_rayleigh(lin: LinearizedOperator, constraints: list) -> float:
     """Least Rayleigh quotient of L over the orthogonal complement of the constraints.
 
@@ -226,19 +195,20 @@ def constrained_min_rayleigh(lin: LinearizedOperator, constraints: list) -> floa
     codimension-two positivity hypothesis when the constraints are phi' and
     the gradient of the auxiliary quantity).  When L splits and each constraint
     is even or odd (its other part below 1e-10 of it), it is the lesser of the
-    two blocks' values, each on its own parity's constraints; else, L_K's.
+    two blocks' values, each on its own parity's constraints; else, that of
+    L's one K x K matrix in ``_coordinates``.
     """
     if not constraints:
         return float(lin.eigenvalues[0])
-    rows = np.stack([c.values for c in constraints])
-    if lin.blocks is not None:
-        parts = _coordinates(rows)[:2]
-        norms = [np.linalg.norm(x, axis=1) for x in parts]
+    rows = _coordinates(np.stack([c.values for c in constraints]))[0]
+    pairs = list(zip(lin.blocks, _parts(lin, rows)))
+    if len(pairs) == 2:
+        norms = [np.linalg.norm(x, axis=1) for _, x in pairs]
         single = [norms[1] <= 1e-10 * norms[0], norms[0] <= 1e-10 * norms[1]]
-        if np.all(single[0] | single[1]):
-            return min(_least_on_complement(b, x[keep])
-                       for b, x, keep in zip(lin.blocks, parts, single))
-    return _least_on_complement(lin.matrix, rows)
+        pairs = ([(b, x[keep]) for (b, x), keep in zip(pairs, single)]
+                 if np.all(single[0] | single[1]) else [(_dense(lin), rows)])
+    bases = [(b, _complement_basis(x.T)) for b, x in pairs]
+    return min(float(np.linalg.eigvalsh(B.T @ b @ B)[0]) for b, B in bases)
 
 
 def _certified(lin: LinearizedOperator, x: np.ndarray, residual: np.ndarray,
@@ -263,19 +233,46 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _coordinates(b: np.ndarray):
-    """Rows b (K samples) in the parity blocks' orthonormal basis: (even, odd, s)
-    with even = Re rfft(b) s on modes 0..K/2, odd = -Im rfft(b) s on modes
-    1..K/2-1, s = t sqrt(2/K) (``_mode_weights``); norms are those of b's parts."""
+    """Rows b (K samples) in L's orthonormal real Fourier basis: (x, s), x the
+    even coordinates Re rfft(b) s on modes 0..K/2, then the odd ones
+    -Im rfft(b) s on modes 1..K/2-1, s = t sqrt(2/K) (``_mode_weights``); each
+    row of x has the norm of its row of b."""
     K = b.shape[-1]
     f, s = np.fft.rfft(b), _mode_weights(K, K // 2 + 1) * (2.0 / K) ** 0.5
-    return f.real * s, -(f.imag * s)[..., 1:K // 2], s
+    return np.concatenate((f.real * s, -(f.imag * s)[..., 1:K // 2]), axis=-1), s
+
+
+def _samples(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The K samples whose ``_coordinates`` are (x, s), for one row x."""
+    h = s.size - 1
+    return np.fft.irfft((x[:h + 1] - 1j * np.pad(x[h + 1:], 1)) / s, 2 * h)
+
+
+def _diagonal(d: np.ndarray) -> np.ndarray:
+    """The diagonal in ``_coordinates`` of an even Fourier multiplier d (FFT layout)."""
+    return np.concatenate((d[:d.size // 2 + 1], d[1:d.size // 2]))
+
+
+def _parts(lin: LinearizedOperator, x: np.ndarray) -> list:
+    """Coordinates x cut into the pieces that ``lin.blocks`` act on, in order."""
+    return [x[..., :len(lin.blocks[0])], x[..., len(lin.blocks[0]):]][:len(lin.blocks)]
+
+
+def _dense(lin: LinearizedOperator) -> np.ndarray:
+    """L as one K x K matrix in ``_coordinates``, its blocks on the diagonal."""
+    mat, i = np.zeros((lin.size, lin.size)), 0
+    for b in lin.blocks:
+        mat[i:i + len(b), i:i + len(b)] = b
+        i += len(b)
+    return mat
 
 
 def _solve_even(lin: LinearizedOperator, b: np.ndarray) -> np.ndarray:
     """Rows x of L x = b for rows b even about x = 0, by one solve of the even
     block (nonsingular: the kernel phi' is odd) in ``_coordinates``; x comes
     back by irfft of c / s, and the residual is checked in those coordinates."""
-    bc, _, s = _coordinates(b)
+    x, s = _coordinates(b)
+    bc = x[..., :s.size]
     c = _solve(lin.blocks[0], bc.T).T
     _certified(lin, c, c @ lin.blocks[0] - bc, np.linalg.norm(b, axis=-1))
     return np.fft.irfft(c / s, lin.size)
@@ -284,33 +281,32 @@ def _solve_even(lin: LinearizedOperator, b: np.ndarray) -> np.ndarray:
 def solve_on_complement(lin: LinearizedOperator, b: Field) -> Field:
     """Solve L x = b on the orthogonal complement of the numerical kernel.
 
-    With no numerical kernel the solve is plain (L invertible).  Otherwise
-    the kernel must be simple and is taken as the translation mode v (else
-    NearSingularError), and x solves the system bordered by v,
-    [[L, v], [v', 0]] [x; s] = [b; 0].  A right-hand side lying essentially
-    along v projects to zero and returns the zero field; a mixed significant
-    kernel component raises KernelIncompatibilityError.
+    Both solve in ``_coordinates``.  With no numerical kernel the solve is
+    plain (L invertible).  Otherwise the kernel must be simple and is taken as
+    the translation mode v (else NearSingularError), and x solves the system
+    bordered by v, [[L, v], [v', 0]] [x; s] = [b; 0].  A right-hand side lying
+    essentially along v projects to zero and returns the zero field; a mixed
+    significant kernel component raises KernelIncompatibilityError.
     """
     if not b.grid.same_as(lin.grid):
         raise ValueError("field grid does not match operator grid")
     kernel_dim = int(np.sum(np.abs(lin.eigenvalues) <= lin.zero_tol))
+    bc, s = _coordinates(b.values)
     if kernel_dim == 0:
-        return Field(lin.grid, _solve(lin.matrix, b.values))
+        return Field(lin.grid, _samples(_solve(_dense(lin), bc), s))
     v, b_norm = lin.translation_mode, np.linalg.norm(b.values)
     if v is None or kernel_dim > 1:
         raise NearSingularError(
             f"numerical kernel of dimension {kernel_dim} is not the translation mode"
         )
-    if b_norm == 0.0:
-        return Field(lin.grid, np.zeros(lin.size))
     along = float(v @ b.values)
-    kernel_frac = abs(along) / b_norm
+    kernel_frac = abs(along) / b_norm if b_norm else 1.0
     if kernel_frac >= 1.0 - 1e-8:
         return Field(lin.grid, np.zeros(lin.size))
     if kernel_frac > 1e-8:
         raise KernelIncompatibilityError(
             f"right-hand side has kernel fraction {kernel_frac:.3e}"
         )
-    bordered = np.block([[lin.matrix, v[:, None]], [v, 0.0]])
-    x = _solve(bordered, np.append(b.values, 0.0))[:-1]
-    return Field(lin.grid, _certified(lin, x, lin.matrix @ x - (b.values - along * v), b_norm))
+    mat, v = _dense(lin), _coordinates(v)[0]
+    x = _solve(np.block([[mat, v[:, None]], [v, 0.0]]), np.append(bc, 0.0))[:-1]
+    return Field(lin.grid, _samples(_certified(lin, x, mat @ x - (bc - along * v), b_norm), s))

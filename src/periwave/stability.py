@@ -39,6 +39,9 @@ from .linop import (
     LinearizedOperator,
     SpectralReport,
     _complement_basis,
+    _coordinates,
+    _dense,
+    _diagonal,
     assemble,
     check_H0,
     constrained_min_rayleigh,
@@ -51,9 +54,7 @@ from .spectral import (
     _resample,
     _sobolev_weights,
     derivative,
-    derivative_matrix,
     integral,
-    sobolev_weight_matrix,
     verify_symbol_bounds,
 )
 from .waves import (
@@ -320,25 +321,17 @@ class HamiltonianSpectrum:
     re_tol: float
     im_tol: float
 
-    @cached_property
-    def symmetry_defect(self) -> float:
-        """Worst relative distance from the spectrum to its negation (0 when symmetric)."""
-        ev = self.eigenvalues
-        dist = np.abs(ev[:, None] + ev[None, :]).min(axis=1)
-        return float(dist.max() / max(1.0, np.abs(ev).max()))
-
 
 def _hamiltonian_matrix(lin: LinearizedOperator) -> np.ndarray:
-    """d/dx composed with L: Dx L_K on the nodes, or, when L splits, in the
-    parity blocks' basis, where d/dx maps cos jx to -xi_j sin jx and sin jx
-    to xi_j cos jx (modes 0 and K/2 to zero): [[0, D1 L_odd], [D2 L_even, 0]]."""
-    if lin.blocks is None:
-        return derivative_matrix(lin.grid) @ lin.matrix
-    (even, odd), h = lin.blocks, lin.size // 2
+    """d/dx composed with L in ``linop._coordinates``, where d/dx maps cos jx to
+    -xi_j sin jx and sin jx to xi_j cos jx (modes 0 and K/2 to zero): a signed
+    swap of L's rows, made in place on L's one K x K matrix."""
+    H, h = _dense(lin), lin.size // 2
     xi = lin.grid.frequencies[1:h, None]
-    H = np.zeros((lin.size, lin.size))
-    H[1:h, h + 1:] = xi * odd
-    H[h + 1:, :h + 1] = -xi * even[1:h]
+    sin_rows = H[h + 1:].copy()
+    np.multiply(H[1:h], -xi, out=H[h + 1:])  # sin jx rows: -xi_j times L's cos jx rows
+    np.multiply(sin_rows, xi, out=H[1:h])    # cos jx rows: xi_j times L's sin jx rows
+    H[[0, h]] = 0.0
     return H
 
 
@@ -379,12 +372,13 @@ def lyapunov_sigma(
     sigma = 1.0
     while 0.0 < 2.0 * sigma * delta <= 1.0:
         sigma *= 4.0
+    # in ``linop._coordinates``, where W^(+-1/2) are diagonal
     g, s = w.grid, w.sobolev_index
-    W_half_inv = sobolev_weight_matrix(g, -0.5 * s)
-    y0 = sobolev_weight_matrix(g, 0.5 * s) @ derivative(w.profile).values
+    half_inv = _diagonal(_sobolev_weights(g, -0.5 * s))
+    y0 = _diagonal(_sobolev_weights(g, 0.5 * s)) * _coordinates(derivative(w.profile).values)[0]
     B = _complement_basis((y0 / np.linalg.norm(y0))[:, None])
-    qy = W_half_inv @ (mu + nu * speed_gradient_field(w).values)
-    A = W_half_inv @ lin.matrix @ W_half_inv + (2.0 * sigma * g.spacing) * np.outer(qy, qy)
+    qy = half_inv * _coordinates(mu + nu * speed_gradient_field(w).values)[0]
+    A = half_inv[:, None] * _dense(lin) * half_inv + (2.0 * sigma * g.spacing) * np.outer(qy, qy)
     margin = float(np.linalg.eigvalsh(B.T @ A @ B)[0])
     if not (delta > 0.0 and margin > 0.0):
         raise SolverError(
@@ -409,8 +403,8 @@ def _core(w: TravelingWave):
     sup|f'(phi)| > 0, and by Haynsworth In L_N = In(that block) + In(Schur
     complement).  The complement moves the core's eigenvalues by at most
     delta = (sum_{j != 0} |f'(phi)^_j|)^2 / gamma, which must stay below the
-    gap, the least |eigenvalue| of L_K off the kernel band.  The dropped
-    block of L - c1 W must also stay above -c2, so c2 is set on the core;
+    gap, the least |eigenvalue| of the core's L off the kernel band.  The
+    dropped block of L - c1 W must also stay above -c2, so c2 is set on the core;
     since c2 >= 0, it is computed only when that block is not positive.
     With K = N the core is the wave itself.
     """

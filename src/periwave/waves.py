@@ -611,7 +611,7 @@ def param_derivatives(w: TravelingWave, lin) -> tuple[Field, Field]:
     g, minus_one = speed_gradient_field(w), Field.constant(w.grid, -1.0)
     from .linop import _solve_even, solve_on_complement  # linop imports this module
 
-    if lin.blocks is None:
+    if len(lin.blocks) == 1:
         return solve_on_complement(lin, -g), solve_on_complement(lin, minus_one)
     eta, beta = _solve_even(lin, np.stack((-g.values, minus_one.values)))
     return Field(w.grid, eta), Field(w.grid, beta)

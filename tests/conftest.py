@@ -8,11 +8,18 @@ from periwave import elliptic
 from periwave.cli import _solve_wave
 from periwave.config import load_config
 from periwave.evolution import _lyapunov_functional
-from periwave.spectral import DispersionSymbol, Field, PeriodicGrid, _check_same_grid
+from periwave.spectral import (
+    DispersionSymbol,
+    Field,
+    PeriodicGrid,
+    _check_same_grid,
+    multiplier_matrix,
+)
 from periwave.stability import certify
 from periwave.waves import (
     Constraint,
     Nonlinearity,
+    _linear_coefficients,
     cnoidal_wave,
     bbm_dnoidal_wave,
     ilw_wave,
@@ -28,11 +35,29 @@ def inner(u: Field, v: Field) -> float:
     return float(u.grid.spacing * (u.values * v.values).sum())
 
 
-def apply(lin, u: Field) -> Field:
-    """L u by the operator's collocation matrix."""
-    if not u.grid.same_as(lin.grid):
-        raise ValueError("field grid does not match operator grid")
-    return Field(lin.grid, lin.matrix @ u.values)
+def collocation(w) -> np.ndarray:
+    """L about the wave w as its collocation matrix L_K = a M + diag(b - f'(phi))
+    on the nodes, M the multiplier's circulant, symmetrized: the reference,
+    built apart from the operator's real Fourier blocks, that the tests check
+    them against."""
+    a, b = _linear_coefficients(w.variant, w.omega)
+    mat, diag = a * multiplier_matrix(w.symbol, w.grid), slice(None, None, w.grid.size + 1)
+    mat.flat[diag] = mat.flat[diag] + b - w.nonlinearity.fprime(w.profile.values)
+    return 0.5 * (mat + mat.T)
+
+
+def apply(w, u: Field) -> Field:
+    """L u by the collocation matrix of L about the wave w."""
+    if not u.grid.same_as(w.grid):
+        raise ValueError("field grid does not match the wave's grid")
+    return Field(w.grid, collocation(w) @ u.values)
+
+
+def symmetry_defect(spec) -> float:
+    """Worst relative distance from a Hamiltonian spectrum to its negation (0 when symmetric)."""
+    ev = spec.eigenvalues
+    dist = np.abs(ev[:, None] + ev[None, :]).min(axis=1)
+    return float(dist.max() / max(1.0, np.abs(ev).max()))
 
 
 def shift(u: Field, r: float) -> Field:

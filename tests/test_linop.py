@@ -6,7 +6,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from conftest import apply, inner
+from conftest import apply, collocation, inner
 from periwave.cli import _solve_wave, main
 from periwave.config import list_presets, load_config
 from periwave.io import save_wave
@@ -58,34 +58,34 @@ class TestAssemble:
         assert np.abs(lin.eigenvalues - expected).max() < 1e-10 * (1 + expected.max())
 
     def test_symmetry(self, kdv_stable):
-        lin = assemble(kdv_stable)
-        assert np.abs(lin.matrix - lin.matrix.T).max() < 1e-10
+        lin, L_K = assemble(kdv_stable), collocation(kdv_stable)
+        assert all(np.array_equal(b, b.T) for b in lin.blocks)
+        assert np.abs(L_K - L_K.T).max() < 1e-10
 
     def test_translation_mode_in_kernel(self, kdv_stable):
         lin = assemble(kdv_stable)
         pp = derivative(kdv_stable.profile)
-        ratio = apply(lin, pp).sup_norm() / pp.sup_norm()
+        ratio = apply(kdv_stable, pp).sup_norm() / pp.sup_norm()
         assert ratio < 1e-8
 
     def test_apply_matches_multiplier_plus_pointwise(self, kdv_stable):
         w = kdv_stable
-        lin = assemble(w)
         u = random_smooth_field(w.grid, seed=21)
         direct = (
             apply_multiplier(w.symbol, u).values
             + w.omega * u.values
             - w.nonlinearity.fprime(w.profile.values) * u.values
         )
-        assert np.abs(apply(lin, u).values - direct).max() < 1e-10 * (
+        assert np.abs(apply(w, u).values - direct).max() < 1e-10 * (
             1 + np.abs(direct).max()
         )
 
     def test_self_adjointness(self, kdv_stable):
-        lin = assemble(kdv_stable)
-        u = random_smooth_field(lin.grid, seed=1)
-        v = random_smooth_field(lin.grid, seed=2)
-        a = inner(apply(lin, u), v)
-        b = inner(u, apply(lin, v))
+        w = kdv_stable
+        u = random_smooth_field(w.grid, seed=1)
+        v = random_smooth_field(w.grid, seed=2)
+        a = inner(apply(w, u), v)
+        b = inner(u, apply(w, v))
         assert abs(a - b) < 1e-10 * (1 + abs(a))
 
     def test_regularized_variant_assembly(self, bbm_wave):
@@ -97,7 +97,7 @@ class TestAssemble:
             + (bbm_wave.omega - 1.0) * u.values
             - bbm_wave.profile.values * u.values
         )
-        assert np.abs(apply(lin, u).values - direct).max() < 1e-9
+        assert np.abs(apply(bbm_wave, u).values - direct).max() < 1e-9
 
     def test_refinement_stability_of_eigenvalues(self):
         lam = {}
@@ -115,12 +115,12 @@ class TestParitySplit:
     @pytest.mark.parametrize("preset", list_presets())
     def test_split_matches_full_eigh(self, preset_cert, preset, overrides):
         cert = preset_cert(preset, 1024 if overrides else None)
-        lin = cert.operator
+        lin, L_K = cert.operator, collocation(cert.core)
         lam, scale = lin.eigenvalues, lin.norm
-        assert lin.blocks is not None
-        assert np.abs(lam - np.linalg.eigvalsh(lin.matrix)).max() < 1e-12 * scale
+        assert len(lin.blocks) == 2
+        assert np.abs(lam - np.linalg.eigvalsh(L_K)).max() < 1e-12 * scale
         W = sobolev_weight_matrix(lin.grid, 0.5 * lin.symbol.order)
-        c2 = max(0.0, -np.linalg.eigvalsh(lin.matrix - cert.c1 * W)[0])
+        c2 = max(0.0, -np.linalg.eigvalsh(L_K - cert.c1 * W)[0])
         assert abs(cert.c2 - c2) < 1e-12 * scale
         # the even-block tangent is the bordered solve's, and phi' is odd
         w, v = cert.core, lin.translation_mode
@@ -134,14 +134,26 @@ class TestParitySplit:
         # 96 is not a power of two: the blocks and the coefficient map of the
         # even-block solve hold at any even N
         w = cnoidal_wave(TWO_PI, 0.9, 96)
-        lin = assemble(w)
+        lin, L_K = assemble(w), collocation(w)
         lam, scale = lin.eigenvalues, lin.norm
-        assert lin.blocks is not None
-        assert np.abs(lam - np.linalg.eigvalsh(lin.matrix)).max() < 1e-12 * scale
+        assert len(lin.blocks) == 2
+        assert np.abs(lam - np.linalg.eigvalsh(L_K)).max() < 1e-12 * scale
         eta, beta = param_derivatives(w, lin)
         for x, b in ((eta, -speed_gradient_field(w)), (beta, Field.constant(w.grid, -1.0))):
-            assert np.abs(lin.matrix @ x.values - b.values).max() < 1e-12 * scale * x.sup_norm()
+            assert np.abs(L_K @ x.values - b.values).max() < 1e-12 * scale * x.sup_norm()
             assert np.abs(x.values[-np.arange(96) % 96] - x.values).max() < 1e-12 * x.sup_norm()
+
+    @pytest.mark.parametrize("N", [None, 1024])
+    @pytest.mark.parametrize("preset", list_presets())
+    def test_translate_block_is_the_collocation_matrix_in_the_basis(self, preset_cert, preset, N):
+        # the one block of a wave that is not even is L_K in the real Fourier
+        # basis, Q L_K Q' with Q's columns the coordinates of the unit samples
+        cert = preset_cert(preset, N, 17)
+        lin, L_K = cert.operator, collocation(cert.core)
+        (block,) = lin.blocks
+        Q = linop._coordinates(np.eye(lin.size))[0].T
+        assert np.abs(block - Q @ L_K @ Q.T).max() <= 1e-13 * lin.norm
+        assert np.abs(lin.eigenvalues - np.linalg.eigvalsh(L_K)).max() <= 1e-14 * lin.norm
 
     @pytest.mark.parametrize("roll", [0, 17])
     @pytest.mark.parametrize("N", [None, 1024])
@@ -153,7 +165,7 @@ class TestParitySplit:
         lin, bound = cert.operator, cert.spectral_report.kernel_alignment
         assert 0.0 <= bound <= 1.0
         assert bound > 1.0 - 1e-6
-        lam, vec = np.linalg.eigh(lin.matrix)
+        lam, vec = np.linalg.eigh(collocation(cert.core))
         kernel = vec[:, np.argmin(np.abs(lam))]
         pp = derivative(cert.core.profile).values
         assert bound <= abs(kernel @ pp) / np.linalg.norm(pp) + 1e-15
@@ -162,8 +174,8 @@ class TestParitySplit:
     @pytest.mark.parametrize("preset", list_presets())
     def test_translate_takes_the_full_matrix_path(self, preset_cert, preset, N):
         even, moved = preset_cert(preset, N), preset_cert(preset, N, 17)
-        assert even.operator.blocks is not None
-        assert moved.operator.blocks is None
+        assert len(even.operator.blocks) == 2
+        assert len(moved.operator.blocks) == 1
         assert moved.verdict.conclusion == even.verdict.conclusion
         for key in ("n_neg", "zero_dim"):
             assert moved.spectral_report.to_dict()[key] == even.spectral_report.to_dict()[key]
@@ -178,8 +190,8 @@ class TestParitySplit:
         w = _solve_wave(load_config(preset=preset))
         moved = replace(w, profile=Field(w.grid, np.roll(w.profile.values, 17)))
         even, translate = certify(w), certify(moved)
-        assert even.operator.blocks is not None
-        assert translate.operator.blocks is None
+        assert len(even.operator.blocks) == 2
+        assert len(translate.operator.blocks) == 1
         base, out = str(tmp_path / "moved"), str(tmp_path / "run")
         save_wave(moved, base)
         assert main(["certify", "--wave", base, "--preset", preset, "--out", out]) == 0
@@ -192,7 +204,7 @@ class TestParitySplit:
             assert report["h0"]["kernel_alignment"] > 1.0 - 1e-6
 
 
-NO_BUILDS = {"multiplier_matrix": 0, "derivative_matrix": 0}
+NO_BUILDS = {"multiplier_matrix": 0, "derivative_matrix": 0, "sobolev_weight_matrix": 0}
 
 
 @pytest.fixture
@@ -210,22 +222,22 @@ def builder_calls(monkeypatch):
     return calls
 
 
-def dense_c3(lin, constraints):
-    """c3's least Rayleigh quotient taken on the whole collocation matrix."""
+def dense_c3(w, constraints):
+    """c3's least Rayleigh quotient taken on the wave's whole collocation matrix."""
     B = _complement_basis(np.stack([c.values for c in constraints], axis=1))
-    return float(np.linalg.eigvalsh(B.T @ lin.matrix @ B)[0])
+    return float(np.linalg.eigvalsh(B.T @ collocation(w) @ B)[0])
 
 
 class TestBlockRoute:
-    """An even wave is certified on L's parity blocks alone: c3, k_r, H0's
-    residual and the tangent's residual check never build L_K."""
+    """A wave is certified, evolved and solved on L's blocks in the real Fourier
+    basis alone: no route builds L_K, Dx or the H^s weight's circulant."""
 
     @pytest.mark.parametrize("N", [None, 1024])
     @pytest.mark.parametrize("preset", list_presets())
     def test_certify_builds_no_collocation_matrix(self, preset_wave, builder_calls, preset, N):
         cert = certify(preset_wave(preset, N))
         cert.to_dict()
-        assert cert.operator.blocks is not None
+        assert len(cert.operator.blocks) == 2
         assert builder_calls == NO_BUILDS
 
     @pytest.mark.parametrize("preset", ["kdv-cnoidal", "gkdv-p", "bo", "ilw"])
@@ -233,12 +245,33 @@ class TestBlockRoute:
         assert main(["sweep", "--preset", preset, "--out", str(tmp_path)]) == 0
         assert builder_calls == NO_BUILDS
 
-    def test_translate_builds_the_collocation_matrix(self, preset_wave, builder_calls):
+    def test_translate_builds_no_collocation_matrix(self, preset_wave, builder_calls):
         w = preset_wave("bo")
         cert = certify(replace(w, profile=Field(w.grid, np.roll(w.profile.values, 17))))
         cert.to_dict()
-        assert cert.operator.blocks is None
-        assert builder_calls == {"multiplier_matrix": 1, "derivative_matrix": 1}
+        assert len(cert.operator.blocks) == 1
+        assert builder_calls == NO_BUILDS
+
+    @pytest.mark.parametrize("roll", [0, 17])
+    def test_evolve_builds_no_collocation_matrix(self, tmp_path, preset_wave, builder_calls, roll):
+        # evolve certifies the wave and takes lyapunov_sigma on its core
+        w = preset_wave("kdv-cnoidal")
+        base = str(tmp_path / "wave")
+        save_wave(replace(w, profile=Field(w.grid, np.roll(w.profile.values, roll))), base)
+        argv = ["evolve", "--wave", base, "--preset", "kdv-cnoidal",
+                "--override", "evolve.T=0.2", "--out", str(tmp_path / "run")]
+        assert main(argv) == 0
+        with open(tmp_path / "run" / "evolve_summary.json") as handle:
+            assert json.load(handle)["lyapunov"]["sigma"] >= 1.0
+        assert builder_calls == NO_BUILDS
+
+    @pytest.mark.parametrize("roll", [0, 17])
+    def test_solve_on_complement_builds_no_collocation_matrix(self, preset_cert, builder_calls,
+                                                              roll):
+        cert = preset_cert("kdv-cnoidal", None, roll)
+        x = solve_on_complement(cert.operator, Field.constant(cert.core.grid, -1.0))
+        assert (apply(cert.core, x) + 1.0).sup_norm() < 1e-9
+        assert builder_calls == NO_BUILDS
 
     @pytest.mark.parametrize("preset", list_presets())
     def test_c3_agrees_at_own_N_and_1024(self, preset_cert, preset):
@@ -255,7 +288,7 @@ class TestBlockRoute:
             return
         mu, nu = cert.verdict.mu_nu
         q = Field(cert.core.grid, mu + nu * speed_gradient_field(cert.core).values)
-        dense = dense_c3(cert.operator, [derivative(cert.core.profile), q])
+        dense = dense_c3(cert.core, [derivative(cert.core.profile), q])
         # both are eigenvalues computed to roundoff, eps ||L|| times a modest factor
         assert abs(cert.c3 - dense) <= 1e-14 * cert.operator.norm
 
@@ -266,7 +299,7 @@ class TestBlockRoute:
         mixed = w.profile.with_values(np.roll(w.profile.values, 5))
         for constraints in ([pp], [one, w.profile], [pp, one, w.profile], [pp, mixed]):
             got = constrained_min_rayleigh(lin, constraints)
-            assert abs(got - dense_c3(lin, constraints)) <= 1e-11 * lin.norm
+            assert abs(got - dense_c3(w, constraints)) <= 1e-11 * lin.norm
 
 
 class TestCheckH0:
@@ -319,7 +352,7 @@ class TestH1Constants:
         from periwave.spectral import sobolev_weight_matrix
 
         W = sobolev_weight_matrix(lin.grid, 0.5 * lin.symbol.order)
-        lam_min = np.linalg.eigvalsh(lin.matrix - c1 * W + c2 * np.eye(lin.size))[0]
+        lam_min = np.linalg.eigvalsh(collocation(kdv_stable) - c1 * W + c2 * np.eye(lin.size))[0]
         assert lam_min > -1e-9 * (1 + abs(c2))
 
     def test_shift_moves_c2_by_at_most_shift(self, kdv_stable):
@@ -401,5 +434,5 @@ class TestSolveOnComplement:
         lin = assemble(w)
         b = Field.constant(w.grid, -1.0)
         x = solve_on_complement(lin, b)
-        res = (apply(lin, x) - b).sup_norm()
+        res = (apply(w, x) - b).sup_norm()
         assert res < 1e-9

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import certified_tangent, make_gkdv5_wave
+from conftest import certified_tangent, collocation, make_gkdv5_wave, symmetry_defect
 from periwave.config import list_presets, load_config
 from periwave.evolution import mass, momentum
 from periwave.linop import (
@@ -455,7 +455,7 @@ class TestHamiltonianSpectrum:
     def test_stable_wave_has_no_right_real_eigenvalues(self, kdv_stable):
         spec = hamiltonian_spectrum(assemble(kdv_stable))
         assert spec.k_r == 0
-        assert spec.symmetry_defect < 1e-6
+        assert symmetry_defect(spec) < 1e-6
 
     def test_unstable_supercritical_wave_shows_k_r(self):
         # large-amplitude gKdV p=4 wave: a genuine real unstable eigenvalue.
@@ -480,7 +480,7 @@ class TestHamiltonianSpectrum:
         assert cert.verdict.conclusion == INCONCLUSIVE
         assert cert.k_r >= 1
         spec = hamiltonian_spectrum(assemble(w))
-        assert spec.symmetry_defect < 1e-6
+        assert symmetry_defect(spec) < 1e-6
 
     def test_constant_state_purely_imaginary(self):
         grid = PeriodicGrid(TWO_PI, 64)
@@ -512,38 +512,40 @@ def real_fourier_basis(K):
     return np.vstack((even, odd)) / math.sqrt(K)
 
 
-def collocation_k_r(lin):
-    """``hamiltonian_spectrum``'s k_r from the eigenvalues of Dx L_K on the nodes."""
-    ev = np.linalg.eigvals(derivative_matrix(lin.grid) @ lin.matrix)
-    tol = 1e-6 * lin.norm
+def collocation_k_r(cert):
+    """``hamiltonian_spectrum``'s k_r from the eigenvalues of Dx L_K on the core's nodes."""
+    ev = np.linalg.eigvals(derivative_matrix(cert.core.grid) @ collocation(cert.core))
+    tol = 1e-6 * cert.operator.norm
     return int(np.sum((ev.real > tol) & (np.abs(ev.imag) < tol)))
 
 
 class TestHamiltonianOnTheBlocks:
-    """An even wave's d/dx L is a signed swap of L's parity blocks."""
+    """d/dx L is a signed swap of the rows of L's blocks in the real Fourier basis."""
 
+    @pytest.mark.parametrize("roll", [0, 17])
     @pytest.mark.parametrize("N", [None, 1024])
     @pytest.mark.parametrize("name", list_presets())
-    def test_block_matrix_is_Dx_L_in_the_fourier_basis(self, preset_cert, name, N):
-        lin = preset_cert(name, N).operator
-        assert lin.blocks is not None
+    def test_block_matrix_is_Dx_L_in_the_fourier_basis(self, preset_cert, name, N, roll):
+        cert = preset_cert(name, N, roll)
+        lin = cert.operator
+        assert len(lin.blocks) == (1 if roll else 2)
         Q = real_fourier_basis(lin.size)
         assert np.abs(Q @ Q.T - np.eye(lin.size)).max() < 1e-13
-        DL = derivative_matrix(lin.grid) @ lin.matrix
+        DL = derivative_matrix(lin.grid) @ collocation(cert.core)
         assert np.abs(_hamiltonian_matrix(lin) - Q @ DL @ Q.T).max() <= 1e-12 * np.linalg.norm(DL, 2)
 
     @pytest.mark.parametrize("N", [None, 1024])
     @pytest.mark.parametrize("name", ["kdv-cnoidal", "gkdv-p", "bo", "ilw"])
     def test_k_r_matches_the_collocation_route_on_presets(self, preset_cert, name, N):
         cert = preset_cert(name, N)
-        assert cert.k_r == collocation_k_r(cert.operator)
+        assert cert.k_r == collocation_k_r(cert)
 
     @pytest.mark.parametrize("N", [256, 1024])
     @pytest.mark.parametrize("omega", [2.0, 2.3, 2.644, 3.0])
     def test_k_r_matches_the_collocation_route_on_gkdv5(self, omega, N):
         cert = certify(make_gkdv5_wave(N, omega))
-        assert cert.operator.blocks is not None
-        assert cert.k_r == collocation_k_r(cert.operator)
+        assert len(cert.operator.blocks) == 2
+        assert cert.k_r == collocation_k_r(cert)
 
 
 class TestLyapunovSigma:
@@ -581,6 +583,19 @@ class TestLyapunovSigma:
             assert margin > 0.0
             assert sigma == 4.0 ** round(math.log(sigma, 4.0)) >= 1.0
             assert 2.0 * sigma * delta > 1.0 and (sigma == 1.0 or 0.5 * sigma * delta <= 1.0)
+
+    @pytest.mark.parametrize("name", ["kdv-cnoidal", "bo", "ilw", "regularized-bbm-like"])
+    def test_translate_has_the_even_waves_sigma_and_margin(self, preset_cert, name):
+        # evolve's call, on the core and its operator: a translate's one block
+        # gives the even wave's weight, and its margin to roundoff
+        got = []
+        for roll in (0, 17):
+            c = preset_cert(name, None, roll)
+            assert len(c.operator.blocks) == (1 if roll else 2)
+            got.append(lyapunov_sigma(c.core, c.operator, *c.verdict.mu_nu))
+        (sigma, margin), (sigma_moved, margin_moved) = got
+        assert sigma_moved == sigma
+        assert margin_moved == pytest.approx(margin, rel=1e-12)
 
     def test_no_positive_delta_raises(self, kdv_stable):
         # mu = 1, nu = 0 gives Delta = M_A < 0: no weight makes the form coercive
@@ -782,7 +797,7 @@ class TestCore:
         # the guard's claim, checked on the full L_N: the low end of the
         # spectrum moves by less than delta, and n(L) is the core's
         c = certify(preset_wave(name, 1024))
-        lam_N = np.linalg.eigvalsh(assemble(c.wave).matrix)
+        lam_N = np.linalg.eigvalsh(collocation(c.wave))
         assert np.abs(c.operator.eigenvalues[:6] - lam_N[:6]).max() < c.core_guard["delta"]
         assert int(np.sum(lam_N < -c.spectral_report.zero_tol)) == c.spectral_report.n_negative
 

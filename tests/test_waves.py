@@ -515,7 +515,7 @@ class TestParamDerivatives:
         w = kdv_stable
         lin = assemble(w)
         _, beta = param_derivatives(w, lin)
-        res = apply(lin, beta) + Field.constant(w.grid, 1.0)
+        res = apply(w, beta) + Field.constant(w.grid, 1.0)
         assert res.sup_norm() < 1e-9
 
     def test_eta_matches_finite_difference(self, kdv_stable):
