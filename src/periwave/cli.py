@@ -276,14 +276,14 @@ def cmd_evolve(out: str, wave: TravelingWave, config: dict) -> int:
         T=ev["T"],
         sample_interval=ev["sample_interval"],
     )
-    sigma, mu, nu = 1.0, 0.0, 1.0
+    sigma, mu, nu, failed = 1.0, 0.0, 1.0, {}
     cert = certify(wave)
     if cert.verdict.mu_nu is not None:
         mu, nu = cert.verdict.mu_nu
         try:
-            sigma, _ = lyapunov_sigma(cert.core, cert.operator, mu, nu)
-        except SolverError:
-            sigma = 1.0
+            sigma, _ = lyapunov_sigma(cert.core, cert.operator, cert.surface, mu, nu)
+        except SolverError as exc:  # evolve with the unit weight, and say why
+            failed = {"reason": str(exc)}
     start = time.perf_counter()
     try:
         traces = stability_experiment(
@@ -316,7 +316,7 @@ def cmd_evolve(out: str, wave: TravelingWave, config: dict) -> int:
             }
         )
     _write_json(
-        {"traces": summary, "lyapunov": {"sigma": sigma, "mu": mu, "nu": nu}},
+        {"traces": summary, "lyapunov": {"sigma": sigma, "mu": mu, "nu": nu, **failed}},
         _stamp(config),
         os.path.join(out, "evolve_summary.json"),
     )

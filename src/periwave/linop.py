@@ -5,10 +5,10 @@ standard evolution and ``L = omega M + (omega - 1) - f'(phi)`` for the
 regularized one.  L is held in the orthonormal real Fourier basis, where the
 multiplier and the H^s weight are diagonal (``spectral._even_odd_blocks``), as
 its even and odd blocks when f'(phi) is even about x = 0, else as one block.
-Everything read here comes from them, Fields mapped in by ``_coordinates`` and
-out by ``_samples``: the eigenvalues (never an eigenbasis), the kernel's
-Davis-Kahan check against the unit translation mode v = phi'/|phi'|, the
-tangent's solve, H1's shift and c3.  Solves off the kernel are bordered by v.
+Everything read here comes from them, samples mapped in by ``_coordinates``:
+the eigenvalues (never an eigenbasis), the kernel's Davis-Kahan check against
+the unit translation mode v = phi'/|phi'|, H1's shift, c3 and the tangent's
+one solve, of the even block or of the one block bordered by v.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 
 from .spectral import (
     _EPS,
-    Field,
     PeriodicGrid,
     _even_odd_blocks,
     _mode_weights,
@@ -37,17 +36,11 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "LinearizedOperator",
     "SpectralReport",
-    "KernelIncompatibilityError",
     "assemble",
     "check_H0",
     "h1_constants",
     "constrained_min_rayleigh",
-    "solve_on_complement",
 ]
-
-
-class KernelIncompatibilityError(RuntimeError):
-    """Right-hand side has a significant component along the numerical kernel."""
 
 
 @dataclass(frozen=True)
@@ -124,9 +117,8 @@ class SpectralReport:
         }
 
 
-def check_H0(lin: LinearizedOperator, w: "TravelingWave") -> SpectralReport:
-    """Count negative/zero eigenvalues of L, assembled about ``w``, and test
-    the translation-kernel shape.
+def check_H0(lin: LinearizedOperator) -> SpectralReport:
+    """Count negative/zero eigenvalues of L and test the translation-kernel shape.
 
     Passes iff there is exactly one negative eigenvalue, the zero eigenvalue
     is simple, and the kernel aligns with phi' to 1 - 1e-6.  The alignment is
@@ -136,8 +128,6 @@ def check_H0(lin: LinearizedOperator, w: "TravelingWave") -> SpectralReport:
     Kahan 1970).  Eigenvalues within a decade above the zero band are
     reported as ambiguous (a warning, never a silent resolution).
     """
-    if not w.grid.same_as(lin.grid):
-        raise ValueError("wave grid does not match operator grid")
     tol, lam, v = lin.zero_tol, lin.eigenvalues, lin.translation_mode
     n_neg = int(np.sum(lam < -tol))
     zero_dim = int(np.sum(np.abs(lam) <= tol))
@@ -242,12 +232,6 @@ def _coordinates(b: np.ndarray):
     return np.concatenate((f.real * s, -(f.imag * s)[..., 1:K // 2]), axis=-1), s
 
 
-def _samples(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The K samples whose ``_coordinates`` are (x, s), for one row x."""
-    h = s.size - 1
-    return np.fft.irfft((x[:h + 1] - 1j * np.pad(x[h + 1:], 1)) / s, 2 * h)
-
-
 def _diagonal(d: np.ndarray) -> np.ndarray:
     """The diagonal in ``_coordinates`` of an even Fourier multiplier d (FFT layout)."""
     return np.concatenate((d[:d.size // 2 + 1], d[1:d.size // 2]))
@@ -267,46 +251,24 @@ def _dense(lin: LinearizedOperator) -> np.ndarray:
     return mat
 
 
-def _solve_even(lin: LinearizedOperator, b: np.ndarray) -> np.ndarray:
-    """Rows x of L x = b for rows b even about x = 0, by one solve of the even
-    block (nonsingular: the kernel phi' is odd) in ``_coordinates``; x comes
-    back by irfft of c / s, and the residual is checked in those coordinates."""
+def _solve_tangent(lin: LinearizedOperator, b: np.ndarray) -> np.ndarray:
+    """Rows x of L x = b for the tangent's rows b (-g and -1, even about
+    x = 0 for an even wave, orthogonal to phi' always), by one solve of L's
+    first block in ``_coordinates``: with two blocks, the even block
+    (nonsingular: the kernel phi' is odd); with one, the system bordered by
+    the translation mode v, [[L, v], [v', 0]] [x; t] = [b; 0], and
+    NearSingularError when phi' vanishes.  Each row's residual is checked in
+    those coordinates, and x comes back by irfft."""
     x, s = _coordinates(b)
-    bc = x[..., :s.size]
-    c = _solve(lin.blocks[0], bc.T).T
-    _certified(lin, c, c @ lin.blocks[0] - bc, np.linalg.norm(b, axis=-1))
-    return np.fft.irfft(c / s, lin.size)
-
-
-def solve_on_complement(lin: LinearizedOperator, b: Field) -> Field:
-    """Solve L x = b on the orthogonal complement of the numerical kernel.
-
-    Both solve in ``_coordinates``.  With no numerical kernel the solve is
-    plain (L invertible).  Otherwise the kernel must be simple and is taken as
-    the translation mode v (else NearSingularError), and x solves the system
-    bordered by v, [[L, v], [v', 0]] [x; s] = [b; 0].  A right-hand side lying
-    essentially along v projects to zero and returns the zero field; a mixed
-    significant kernel component raises KernelIncompatibilityError.
-    """
-    if not b.grid.same_as(lin.grid):
-        raise ValueError("field grid does not match operator grid")
-    kernel_dim = int(np.sum(np.abs(lin.eigenvalues) <= lin.zero_tol))
-    bc, s = _coordinates(b.values)
-    if kernel_dim == 0:
-        return Field(lin.grid, _samples(_solve(_dense(lin), bc), s))
-    v, b_norm = lin.translation_mode, np.linalg.norm(b.values)
-    if v is None or kernel_dim > 1:
-        raise NearSingularError(
-            f"numerical kernel of dimension {kernel_dim} is not the translation mode"
-        )
-    along = float(v @ b.values)
-    kernel_frac = abs(along) / b_norm if b_norm else 1.0
-    if kernel_frac >= 1.0 - 1e-8:
-        return Field(lin.grid, np.zeros(lin.size))
-    if kernel_frac > 1e-8:
-        raise KernelIncompatibilityError(
-            f"right-hand side has kernel fraction {kernel_frac:.3e}"
-        )
-    mat, v = _dense(lin), _coordinates(v)[0]
-    x = _solve(np.block([[mat, v[:, None]], [v, 0.0]]), np.append(bc, 0.0))[:-1]
-    return Field(lin.grid, _samples(_certified(lin, x, mat @ x - (bc - along * v), b_norm), s))
+    a, bc = lin.blocks[0], x[..., :len(lin.blocks[0])]
+    if len(lin.blocks) == 1:
+        if lin.translation_mode is None:
+            raise NearSingularError("no translation mode to border a wave that is not even by")
+        v = _coordinates(lin.translation_mode)[0]
+        a, bc = np.block([[a, v[:, None]], [v, 0.0]]), np.pad(bc, ((0, 0), (0, 1)))
+    c = _solve(a, bc.T).T
+    _certified(lin, c, c @ a - bc, np.linalg.norm(b, axis=-1))
+    # the even coordinates, then the odd ones on modes 1..K/2-1 (none from the even block)
+    f, odd = (c[..., :s.size] / s).astype(complex), c[..., s.size:lin.size]
+    f.imag[..., 1:1 + odd.shape[-1]] = -odd / s[1:1 + odd.shape[-1]]
+    return np.fft.irfft(f, lin.size)

@@ -356,6 +356,7 @@ def hamiltonian_spectrum(lin: LinearizedOperator) -> HamiltonianSpectrum:
 def lyapunov_sigma(
     w: TravelingWave,
     lin: LinearizedOperator,
+    sd: SurfaceDerivatives,
     mu: float,
     nu: float,
 ) -> tuple[float, float]:
@@ -363,12 +364,14 @@ def lyapunov_sigma(
 
     q = mu + nu g is the gradient of mu M + nu F at the wave; orthogonality is
     in the H^(m/2) inner product of the Lyapunov function's second variation.
-    With n(L) = 1, (L^-1 q, q) = -Delta(mu, nu), so the form is coercive
-    exactly when 2 sigma Delta > 1: sigma is the least of 1, 4, 16, ... above
-    1/(2 Delta).  Returns (sigma, margin), margin the least generalized Rayleigh
-    quotient against the H^(m/2) norm; Delta <= 0 or margin <= 0 raises SolverError.
+    With n(L) = 1, (L^-1 q, q) = -Delta(mu, nu), Delta taken from sd, the
+    surface derivatives of ``w`` its caller holds (``Certification.surface``),
+    so the form is coercive exactly when 2 sigma Delta > 1: sigma is the least
+    of 1, 4, 16, ... above 1/(2 Delta).  Returns (sigma, margin), margin the
+    least generalized Rayleigh quotient against the H^(m/2) norm; Delta <= 0
+    or margin <= 0 raises SolverError.
     """
-    delta = delta_form(surface_derivatives(w, *param_derivatives(w, lin)), mu, nu)
+    delta = delta_form(sd, mu, nu)
     sigma = 1.0
     while 0.0 < 2.0 * sigma * delta <= 1.0:
         sigma *= 4.0
@@ -507,7 +510,7 @@ def certify(w: TravelingWave) -> Certification:
     """
     core, lin, c1, guard = _core(w)
     res = residual(w).sup_norm(), residual_bound(w.symbol, w.profile)
-    h0 = check_H0(lin, core)
+    h0 = check_H0(lin)
     h1_pass = c1 > 0.0 and verify_symbol_bounds(w.symbol, w.grid).passed
 
     surface = eta = beta = None

@@ -597,21 +597,19 @@ def param_derivatives(w: TravelingWave, lin) -> tuple[Field, Field]:
     """Surface derivatives eta = d phi/d omega and beta = d phi/d A.
 
     Obtained from the linear solves L eta = -(speed gradient) and
-    L beta = -1: for an even wave both are even, and one solve of L's even
-    block gives them; otherwise each solves on the orthogonal complement of
-    the translation kernel.  Requires the zero eigenvalue (when present) to
-    be simple; a second near-zero eigenvalue, within ten times the
-    operator's kernel band, raises NearSingularError.
+    L beta = -1, both by one solve of L's first block (``linop._solve_tangent``):
+    the even block for an even wave, else the one block bordered by the
+    translation mode.  Requires the zero eigenvalue (when present) to be
+    simple; a second near-zero eigenvalue, within ten times the operator's
+    kernel band, raises NearSingularError.
     """
     lam = np.sort(np.abs(lin.eigenvalues))
     if lam.size >= 2 and lam[1] <= 10.0 * lin.zero_tol:
         raise NearSingularError(
             f"second-smallest |eigenvalue| {lam[1]:.3e} within the kernel band"
         )
-    g, minus_one = speed_gradient_field(w), Field.constant(w.grid, -1.0)
-    from .linop import _solve_even, solve_on_complement  # linop imports this module
+    from .linop import _solve_tangent  # linop imports this module
 
-    if len(lin.blocks) == 1:
-        return solve_on_complement(lin, -g), solve_on_complement(lin, minus_one)
-    eta, beta = _solve_even(lin, np.stack((-g.values, minus_one.values)))
+    g = speed_gradient_field(w).values
+    eta, beta = _solve_tangent(lin, np.stack((-g, np.full_like(g, -1.0))))
     return Field(w.grid, eta), Field(w.grid, beta)

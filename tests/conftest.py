@@ -13,6 +13,7 @@ from periwave.spectral import (
     Field,
     PeriodicGrid,
     _check_same_grid,
+    derivative,
     multiplier_matrix,
 )
 from periwave.stability import certify
@@ -51,6 +52,15 @@ def apply(w, u: Field) -> Field:
     if not u.grid.same_as(w.grid):
         raise ValueError("field grid does not match the wave's grid")
     return Field(w.grid, collocation(w) @ u.values)
+
+
+def bordered_solve(w, b: Field) -> Field:
+    """x with L_K x + t v = b and (v, x) = 0, v = phi'/|phi'|: L^-1 b off the
+    translation kernel, by the collocation matrix bordered by v."""
+    pp = derivative(w.profile).values
+    v = pp / np.linalg.norm(pp)
+    bordered = np.block([[collocation(w), v[:, None]], [v, 0.0]])
+    return Field(w.grid, np.linalg.solve(bordered, np.append(b.values, 0.0))[:-1])
 
 
 def symmetry_defect(spec) -> float:

@@ -19,7 +19,7 @@ from periwave.evolution import (
     orbital_distance,
     stability_experiment,
 )
-from periwave.linop import assemble, check_H0, solve_on_complement
+from periwave.linop import _solve_tangent, assemble, check_H0
 from periwave.spectral import (
     DispersionSymbol,
     Field,
@@ -90,7 +90,7 @@ def test_criterion_1_closed_form_certification():
             assert w.residual_norm < 1e-9, (k, w.residual_norm)
 
             lin = assemble(w)
-            rep = check_H0(lin, w)
+            rep = check_H0(lin)
             assert rep.h0_pass, (k, rep)
             assert rep.n_negative == 1
             assert rep.zero_dim == 1
@@ -163,7 +163,9 @@ def test_criterion_4_lyapunov_properties(kdv_stable):
         cert = certify(w)
         assert cert.verdict.conclusion == "orbitally_stable"
         mu, nu = cert.verdict.mu_nu
-        sigma, margin = lyapunov_sigma(w, assemble(w), mu, nu)
+        lin = assemble(w)
+        sigma, margin = lyapunov_sigma(w, lin, surface_derivatives(w, *param_derivatives(w, lin)),
+                                       mu, nu)
         assert margin > 0.0
 
         # 16 orbit points: V = 0 to 1e-10
@@ -193,7 +195,9 @@ def test_criterion_5_dynamics_falsification(kdv_stable):
         w = kdv_stable
         cert = certify(w)
         mu, nu = cert.verdict.mu_nu
-        sigma, _ = lyapunov_sigma(w, assemble(w), mu, nu)
+        lin = assemble(w)
+        sigma, _ = lyapunov_sigma(w, lin, surface_derivatives(w, *param_derivatives(w, lin)),
+                                  mu, nu)
         cfg = EvolutionConfig(dt=2e-4, T=50.0, sample_interval=0.5)
         (trace,) = stability_experiment(w, [1e-3], cfg, seed=7, sigma=sigma, mu=mu, nu=nu)
         # frozen regression bound: first certified run gave sup_ratio = 1.6094
@@ -245,31 +249,32 @@ def test_criterion_7_constant_state_oracles():
             scale = 1.0 + lin.norm
 
             # H0 counts against direct enumeration of theta(kappa) + gap
-            rep = check_H0(lin, w)
+            rep = check_H0(lin)
             diag = theta + gap
             assert rep.n_negative == int(np.sum(diag < -lin.zero_tol))
             assert rep.zero_dim == int(np.sum(np.abs(diag) <= lin.zero_tol))
             assert not rep.h0_pass
 
-            if gap > 0:
-                # surface derivatives: eta, beta are the constants -c/gap, -1/gap
-                eta, beta = param_derivatives(w, lin)
-                sd = surface_derivatives(w, eta, beta)
-                L = TWO_PI
-                assert abs(sd.M_A + L / gap) < 1e-10 * scale
-                assert abs(sd.M_omega + c * L / gap) < 1e-10 * scale
-                assert abs(sd.F_A + c * L / gap) < 1e-10 * scale
-                assert abs(sd.F_omega + c * c * L / gap) < 1e-10 * scale
+            # surface derivatives, at either sign of the gap: eta, beta are
+            # the constants -c/gap, -1/gap
+            eta, beta = param_derivatives(w, lin)
+            sd = surface_derivatives(w, eta, beta)
+            L = TWO_PI
+            assert abs(sd.M_A + L / gap) < 1e-10 * scale
+            assert abs(sd.M_omega + c * L / gap) < 1e-10 * scale
+            assert abs(sd.F_A + c * L / gap) < 1e-10 * scale
+            assert abs(sd.F_omega + c * c * L / gap) < 1e-10 * scale
+            assert np.abs(eta.values + c / gap).max() < 1e-10 * scale
+            assert np.abs(beta.values + 1.0 / gap).max() < 1e-10 * scale
 
-                x = solve_on_complement(lin, Field(grid, -w.profile.values))
-                assert np.abs(x.values + c / gap).max() < 1e-10 * scale
-            else:
-                # mixed-sign diagonal: each Fourier coefficient divides by its eigenvalue
-                b = random_smooth_field(grid, seed=500 + made)
-                x = solve_on_complement(lin, b)
-                diag_safe = diag.copy()
-                expected = np.fft.ifft(b.spectrum / diag_safe).real
-                assert np.abs(x.values - expected).max() < 1e-10 * scale
+            if gap < 0:
+                # mixed-sign diagonal: each Fourier coefficient of an even
+                # right-hand side divides by its eigenvalue
+                u = random_smooth_field(grid, seed=500 + made).values
+                b = 0.5 * (u + u[-np.arange(grid.size) % grid.size])
+                (x,) = _solve_tangent(lin, b[None])
+                expected = np.fft.ifft(np.fft.fft(b) / diag).real
+                assert np.abs(x - expected).max() < 1e-10 * scale
 
             spec = hamiltonian_spectrum(lin)
             ks = grid.wavenumbers.copy()

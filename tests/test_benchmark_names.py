@@ -50,7 +50,7 @@ def test_lyapunov_sigma_hook_reads_a_power_of_4(kdv_stable):
     from periwave.stability import certify, lyapunov_sigma
 
     c = certify(kdv_stable)
-    args = (c.core, c.operator, *c.verdict.mu_nu)
+    args = (c.core, c.operator, c.surface, *c.verdict.mu_nu)
     result = lyapunov_sigma(*args)
     sigma, margin = result
     assert margin > 0.0

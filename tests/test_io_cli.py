@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from periwave import cli, stability, waves
 from periwave.cli import main
 from periwave.config import ConfigError, list_presets, load_config, symbol_from_config
 from periwave.io import (
@@ -23,7 +24,7 @@ from periwave.io import (
 )
 from periwave.spectral import PeriodicGrid, mean_value, random_smooth_field
 from periwave.stability import curve_criterion
-from periwave.waves import residual_bound
+from periwave.waves import SolverError, residual_bound
 
 TWO_PI = 2.0 * math.pi
 
@@ -927,6 +928,35 @@ class TestCli:
         (trace,) = summary["traces"]
         assert trace["drift_F"] < 1e-7
         assert trace["sup_ratio"] is not None and math.isfinite(trace["sup_ratio"])
+
+    def test_evolve_records_why_sigma_fell_back(self, tmp_path, monkeypatch):
+        # a failed penalty weight evolves with sigma = 1 and says why; a
+        # weight that succeeds leaves no reason
+        evolve = ["evolve", "--preset", "kdv-cnoidal", "--override", "evolve.T=0.05",
+                  "--override", "evolve.sample_interval=0.01"]
+        assert self.run(*evolve, "--out", str(tmp_path / "ok")) == 0
+        summary = json.loads(open(tmp_path / "ok" / "evolve_summary.json").read())
+        assert "reason" not in summary["lyapunov"]
+
+        def fail(*args):
+            raise SolverError("no coercive penalty weight: test")
+
+        monkeypatch.setattr(cli, "lyapunov_sigma", fail)
+        assert self.run(*evolve, "--out", str(tmp_path / "failed")) == 0
+        failed = json.loads(open(tmp_path / "failed" / "evolve_summary.json").read())
+        assert failed["lyapunov"]["sigma"] == 1.0
+        assert failed["lyapunov"]["reason"] == "no coercive penalty weight: test"
+
+    def test_evolve_solves_for_the_tangent_once(self, tmp_path, monkeypatch):
+        # lyapunov_sigma reads the surface certify already holds
+        calls, real = [], waves.param_derivatives
+        for module in (waves, stability):
+            monkeypatch.setattr(module, "param_derivatives",
+                                lambda *args: calls.append(1) or real(*args))
+        out = str(tmp_path / "run")
+        assert self.run("evolve", "--preset", "kdv-cnoidal", "--out", out,
+                        "--override", "evolve.T=0.05") == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("key, value", [("integrator", "etdrk4"), ("dealias", True)])
     def test_saved_config_with_removed_key_refused(self, tmp_path, capsys, key, value):

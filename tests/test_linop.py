@@ -6,19 +6,17 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from conftest import apply, collocation, inner
+from conftest import apply, bordered_solve, collocation, inner, shift
 from periwave.cli import _solve_wave, main
 from periwave.config import list_presets, load_config
 from periwave.io import save_wave
 from periwave import cli, evolution, linop, spectral, stability, waves
 from periwave.linop import (
-    KernelIncompatibilityError,
     _complement_basis,
     assemble,
     check_H0,
     constrained_min_rayleigh,
     h1_constants,
-    solve_on_complement,
 )
 from periwave.spectral import (
     DispersionSymbol,
@@ -125,8 +123,8 @@ class TestParitySplit:
         # the even-block tangent is the bordered solve's, and phi' is odd
         w, v = cert.core, lin.translation_mode
         assert np.abs(v[-np.arange(lin.size) % lin.size] + v).max() < 1e-12
-        eta = solve_on_complement(lin, -speed_gradient_field(w))
-        beta = solve_on_complement(lin, Field.constant(w.grid, -1.0))
+        eta = bordered_solve(w, -speed_gradient_field(w))
+        beta = bordered_solve(w, Field.constant(w.grid, -1.0))
         for got, ref in ((cert.eta, eta), (cert.beta, beta)):
             assert (got - ref).sup_norm() < 1e-12 * ref.sup_norm()
 
@@ -183,6 +181,16 @@ class TestParitySplit:
         assert moved.core_guard["K"] == even.core_guard["K"]
         for key, x in asdict(even.surface).items():
             assert abs(getattr(moved.surface, key) - x) <= 1e-11 * max(1.0, abs(x)), key
+
+    @pytest.mark.parametrize("N", [None, 1024])
+    @pytest.mark.parametrize("preset", list_presets())
+    def test_translate_tangent_is_the_even_waves_translated(self, preset_cert, preset, N):
+        # the one block's bordered solve and the even block's plain solve
+        # agree: the translate's eta and beta, moved back, are the even wave's
+        even, moved = preset_cert(preset, N), preset_cert(preset, N, 17)
+        r = 17 * moved.wave.grid.spacing
+        for got, ref in ((moved.eta, even.eta), (moved.beta, even.beta)):
+            assert np.abs(shift(got, r).values - ref.values).max() <= 1e-12 * ref.sup_norm()
 
     @pytest.mark.parametrize("preset", ["bo", "kdv-cnoidal"])
     def test_translated_wave_certifies_as_the_wave(self, tmp_path, preset):
@@ -266,11 +274,12 @@ class TestBlockRoute:
         assert builder_calls == NO_BUILDS
 
     @pytest.mark.parametrize("roll", [0, 17])
-    def test_solve_on_complement_builds_no_collocation_matrix(self, preset_cert, builder_calls,
-                                                              roll):
+    def test_param_derivatives_builds_no_collocation_matrix(self, preset_cert, builder_calls,
+                                                            roll):
         cert = preset_cert("kdv-cnoidal", None, roll)
-        x = solve_on_complement(cert.operator, Field.constant(cert.core.grid, -1.0))
-        assert (apply(cert.core, x) + 1.0).sup_norm() < 1e-9
+        assert len(cert.operator.blocks) == (1 if roll else 2)
+        _, beta = param_derivatives(cert.core, cert.operator)
+        assert (apply(cert.core, beta) + 1.0).sup_norm() < 1e-9
         assert builder_calls == NO_BUILDS
 
     @pytest.mark.parametrize("preset", list_presets())
@@ -305,7 +314,7 @@ class TestBlockRoute:
 class TestCheckH0:
     def test_stable_cnoidal_passes(self, kdv_stable):
         lin = assemble(kdv_stable)
-        rep = check_H0(lin, kdv_stable)
+        rep = check_H0(lin)
         assert rep.h0_pass
         assert rep.n_negative == 1
         assert rep.zero_dim == 1
@@ -313,19 +322,19 @@ class TestCheckH0:
 
     def test_midk_cnoidal_passes(self, kdv_midk):
         # holds along the whole zero-mean branch, including omega < 0
-        rep = check_H0(assemble(kdv_midk), kdv_midk)
+        rep = check_H0(assemble(kdv_midk))
         assert rep.h0_pass and rep.n_negative == 1
 
     def test_sign_changing_cn_wave_fails(self, gkdv2_wave):
         # the cn-type branch carries two genuine negative directions
-        rep = check_H0(assemble(gkdv2_wave), gkdv2_wave)
+        rep = check_H0(assemble(gkdv2_wave))
         assert rep.n_negative == 2
         assert rep.zero_dim == 1
         assert not rep.h0_pass
 
     def test_positive_constant_state_fails(self):
         w = make_constant(c=0.1, omega=1.0)
-        rep = check_H0(assemble(w), w)
+        rep = check_H0(assemble(w))
         assert rep.n_negative == 0
         assert not rep.h0_pass
         assert rep.kernel_alignment == 0.0  # phi' vanishes identically
@@ -334,7 +343,7 @@ class TestCheckH0:
         # place an eigenvalue between zero_tol and 10 zero_tol
         w = make_constant(c=0.0, omega=5e-5, N=64)
         lin = assemble(w)
-        rep = check_H0(lin, w)
+        rep = check_H0(lin)
         assert rep.ambiguous_eigenvalues
 
 
@@ -397,42 +406,27 @@ class TestConstrainedRayleigh:
         assert value > 0.0
 
 
-class TestSolveOnComplement:
-    def test_kernel_rhs_returns_zero(self, kdv_stable):
-        lin = assemble(kdv_stable)
-        pp = derivative(kdv_stable.profile)
-        x = solve_on_complement(lin, pp)
-        assert x.sup_norm() == 0.0
-
-    def test_matches_param_derivatives_beta(self, kdv_stable):
+class TestTangentSolve:
+    def test_beta_matches_the_bordered_reference(self, kdv_stable):
         w = kdv_stable
         lin = assemble(w)
         _, beta = param_derivatives(w, lin)
-        x = solve_on_complement(lin, Field.constant(w.grid, -1.0))
+        x = bordered_solve(w, Field.constant(w.grid, -1.0))
         assert (x - beta).sup_norm() < 1e-12
 
     def test_constant_state_diagonal_solve(self):
+        # L = M + omega - c annihilates no constant: eta = -c/(omega - c), beta = -1/(omega - c)
         w = make_constant(c=0.4, omega=2.0)
-        lin = assemble(w)
-        x = solve_on_complement(lin, Field(w.grid, -w.profile.values))
-        expected = -0.4 / (2.0 - 0.4)
-        assert np.abs(x.values - expected).max() < 1e-12
-
-    def test_mixed_kernel_component_raises(self, kdv_stable):
-        w = kdv_stable
-        lin = assemble(w)
-        pp = derivative(w.profile)
-        clean = random_smooth_field(w.grid, seed=9)
-        coeff = inner(clean, pp) / inner(pp, pp)
-        clean = clean - pp * coeff  # orthogonal to the kernel
-        mixed = clean + pp * (0.5 * clean.sup_norm() / pp.sup_norm())
-        with pytest.raises(KernelIncompatibilityError):
-            solve_on_complement(lin, mixed)
+        eta, beta = param_derivatives(w, assemble(w))
+        assert np.abs(eta.values + 0.4 / (2.0 - 0.4)).max() < 1e-12
+        assert np.abs(beta.values + 1.0 / (2.0 - 0.4)).max() < 1e-12
 
     def test_solution_recovers_projected_rhs(self, kdv_stable):
+        # a translate's tangent solves its bordered system: L eta = -g, L beta = -1
         w = kdv_stable
+        w = replace(w, profile=Field(w.grid, np.roll(w.profile.values, 17)))
         lin = assemble(w)
-        b = Field.constant(w.grid, -1.0)
-        x = solve_on_complement(lin, b)
-        res = (apply(w, x) - b).sup_norm()
-        assert res < 1e-9
+        assert len(lin.blocks) == 1
+        eta, beta = param_derivatives(w, lin)
+        for x, b in ((eta, -speed_gradient_field(w)), (beta, Field.constant(w.grid, -1.0))):
+            assert (apply(w, x) - b).sup_norm() < 1e-9 * max(1.0, b.sup_norm())

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import certified_tangent, collocation, make_gkdv5_wave, symmetry_defect
+from conftest import (
+    bordered_solve,
+    certified_tangent,
+    collocation,
+    make_gkdv5_wave,
+    symmetry_defect,
+)
 from periwave.config import list_presets, load_config
 from periwave.evolution import mass, momentum
 from periwave.linop import (
@@ -13,7 +19,6 @@ from periwave.linop import (
     check_H0,
     constrained_min_rayleigh,
     h1_constants,
-    solve_on_complement,
 )
 from periwave.spectral import (
     DispersionSymbol,
@@ -257,7 +262,7 @@ class TestDecide:
         lin = assemble(kdv_stable)
         eta, beta = param_derivatives(kdv_stable, lin)
         sd = surface_derivatives(kdv_stable, eta, beta)
-        h0 = check_H0(lin, kdv_stable)
+        h0 = check_H0(lin)
         a = decide(sd, h0, True)
         b = decide(sd, h0, True)
         assert a == b
@@ -268,7 +273,7 @@ class TestVerdictOnWaves:
         lin = assemble(kdv_stable)
         eta, beta = param_derivatives(kdv_stable, lin)
         sd = surface_derivatives(kdv_stable, eta, beta)
-        v = decide(sd, check_H0(lin, kdv_stable), h1_constants(lin)[0] > 0.0)
+        v = decide(sd, check_H0(lin), h1_constants(lin)[0] > 0.0)
         assert v.conclusion == ORBITALLY_STABLE
         assert v.fired_criterion == "F_omega"
 
@@ -551,13 +556,16 @@ class TestHamiltonianOnTheBlocks:
 class TestLyapunovSigma:
     def test_certifies_coercivity(self, kdv_stable):
         lin = assemble(kdv_stable)
-        sigma, margin = lyapunov_sigma(kdv_stable, lin, 0.0, 1.0)
+        sd = surface_derivatives(kdv_stable, *param_derivatives(kdv_stable, lin))
+        sigma, margin = lyapunov_sigma(kdv_stable, lin, sd, 0.0, 1.0)
         assert sigma > 0 and margin > 0
 
     def test_witness_direction_at_midk(self, kdv_midk):
         c = certify(kdv_midk)
         mu, nu = c.verdict.mu_nu
-        sigma, margin = lyapunov_sigma(kdv_midk, assemble(kdv_midk), mu, nu)
+        lin = assemble(kdv_midk)
+        sd = surface_derivatives(kdv_midk, *param_derivatives(kdv_midk, lin))
+        sigma, margin = lyapunov_sigma(kdv_midk, lin, sd, mu, nu)
         assert margin > 0
 
     @pytest.mark.parametrize("name", ["kdv-cnoidal", "bo", "ilw", "regularized-bbm-like"])
@@ -573,12 +581,13 @@ class TestLyapunovSigma:
         c = certify(w)
         mu, nu = c.verdict.mu_nu
         for wave, lin in ((c.core, c.operator), (w, assemble(w))):
-            delta = delta_form(surface_derivatives(wave, *param_derivatives(wave, lin)), mu, nu)
+            sd = surface_derivatives(wave, *param_derivatives(wave, lin))
+            delta = delta_form(sd, mu, nu)
             # the identity behind the closed form: (L^-1 q, q) = -Delta(mu, nu)
             q = Field(wave.grid, mu + nu * speed_gradient_field(wave).values)
-            assert integral(q * solve_on_complement(lin, q)) == pytest.approx(-delta, rel=1e-8)
+            assert integral(q * bordered_solve(wave, q)) == pytest.approx(-delta, rel=1e-8)
             eigvalsh_calls.clear()
-            sigma, margin = lyapunov_sigma(wave, lin, mu, nu)
+            sigma, margin = lyapunov_sigma(wave, lin, sd, mu, nu)
             assert len(eigvalsh_calls) == 1
             assert margin > 0.0
             assert sigma == 4.0 ** round(math.log(sigma, 4.0)) >= 1.0
@@ -592,7 +601,7 @@ class TestLyapunovSigma:
         for roll in (0, 17):
             c = preset_cert(name, None, roll)
             assert len(c.operator.blocks) == (1 if roll else 2)
-            got.append(lyapunov_sigma(c.core, c.operator, *c.verdict.mu_nu))
+            got.append(lyapunov_sigma(c.core, c.operator, c.surface, *c.verdict.mu_nu))
         (sigma, margin), (sigma_moved, margin_moved) = got
         assert sigma_moved == sigma
         assert margin_moved == pytest.approx(margin, rel=1e-12)
@@ -603,7 +612,7 @@ class TestLyapunovSigma:
         sd = surface_derivatives(kdv_stable, *param_derivatives(kdv_stable, lin))
         assert sd.M_A < 0.0
         with pytest.raises(SolverError, match="Delta"):
-            lyapunov_sigma(kdv_stable, lin, 1.0, 0.0)
+            lyapunov_sigma(kdv_stable, lin, sd, 1.0, 0.0)
 
 
 class TestCertify:
