@@ -45,10 +45,11 @@ from .io import (
     save_trace_csv,
     save_wave,
 )
-from .spectral import Field
+from .spectral import Field, mean_value
 from .stability import certify, curve_criterion, lyapunov_sigma
 from .waves import (
     ConstantGuessError,
+    Constraint,
     SolverError,
     TravelingWave,
     bbm_dnoidal_wave,
@@ -206,10 +207,21 @@ def cmd_certify(out: str, wave: TravelingWave, config: dict) -> int:
 def cmd_sweep(out: str, seed_wave: TravelingWave, config: dict) -> int:
     sweep = config["sweep"]
     values = np.linspace(sweep["start"], sweep["stop"], sweep["count"])
-    kwargs = {}
-    if sweep["parameter"] == "xi":
-        kwargs["omega_map"] = lambda x: float(np.polyval(sweep["omega_coeffs"][::-1], x))
-        kwargs["A_map"] = lambda x: float(np.polyval(sweep["A_coeffs"][::-1], x))
+    # each member's (omega, constraint): an omega sweep holds the seed's A, its
+    # mean or zero mean; an A sweep holds its speed; xi follows the two maps
+    if sweep["parameter"] == "omega":
+        con = Constraint.zero_mean()
+        if seed_wave.constraint == "fixed_A":
+            con = Constraint.fixed_A(seed_wave.A)
+        elif seed_wave.constraint == "fixed_mean":
+            con = Constraint.fixed_mean(mean_value(seed_wave.profile))
+        targets = [(float(x), con) for x in values]
+    elif sweep["parameter"] == "A":
+        targets = [(seed_wave.omega, Constraint.fixed_A(float(x))) for x in values]
+    else:
+        targets = [(float(np.polyval(sweep["omega_coeffs"][::-1], x)),
+                    Constraint.fixed_A(float(np.polyval(sweep["A_coeffs"][::-1], x))))
+                   for x in values]
     stamp = _stamp(config)  # one config hash for every member and sweep.json
     rows = []
 
@@ -232,15 +244,8 @@ def cmd_sweep(out: str, seed_wave: TravelingWave, config: dict) -> int:
 
     partial = False
     try:
-        continue_family(
-            seed_wave,
-            sweep["parameter"],
-            values,
-            tol=config["solve"]["tol"],
-            max_iter=config["solve"]["max_iter"],
-            visit=visit,
-            **kwargs,
-        )
+        continue_family(seed_wave, targets, tol=config["solve"]["tol"],
+                        max_iter=config["solve"]["max_iter"], visit=visit)
     except SolverError as exc:
         print(f"sweep aborted: {exc}", file=sys.stderr)
         partial = True

@@ -4,7 +4,7 @@ The linearization about a profile phi is ``L = M + omega - f'(phi)`` for the
 standard evolution and ``L = omega M + (omega - 1) - f'(phi)`` for the
 regularized one.  L is held in the orthonormal real Fourier basis, where the
 multiplier and the H^s weight are diagonal (``spectral._even_odd_blocks``), as
-its even and odd blocks when f'(phi) is even about x = 0, else as one block.
+its even and odd blocks when phi is even about x = 0, else as one block.
 Everything read here comes from them, samples mapped in by ``_coordinates``:
 the eigenvalues (never an eigenbasis), the kernel's Davis-Kahan check against
 the unit translation mode v = phi'/|phi'|, H1's shift, c3 and the tangent's
@@ -77,10 +77,12 @@ def assemble(w: "TravelingWave") -> LinearizedOperator:
     """The linearization about a solved wave, for the wave's own variant."""
     a_M, b_lin = _linear_coefficients(w.variant, w.omega)
     grid, fprime = w.grid, w.nonlinearity.fprime(w.profile.values)
-    pp = derivative(w.profile).values
+    N, pp = grid.size, derivative(w.profile).values
     norm_pp = np.linalg.norm(pp)
     mode = pp / norm_pp if norm_pp >= 1e-14 * (1.0 + w.profile.sup_norm()) else None
-    blocks = _even_odd_blocks(a_M * w.symbol.values_on(grid)[:grid.size // 2 + 1] + b_lin, fprime)
+    # two blocks only for an even phi (phi' odd): the tangent solves the even block alone
+    even = np.abs(pp + pp[-np.arange(N) % N]).max() <= 1e-10 * max(1.0, np.abs(pp).max())
+    blocks = _even_odd_blocks(a_M * w.symbol.values_on(grid)[:N // 2 + 1] + b_lin, fprime, even)
     lin = LinearizedOperator(grid, w.variant, w.symbol, translation_mode=mode, blocks=blocks)
     lin.eigenvalues  # the eigensolve is part of assembly, and of its time
     return lin
@@ -252,10 +254,11 @@ def _dense(lin: LinearizedOperator) -> np.ndarray:
 
 
 def _solve_tangent(lin: LinearizedOperator, b: np.ndarray) -> np.ndarray:
-    """Rows x of L x = b for the tangent's rows b (-g and -1, even about
-    x = 0 for an even wave, orthogonal to phi' always), by one solve of L's
-    first block in ``_coordinates``: with two blocks, the even block
-    (nonsingular: the kernel phi' is odd); with one, the system bordered by
+    """Rows x of L x = b for the tangent's rows b (-g and -1, orthogonal to
+    phi' always, and even about x = 0 when L has two blocks, which ``assemble``
+    keeps only for an even phi), by one solve of L's first block in
+    ``_coordinates``: with two blocks, the even block (nonsingular: the kernel
+    phi' is odd); with one, the system bordered by
     the translation mode v, [[L, v], [v', 0]] [x; t] = [b; 0], and
     NearSingularError when phi' vanishes.  Each row's residual is checked in
     those coordinates, and x comes back by irfft."""

@@ -391,7 +391,7 @@ def _window_index(N: int, m: int) -> np.ndarray:
     return _read_only(np.abs(np.arange(1 - m, 2 * m - 1)) % N)
 
 
-def _even_odd_blocks(diag: np.ndarray, fprime: np.ndarray):
+def _even_odd_blocks(diag: np.ndarray, fprime: np.ndarray, split: bool = True):
     """L = diag(d) - f'(phi) on the modes 0..m-1 of the multiplier's diagonal
     d = a theta + b (m <= N/2 + 1) and the N samples of f'(phi), in the
     orthonormal real Fourier basis cos 0, sqrt2 cos jx, cos (N/2)x | sqrt2 sin jx
@@ -399,10 +399,11 @@ def _even_odd_blocks(diag: np.ndarray, fprime: np.ndarray):
     g = fft(f'(phi))/N, indices mod N and t from ``_mode_weights``, the even
     block's entry (j, l) is d_j delta_jl - t_j t_l (Re g_|j-l| + Re g_(j+l)), the
     odd block's d_j delta_jl - (Re g_|j-l| - Re g_(j+l)), and the cross block's
-    C[j, l] = t_j (Im g_(l-j) + Im g_(j+l)).  (even, odd) when f'(phi) is even to
-    tau = 1e-10 max(1, max|L_ij|): the dropped C, from an odd part of sup at most
-    tau, moves each eigenvalue by at most tau.  Otherwise the one block
-    [[even, C], [C', odd]], and only then is C built."""
+    C[j, l] = t_j (Im g_(l-j) + Im g_(j+l)).  (even, odd) when ``split`` (the
+    caller's phi is even) and f'(phi) is even to tau = 1e-10 max(1, max|L_ij|):
+    the dropped C, from an odd part of sup at most tau, moves each eigenvalue by
+    at most tau.  Otherwise the one block [[even, C], [C', odd]], and only then
+    is C built."""
     N, m, h, step = fprime.size, diag.size, fprime.size // 2, np.dtype(float).itemsize
     spec, t = np.fft.fft(fprime), _mode_weights(N, m)
     # near[j, l] = g_|j-l| and far[j, l] = g_(j+l): windows onto r_i = Re g_|i-m+1|
@@ -416,7 +417,7 @@ def _even_odd_blocks(diag: np.ndarray, fprime: np.ndarray):
     odd = far[1:h, 1:h] - near[1:h, 1:h]
     odd.reshape(-1)[::odd.shape[0] + 1] += diag[1:h]
     tau = 1e-10 * max(1.0, np.abs(even).max(), np.abs(odd).max())
-    if not np.abs(fprime - fprime[-np.arange(N) % N]).max() > tau:
+    if split and not np.abs(fprime - fprime[-np.arange(N) % N]).max() > tau:
         return even, odd
     # the same windows onto r_i = Im g_(i-m+1), whose index keeps its sign
     r = spec.imag[np.arange(1 - m, 2 * m - 1) % N] / N

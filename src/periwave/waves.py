@@ -27,7 +27,6 @@ from .spectral import (
     _resample,
     apply_multiplier,
     integral,
-    mean_value,
 )
 
 __all__ = [
@@ -507,54 +506,27 @@ def ilw_wave(L: float, delta: float, k, N: int) -> TravelingWave:
 
 def continue_family(
     seed: TravelingWave,
-    parameter: str,
-    values: Sequence[float],
-    omega_map: Callable[[float], float] | None = None,
-    A_map: Callable[[float], float] | None = None,
+    targets: Sequence[tuple[float, Constraint]],
     tol: float = 1e-10,
     max_iter: int = 50,
     visit: Callable[[TravelingWave], tuple[Field, Field] | None] | None = None,
 ) -> tuple[TravelingWave, ...]:
     """Continuation along the wave surface: each converged wave seeds the next.
 
-    ``parameter`` is "omega" (the seed's constraint carried along: its A,
-    zero mean, or its mean), "A" (fixed-A solves at the seed speed), or
-    "xi" with explicit omega/A maps.  ``visit`` gets each converged member
-    and may return its tangents (eta, beta) = (d phi/d omega, d phi/d A) on
-    any grid of the period; the next guess is phi + d_omega eta + d_A beta
-    (d_A the prescribed step in A or, holding the mean to first order,
-    -d_omega int eta / int beta) if that step is within sup|phi| / 2, else
-    the previous profile, as without tangents (and for the first member).
-    Returns the converged waves, one per value; a failed solve raises
-    SolverError, after ``visit`` has seen every member before it.
+    ``targets`` holds one (omega, Constraint) pair per member, any curve on
+    the (omega, A) surface; every member solves the seed's equation.
+    ``visit`` gets each converged member and may return its tangents
+    (eta, beta) = (d phi/d omega, d phi/d A) on any grid of the period; the
+    next guess is phi + d_omega eta + d_A beta (d_A the prescribed step in A
+    under ``fixed_A``, else -d_omega int eta / int beta, holding the mean to
+    first order) if that step is within sup|phi| / 2, else the previous
+    profile, as without tangents (and for the first member).  Returns the
+    converged waves, one per target; a failed solve raises SolverError naming
+    the member and its target, after ``visit`` has seen every member before it.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("parameter grid must be a nonempty 1-D sequence")
-
-    if parameter == "omega":
-        constraint = Constraint.zero_mean()
-        if seed.constraint == "fixed_A":
-            constraint = Constraint.fixed_A(seed.A)
-        elif seed.constraint == "fixed_mean":
-            constraint = Constraint.fixed_mean(mean_value(seed.profile))
-    elif parameter == "A":
-        pass
-    elif parameter == "xi":
-        if omega_map is None or A_map is None:
-            raise ValueError("xi-continuation needs omega_map and A_map")
-    else:
-        raise ValueError(f"unknown continuation parameter {parameter!r}")
-
     waves, tangent = [], None
     guess = seed.profile
-    for value in values:
-        if parameter == "omega":
-            omega, con = float(value), constraint
-        elif parameter == "A":
-            omega, con = seed.omega, Constraint.fixed_A(float(value))
-        else:
-            omega, con = float(omega_map(value)), Constraint.fixed_A(float(A_map(value)))
+    for i, (omega, con) in enumerate(targets):
         if tangent is not None:
             (eta, beta), N, d_omega = tangent, guess.grid.size, omega - waves[-1].omega
             d_A = (con.value - waves[-1].A if con.mode == "fixed_A"
@@ -574,7 +546,8 @@ def continue_family(
                 variant=seed.variant,
             )
         except SolverError as exc:
-            raise type(exc)(f"continuation failed at {parameter}={value}: {exc}") from exc
+            raise type(exc)(f"continuation failed at member {i} "
+                            f"(omega={omega}, {con.mode} {con.value}): {exc}") from exc
         waves.append(w)
         guess = w.profile
         tangent = None if visit is None else visit(w)

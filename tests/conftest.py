@@ -159,6 +159,11 @@ def certified_tangent(w):
     return None if cert.eta is None else (cert.eta, cert.beta)
 
 
+def omega_targets(omegas, constraint=Constraint.zero_mean()):
+    """``continue_family`` targets along omega, every member held to ``constraint``."""
+    return [(float(omega), constraint) for omega in omegas]
+
+
 def make_gkdv5_wave(N, omega):
     """gKdV p=5 wave at A = 0 from the solitary sech^(2/5) guess centred at 0."""
     grid = PeriodicGrid(TWO_PI, N)

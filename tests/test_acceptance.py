@@ -48,7 +48,9 @@ from periwave.waves import (
     speed_gradient_field,
 )
 
-from conftest import apply, lyapunov_value, make_bo_wave, shift, symmetry_defect
+from conftest import (
+    apply, lyapunov_value, make_bo_wave, omega_targets, shift, symmetry_defect,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -99,7 +101,7 @@ def test_criterion_1_closed_form_certification():
             # omega-grid of 10 points above the bifurcation speed
             span = 0.3 * (w.omega + 1.0)
             omegas = np.linspace(w.omega, w.omega + span, 10)
-            fam = continue_family(w, "omega", omegas)
+            fam = continue_family(w, omega_targets(omegas))
             momenta = np.array([momentum(m.profile) for m in fam])
             slopes = np.gradient(momenta, omegas)
             assert np.all(slopes > 0.0), (k, slopes)
@@ -151,7 +153,7 @@ def test_criterion_3_ilw_reproduction():
 
             span = 0.3 * (w.omega + float(w.symbol.value(1)))
             omegas = np.linspace(w.omega, w.omega + span, 5)
-            fam = continue_family(w, "omega", omegas)
+            fam = continue_family(w, omega_targets(omegas))
             momenta = np.array([momentum(m.profile) for m in fam])
             assert np.all(np.gradient(momenta, omegas) > 0.0), delta
 

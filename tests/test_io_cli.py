@@ -608,6 +608,17 @@ class TestCli:
             tables.append(open(os.path.join(out, "family.csv"), "rb").read())
         assert tables[0] == tables[1]
 
+    def test_A_sweep_holds_the_seed_speed(self, tmp_path):
+        # an A sweep solves fixed-A members at the seed's omega, A exactly the linspace's
+        out = str(tmp_path / "run")
+        argv = ["sweep", "--preset", "gkdv-p", "--out", out]
+        for item in ("sweep.parameter=A", "sweep.start=0", "sweep.stop=0.02", "sweep.count=3"):
+            argv += ["--override", item]
+        assert self.run(*argv) == 0
+        members = json.loads(open(os.path.join(out, "sweep.json")).read())["members"]
+        assert [m["A"] for m in members] == [0.0, 0.01, 0.02]
+        assert len({m["omega"] for m in members}) == 1
+
     @pytest.mark.parametrize(
         "override",
         ["solve.guess.amplitude=0", "solve.guess.amplitude=1e-20", "solve.guess.mode=128"],

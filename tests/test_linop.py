@@ -45,6 +45,11 @@ def make_constant(c=0.3, omega=2.0, N=64, symbol=None):
     return constant_state(grid, c, omega, symbol, Nonlinearity.kdv())
 
 
+def _nodes(roll, cert):
+    """A roll of ``roll`` nodes, or of a quarter of the certified wave's grid ("N/4")."""
+    return cert.wave.grid.size // 4 if roll == "N/4" else roll
+
+
 class TestAssemble:
     def test_constant_state_spectrum_is_diagonal(self):
         w = make_constant(c=0.3, omega=2.0)
@@ -168,10 +173,14 @@ class TestParitySplit:
         pp = derivative(cert.core.profile).values
         assert bound <= abs(kernel @ pp) / np.linalg.norm(pp) + 1e-15
 
+    @pytest.mark.parametrize("roll", [17, "N/4"])
     @pytest.mark.parametrize("N", [None, 1024])
     @pytest.mark.parametrize("preset", list_presets())
-    def test_translate_takes_the_full_matrix_path(self, preset_cert, preset, N):
-        even, moved = preset_cert(preset, N), preset_cert(preset, N, 17)
+    def test_translate_takes_the_full_matrix_path(self, preset_cert, preset, N, roll):
+        # N/4 nodes make gkdv-p's phi odd (phi(x + L/2) = -phi(x)) and its f' = phi^2
+        # even: a wave that is not even takes one block even when f' reflects
+        even = preset_cert(preset, N)
+        moved = preset_cert(preset, N, _nodes(roll, even))
         assert len(even.operator.blocks) == 2
         assert len(moved.operator.blocks) == 1
         assert moved.verdict.conclusion == even.verdict.conclusion
@@ -182,13 +191,16 @@ class TestParitySplit:
         for key, x in asdict(even.surface).items():
             assert abs(getattr(moved.surface, key) - x) <= 1e-11 * max(1.0, abs(x)), key
 
+    @pytest.mark.parametrize("roll", [17, "N/4"])
     @pytest.mark.parametrize("N", [None, 1024])
     @pytest.mark.parametrize("preset", list_presets())
-    def test_translate_tangent_is_the_even_waves_translated(self, preset_cert, preset, N):
+    def test_translate_tangent_is_the_even_waves_translated(self, preset_cert, preset, N, roll):
         # the one block's bordered solve and the even block's plain solve
         # agree: the translate's eta and beta, moved back, are the even wave's
-        even, moved = preset_cert(preset, N), preset_cert(preset, N, 17)
-        r = 17 * moved.wave.grid.spacing
+        even = preset_cert(preset, N)
+        nodes = _nodes(roll, even)
+        moved = preset_cert(preset, N, nodes)
+        r = nodes * moved.wave.grid.spacing
         for got, ref in ((moved.eta, even.eta), (moved.beta, even.beta)):
             assert np.abs(shift(got, r).values - ref.values).max() <= 1e-12 * ref.sup_norm()
 

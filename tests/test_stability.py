@@ -9,6 +9,7 @@ from conftest import (
     certified_tangent,
     collocation,
     make_gkdv5_wave,
+    omega_targets,
     symmetry_defect,
 )
 from periwave.config import list_presets, load_config
@@ -51,6 +52,7 @@ from periwave.stability import (
     surface_derivatives,
 )
 from periwave.waves import (
+    Constraint,
     Nonlinearity,
     SolverError,
     _linear_coefficients,
@@ -378,14 +380,14 @@ def _curve_columns(values, fam):
 class TestCurveCriterion:
     def test_needs_three_members(self, kdv_stable):
         values = [kdv_stable.omega]
-        fam = continue_family(kdv_stable, "omega", values)
+        fam = continue_family(kdv_stable, omega_targets(values))
         with pytest.raises(ValueError):
             curve_criterion(*_curve_columns(values, fam))
 
     def test_cnoidal_branch_negative(self, kdv_stable):
         w = kdv_stable
         values = np.linspace(w.omega, w.omega + 0.2, 5)
-        columns = _curve_columns(values, continue_family(w, "omega", values))
+        columns = _curve_columns(values, continue_family(w, omega_targets(values)))
         value, _ = curve_criterion(*columns)
         assert value < 0.0
         # on the zero-mean branch it reduces to -dF/domega
@@ -396,7 +398,8 @@ class TestCurveCriterion:
         # A identically zero: the form is -omega'(xi) dF/dxi = -dF/domega
         w = gkdv2_wave
         values = np.linspace(w.omega, w.omega + 0.06, 5)
-        columns = _curve_columns(values, continue_family(w, "omega", values))
+        targets = omega_targets(values, Constraint.fixed_A(w.A))
+        columns = _curve_columns(values, continue_family(w, targets))
         assert max(map(abs, columns[2])) == 0.0
         dF = np.gradient(columns[4], values)[1:-1]
         assert curve_criterion(*columns)[0] == pytest.approx(-dF.min(), rel=1e-6)
@@ -407,8 +410,8 @@ class TestTangentPredictor:
         sweep = load_config(preset="kdv-cnoidal")["sweep"]
         values = np.linspace(sweep["start"], sweep["stop"], sweep["count"])
         seed = preset_wave("kdv-cnoidal")
-        plain = continue_family(seed, "omega", values)
-        fam = continue_family(seed, "omega", values, visit=certified_tangent)
+        plain = continue_family(seed, omega_targets(values))
+        fam = continue_family(seed, omega_targets(values), visit=certified_tangent)
 
         def steps(family):
             return sum(len(m.newton_history) - 1 for m in family)
@@ -421,12 +424,12 @@ class TestTangentPredictor:
             assert certify(a).verdict.conclusion == certify(b).verdict.conclusion
 
     def test_xi_sweep_takes_the_prescribed_steps(self, kdv_stable):
-        # fixed-A xi steps: d_omega and d_A both come from the maps
+        # fixed-A xi steps: d_omega and d_A both come from the targets
         w = kdv_stable
-        kwargs = dict(omega_map=lambda x: w.omega + 0.05 * x, A_map=lambda x: w.A + 0.01 * x)
-        values = np.linspace(0.0, 1.0, 4)
-        plain = continue_family(w, "xi", values, **kwargs)
-        fam = continue_family(w, "xi", values, visit=certified_tangent, **kwargs)
+        targets = [(w.omega + 0.05 * x, Constraint.fixed_A(w.A + 0.01 * x))
+                   for x in np.linspace(0.0, 1.0, 4)]
+        plain = continue_family(w, targets)
+        fam = continue_family(w, targets, visit=certified_tangent)
         assert [m.A for m in fam] == [m.A for m in plain]
         for a, b in zip(plain, fam):
             assert (a.profile - b.profile).sup_norm() <= 1e-10
@@ -448,7 +451,7 @@ class TestTangentPredictor:
                 return tangent(w)
 
             with pytest.raises(SolverError, match="collapsed") as info:
-                continue_family(seed, "omega", values, visit=visit)
+                continue_family(seed, omega_targets(values), visit=visit)
             errors.append(info.value)
         assert str(errors[0]) == str(errors[1])
         assert len(converged[1]) == 1
@@ -478,7 +481,8 @@ class TestHamiltonianSpectrum:
             Field(grid, 1.43 * np.cos(grid.nodes)), -0.5, Constraint.fixed_A(0.0),
             sym, nl, tol=1e-10,
         )
-        fam = continue_family(seed, "omega", np.linspace(-0.5, 1.0, 8), tol=1e-10)
+        targets = omega_targets(np.linspace(-0.5, 1.0, 8), Constraint.fixed_A(0.0))
+        fam = continue_family(seed, targets, tol=1e-10)
         w = fam[-1]
         cert = certify(w)
         assert cert.spectral_report.n_negative == 2

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import apply, certified_tangent, shift
+from conftest import apply, certified_tangent, omega_targets, shift
 from periwave import elliptic, waves
 from periwave.cli import _solve_wave
 from periwave.config import load_config
@@ -445,10 +445,15 @@ class TestBbmDnoidal:
         assert bbm_wave.omega > 1.0
 
 
+def _A_targets(w, values):
+    """``continue_family`` targets at w's speed, one fixed A per value."""
+    return [(w.omega, Constraint.fixed_A(a)) for a in values]
+
+
 class TestFamily:
     def test_continuation_residuals(self, kdv_stable):
         w = kdv_stable
-        fam = continue_family(w, "omega", np.linspace(w.omega, w.omega + 0.45, 10))
+        fam = continue_family(w, omega_targets(np.linspace(w.omega, w.omega + 0.45, 10)))
         assert len(fam) == 10
         assert all(m.residual_norm < 1e-8 for m in fam)
         assert all(abs(mean_value(m.profile)) < 1e-12 for m in fam)
@@ -458,32 +463,32 @@ class TestFamily:
 
     def test_amplitude_monotone_on_zero_mean_branch(self, kdv_stable):
         w = kdv_stable
-        fam = continue_family(w, "omega", np.linspace(w.omega, w.omega + 0.45, 6))
+        fam = continue_family(w, omega_targets(np.linspace(w.omega, w.omega + 0.45, 6)))
         amps = [m.profile.sup_norm() for m in fam]
         assert all(a < b for a, b in zip(amps, amps[1:]))
 
     def test_single_point_family(self, kdv_stable):
         w = kdv_stable
-        fam = continue_family(w, "omega", [w.omega])
+        fam = continue_family(w, omega_targets([w.omega]))
         assert len(fam) == 1
         assert (fam[0].profile - w.profile).sup_norm() < 1e-9
 
     def test_A_sweep(self, gkdv2_wave):
-        fam = continue_family(gkdv2_wave, "A", np.linspace(0.0, 0.02, 3))
+        fam = continue_family(gkdv2_wave, _A_targets(gkdv2_wave, np.linspace(0.0, 0.02, 3)))
         assert [m.A for m in fam] == pytest.approx([0.0, 0.01, 0.02])
         assert all(m.residual_norm < 1e-8 for m in fam)
 
     def test_A_sweep_predicted_from_tangent(self, gkdv2_wave):
         # a fixed-A step follows beta alone: d_omega = 0, d_A the prescribed step
-        values = np.linspace(0.0, 0.02, 3)
-        plain = continue_family(gkdv2_wave, "A", values)
+        targets = _A_targets(gkdv2_wave, np.linspace(0.0, 0.02, 3))
+        plain = continue_family(gkdv2_wave, targets)
         seen = []
 
         def visit(w):
             seen.append(w)
             return certified_tangent(w)
 
-        fam = continue_family(gkdv2_wave, "A", values, visit=visit)
+        fam = continue_family(gkdv2_wave, targets, visit=visit)
         assert seen == list(fam)
         assert [m.A for m in fam] == pytest.approx([0.0, 0.01, 0.02])
         assert all(m.residual_norm < 1e-8 for m in fam)
@@ -496,18 +501,17 @@ class TestFamily:
     def test_xi_maps(self, kdv_stable):
         w = kdv_stable
         fam = continue_family(
-            w,
-            "xi",
-            np.linspace(0.0, 1.0, 3),
-            omega_map=lambda x: w.omega + 0.05 * x,
-            A_map=lambda x: w.A,
+            w, [(w.omega + 0.05 * x, Constraint.fixed_A(w.A)) for x in np.linspace(0.0, 1.0, 3)]
         )
         assert all(m.A == w.A for m in fam)
 
     def test_propagates_failure_with_value(self, kdv_stable):
         w = kdv_stable
-        with pytest.raises(ConvergenceError, match="omega=-25"):
-            continue_family(w, "omega", [w.omega, -25.0], max_iter=3)
+        with pytest.raises(ConvergenceError, match=r"member 1 \(omega=-25.0, zero_mean 0.0\)"):
+            continue_family(w, omega_targets([w.omega, -25.0]), max_iter=3)
+
+    def test_no_targets_no_members(self, kdv_stable):
+        assert continue_family(kdv_stable, []) == ()
 
 
 class TestParamDerivatives:
