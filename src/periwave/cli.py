@@ -99,9 +99,9 @@ def _check_matches(wave: TravelingWave, config: dict, source: str):
 
 
 def _solve_wave(config: dict) -> TravelingWave:
-    """Build the configured wave: a closed form, optionally Newton-polished, or
-    Newton from a cosine guess.  A closed form solves its own equation, so one
-    that does not match the config, or lacks its parameter, is a ConfigError."""
+    """Build the configured wave: a closed form, or Newton from a cosine
+    guess.  A closed form solves its own equation, so one that does not match
+    the config, or lacks its parameter, is a ConfigError."""
     grid = grid_from_config(config)
     solve = config["solve"]
     guess_spec = solve.get("guess")
@@ -109,14 +109,7 @@ def _solve_wave(config: dict) -> TravelingWave:
         raise ConfigError("solve.guess section is required")
     kind = guess_spec["type"]
 
-    if kind == "cosine":
-        if "omega" not in solve:
-            raise ConfigError("cosine guesses need solve.omega")
-        amp = guess_spec.get("amplitude", 1.0)
-        mode = guess_spec.get("mode", 1)
-        values = amp * np.cos(2.0 * math.pi * mode * grid.nodes / grid.length)
-        guess, omega = Field(grid, values), float(solve["omega"])
-    else:
+    if kind != "cosine":
         try:
             if kind == "cnoidal":
                 wave = cnoidal_wave(grid.length, guess_spec["k"], grid.size)
@@ -127,13 +120,16 @@ def _solve_wave(config: dict) -> TravelingWave:
         except KeyError as exc:
             raise ConfigError(f"{kind} guesses require solve.guess.{exc.args[0]}") from None
         _check_matches(wave, config, f"the {kind} closed form")
-        if not guess_spec.get("newton_polish", False):
-            return wave
-        guess, omega = wave.profile, wave.omega
+        return wave
+    if "omega" not in solve:
+        raise ConfigError("cosine guesses need solve.omega")
+    amp = guess_spec.get("amplitude", 1.0)
+    mode = guess_spec.get("mode", 1)
+    values = amp * np.cos(2.0 * math.pi * mode * grid.nodes / grid.length)
     try:
         return solve_newton(
-            guess,
-            omega,
+            Field(grid, values),
+            float(solve["omega"]),
             constraint_from_config(config),
             symbol_from_config(config),
             nonlinearity_from_config(config),
@@ -281,13 +277,19 @@ def cmd_evolve(out: str, wave: TravelingWave, config: dict) -> int:
         T=ev["T"],
         sample_interval=ev["sample_interval"],
     )
+    # without the verdict's (mu, nu) or their sigma, evolve with the unit
+    # weight, and say why
     sigma, mu, nu, failed = 1.0, 0.0, 1.0, {}
     cert = certify(wave)
-    if cert.verdict.mu_nu is not None:
-        mu, nu = cert.verdict.mu_nu
+    verdict = cert.verdict
+    if verdict.mu_nu is None:
+        failed = {"reason": f"verdict {verdict.conclusion} gives no (mu, nu)"
+                  + (f": {verdict.reason}" if verdict.reason else "")}
+    else:
+        mu, nu = verdict.mu_nu
         try:
             sigma, _ = lyapunov_sigma(cert.core, cert.operator, cert.surface, mu, nu)
-        except SolverError as exc:  # evolve with the unit weight, and say why
+        except SolverError as exc:
             failed = {"reason": str(exc)}
     start = time.perf_counter()
     try:

@@ -33,7 +33,6 @@ def _is_number(x) -> bool:
 
 _NUMBER = (_is_number, "a finite number")
 _POSITIVE = (lambda x: _is_number(x) and x > 0, "a finite number > 0")
-_BOOLEAN = (lambda x: isinstance(x, bool), "true or false")
 
 
 def _integer(least: int, step: int = 1):
@@ -78,7 +77,6 @@ _SPEC = {
             "delta": _POSITIVE,
             "amplitude": _NUMBER,
             "mode": _integer(1),
-            "newton_polish": _BOOLEAN,
         },
     },
     "sweep": {

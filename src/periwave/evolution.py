@@ -41,8 +41,6 @@ __all__ = [
     "mass",
     "momentum",
     "energy",
-    "constrained_energy",
-    "auxiliary_quantity",
     "orbital_distance",
     "integrate",
     "stability_experiment",
@@ -88,42 +86,6 @@ def energy(u: Field, symbol: DispersionSymbol, nl: Nonlinearity) -> float:
     Mu = apply_multiplier(symbol, u)
     W = Field(u.grid, nl.primitive(u.values))
     return 0.5 * integral(u * Mu) - integral(W)
-
-
-def constrained_energy(u: Field, w: TravelingWave) -> float:
-    """G(u) = P(u) + b F(u) + A M(u) with the variant's momentum F, where b is
-    the identity coefficient of the profile map: omega, or omega - 1 in the
-    regularized variant."""
-    _, b = _linear_coefficients(w.variant, w.omega)
-    F = momentum(u, symbol=w.symbol, variant=w.variant)
-    return energy(u, w.symbol, w.nonlinearity) + b * F + w.A * mass(u)
-
-
-def auxiliary_quantity(
-    u: Field,
-    mu: float,
-    nu: float,
-    symbol: DispersionSymbol | None = None,
-    variant: str = "standard",
-) -> float:
-    """Q(u) = mu M(u) + nu F(u), with (mu, nu) != (0, 0)."""
-    if mu == 0.0 and nu == 0.0:
-        raise ValueError("auxiliary quantity needs (mu, nu) != (0, 0)")
-    return mu * mass(u) + nu * momentum(u, symbol=symbol, variant=variant)
-
-
-def _lyapunov_functional(w: TravelingWave, sigma: float, mu: float, nu: float):
-    """v -> V(v), with G(phi) and Q(phi) computed once."""
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    q1 = constrained_energy(w.profile, w)
-    q2 = auxiliary_quantity(w.profile, mu, nu, symbol=w.symbol, variant=w.variant)
-
-    def V(v: Field) -> float:
-        Q = auxiliary_quantity(v, mu, nu, symbol=w.symbol, variant=w.variant)
-        return constrained_energy(v, w) - q1 + sigma * (Q - q2) ** 2
-
-    return V
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +173,6 @@ class Trajectory:
     times: np.ndarray
     states: tuple  # Field at each sample time
 
-    def final(self) -> Field:
-        return self.states[-1]
-
 
 def _etdrk4_coefficients(z: np.ndarray, dt: float):
     """phi-function coefficients by 32-point contour averaging (stable for small |z|).
@@ -259,13 +218,13 @@ def integrate(
     cfg: EvolutionConfig,
     symbol: DispersionSymbol,
     nl: Nonlinearity,
-) -> Trajectory | list[Trajectory]:
-    """Evolve u0 over [0, T]; returns states at the sampling cadence.
+) -> list[Trajectory]:
+    """Evolve each Field of the sequence u0 over [0, T]; returns one
+    Trajectory per Field, with its states at the sampling cadence.
 
-    ``u0`` is one Field, which gives one Trajectory, or a sequence of Fields
-    on one grid, which gives one Trajectory per Field.  A sequence is evolved
-    as the rows of one half-spectrum array, and each row follows the same
-    arithmetic as it would alone.
+    The Fields share one grid and are evolved as the rows of one
+    half-spectrum array; each row follows the same arithmetic as it would
+    alone.
 
     The flux is c u^(p+1)/(p+1), with (p, c) from ``nl.params``: c/(p+1)
     and ``nl_scale`` are multiplied into the stage coefficients Q, f1, 2 f2
@@ -279,7 +238,7 @@ def integrate(
     sample where a row leaves the ball of radius 1e6 (1 + sup|row at t = 0|)
     or develops non-finite values.
     """
-    fields = [u0] if isinstance(u0, Field) else list(u0)
+    fields = list(u0)
     if not fields:
         return []
     grid = fields[0].grid
@@ -349,11 +308,10 @@ def integrate(
                     raise BlowupError(f"solution blew up by t = {t:.6g}", time=t, row=row)
                 times.append(t)
                 samples.append(u)
-    trajectories = [
+    return [
         Trajectory(np.asarray(times), (start,) + tuple(Field(grid, u[row]) for u in samples))
         for row, start in enumerate(fields)
     ]
-    return trajectories[0] if isinstance(u0, Field) else trajectories
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +358,17 @@ def stability_experiment(
     Finite-horizon runs can only falsify stability, never prove it.  The run
     uses cfg with the wave's variant, and all amplitudes are evolved together
     by one ``integrate`` call.
+
+    Each sample records P, F and M, and the Lyapunov functional read off them:
+    V = G - G(phi) + sigma (Q - Q(phi))^2, with G = P + b F + A M (b the
+    identity coefficient of the profile map: omega, or omega - 1 in the
+    regularized variant) and Q = mu M + nu F.  sigma must be positive and
+    (mu, nu) != (0, 0); either failure is a ValueError before any evolution.
     """
+    if sigma <= 0.0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    if mu == 0.0 and nu == 0.0:
+        raise ValueError("Q = mu M + nu F needs (mu, nu) != (0, 0)")
     s = w.sobolev_index
     cfg = replace(cfg, variant=w.variant)
     amplitudes = [float(a) for a in amplitudes]
@@ -415,28 +383,23 @@ def stability_experiment(
         raise BlowupError(
             f"{exc} at amplitude {amplitudes[exc.row]:g}", exc.time, exc.row
         ) from None
-    lyapunov = _lyapunov_functional(w, sigma, mu, nu)
+    _, b = _linear_coefficients(w.variant, w.omega)
+
+    def conserved(u: Field) -> tuple[float, ...]:
+        """(P, F, M, G, Q) at u."""
+        P = energy(u, w.symbol, w.nonlinearity)
+        F = momentum(u, symbol=w.symbol, variant=w.variant)
+        M = mass(u)
+        return P, F, M, P + b * F + w.A * M, mu * M + nu * F
+
+    *_, g0, q0 = conserved(w.profile)
     traces = []
     for a, traj in zip(amplitudes, trajectories):
-        ds, rs, Ps, Fs, Ms, Vs = [], [], [], [], [], []
+        rows = []
         for u in traj.states:
-            d, r = orbital_distance(u, w, s)
-            ds.append(d)
-            rs.append(r)
-            Ps.append(energy(u, w.symbol, w.nonlinearity))
-            Fs.append(momentum(u, symbol=w.symbol, variant=w.variant))
-            Ms.append(mass(u))
-            Vs.append(lyapunov(u))
-        traces.append(
-            EvolutionTrace(
-                amplitude=a,
-                times=traj.times,
-                d_orbit=np.asarray(ds),
-                r_star=np.asarray(rs),
-                energy=np.asarray(Ps),
-                momentum=np.asarray(Fs),
-                mass=np.asarray(Ms),
-                lyapunov=np.asarray(Vs),
-            )
-        )
+            P, F, M, G, Q = conserved(u)
+            rows.append((*orbital_distance(u, w, s), P, F, M, G - g0 + sigma * (Q - q0) ** 2))
+        d, r, P, F, M, V = np.array(rows).T
+        traces.append(EvolutionTrace(a, traj.times, d_orbit=d, r_star=r, energy=P,
+                                     momentum=F, mass=M, lyapunov=V))
     return traces

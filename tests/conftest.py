@@ -7,7 +7,7 @@ import pytest
 from periwave import elliptic
 from periwave.cli import _solve_wave
 from periwave.config import load_config
-from periwave.evolution import _lyapunov_functional
+from periwave.evolution import energy, mass, momentum
 from periwave.spectral import (
     DispersionSymbol,
     Field,
@@ -80,9 +80,24 @@ def shift(u: Field, r: float) -> Field:
     return Field.from_spectrum(g, u.spectrum * phase)
 
 
+def constrained_energy(u: Field, w) -> float:
+    """G(u) = P(u) + b F(u) + A M(u) with the variant's momentum F, where b is
+    the identity coefficient of the profile map: omega, or omega - 1 in the
+    regularized variant."""
+    _, b = _linear_coefficients(w.variant, w.omega)
+    F = momentum(u, symbol=w.symbol, variant=w.variant)
+    return energy(u, w.symbol, w.nonlinearity) + b * F + w.A * mass(u)
+
+
 def lyapunov_value(v: Field, w, sigma: float, mu: float, nu: float) -> float:
-    """V(v) = G(v) - G(phi) + sigma (Q(v) - Q(phi))^2; zero on the wave orbit."""
-    return _lyapunov_functional(w, sigma, mu, nu)(v)
+    """V(v) = G(v) - G(phi) + sigma (Q(v) - Q(phi))^2 with Q = mu M + nu F:
+    the reference for ``stability_experiment``'s ``lyapunov`` column; zero on
+    the wave orbit."""
+    def Q(u: Field) -> float:
+        return mu * mass(u) + nu * momentum(u, symbol=w.symbol, variant=w.variant)
+
+    G = constrained_energy(v, w) - constrained_energy(w.profile, w)
+    return G + sigma * (Q(v) - Q(w.profile)) ** 2
 
 
 @pytest.fixture(scope="session")

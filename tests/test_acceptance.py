@@ -305,10 +305,10 @@ def test_criterion_8_numerical_hygiene(kdv_midk):
         w = kdv_midk
         errs = []
         for dt in (4e-3, 2e-3):
-            traj = integrate(w.profile, EvolutionConfig(dt=dt, T=1.0), w.symbol,
-                             w.nonlinearity)
+            traj = integrate([w.profile], EvolutionConfig(dt=dt, T=1.0), w.symbol,
+                             w.nonlinearity)[0]
             exact = shift(w.profile, -w.omega * 1.0)
-            errs.append((traj.final() - exact).sup_norm())
+            errs.append((traj.states[-1] - exact).sup_norm())
         assert math.log2(errs[0] / errs[1]) >= 3.8, errs
 
         # eigenvalue stability under N -> 2N
@@ -348,7 +348,7 @@ def test_criterion_9_regularized_variant(bbm_wave):
         p = random_smooth_field(w.grid, seed=7, norm_s=w.sobolev_index)
         u0 = w.profile + p * 1e-3
         cfg = EvolutionConfig(dt=1e-3, T=10.0, variant="regularized", sample_interval=1.0)
-        traj = integrate(u0, cfg, w.symbol, w.nonlinearity)
+        traj = integrate([u0], cfg, w.symbol, w.nonlinearity)[0]
         F0 = momentum(u0, symbol=w.symbol, variant="regularized")
         P0 = energy(u0, w.symbol, w.nonlinearity)
         M0 = mass(u0)

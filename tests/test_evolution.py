@@ -4,13 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import lyapunov_value, shift
+from conftest import constrained_energy, lyapunov_value, shift
 from periwave import evolution
 from periwave.evolution import (
     BlowupError,
     EvolutionConfig,
-    auxiliary_quantity,
-    constrained_energy,
     energy,
     integrate,
     mass,
@@ -186,13 +184,17 @@ class TestConstrainedEnergy:
             moved = shift(w.profile, n * w.grid.spacing)
             assert constrained_energy(moved, w) == pytest.approx(base, abs=1e-10)
 
-    def test_auxiliary_reduces_to_momentum(self, kdv_stable):
+    def test_auxiliary_reduces_to_momentum(self, kdv_stable, monkeypatch):
         w = kdv_stable
-        assert auxiliary_quantity(w.profile, 0.0, 1.0) == pytest.approx(
-            momentum(w.profile), rel=1e-12
-        )
-        with pytest.raises(ValueError):
-            auxiliary_quantity(w.profile, 0.0, 0.0)
+        cfg = EvolutionConfig(dt=5e-4, T=0.05, sample_interval=0.025)
+        (trace,) = stability_experiment(w, [1e-2], cfg, seed=3, sigma=2.0, mu=0.0, nu=1.0)
+        G = trace.energy + w.omega * trace.momentum + w.A * trace.mass
+        F_phi = momentum(w.profile)
+        G_phi = constrained_energy(w.profile, w)
+        assert np.array_equal(trace.lyapunov, G - G_phi + 2.0 * (trace.momentum - F_phi) ** 2)
+        monkeypatch.setattr(evolution, "integrate", None)  # refused before evolving
+        with pytest.raises(ValueError, match=r"\(mu, nu\) != \(0, 0\)"):
+            stability_experiment(w, [1e-2], cfg, mu=0.0, nu=0.0)
 
 
 class TestLyapunov:
@@ -215,9 +217,28 @@ class TestLyapunov:
             assert val > 0
             assert val >= 1e-3 * d * d
 
-    def test_sigma_must_be_positive(self, kdv_stable):
-        with pytest.raises(ValueError):
-            lyapunov_value(kdv_stable.profile, kdv_stable, 0.0, 0.0, 1.0)
+    def test_sigma_must_be_positive(self, kdv_stable, monkeypatch):
+        monkeypatch.setattr(evolution, "integrate", None)  # refused before evolving
+        cfg = EvolutionConfig(dt=5e-4, T=0.05)
+        for sigma in (0.0, -1.0):
+            with pytest.raises(ValueError, match="sigma must be positive"):
+                stability_experiment(kdv_stable, [1e-2], cfg, sigma=sigma)
+
+    @pytest.mark.parametrize("wave", ["kdv_stable", "bbm_wave"])
+    def test_experiment_records_the_reference_functional(self, request, wave):
+        # the lyapunov column, read off the recorded P, F and M, equals V
+        # computed afresh at each evolved state, to the last bit
+        w = request.getfixturevalue(wave)
+        amplitudes, sigma, mu, nu = [1e-3, 1e-1], 4.0, 0.6, 0.8
+        cfg = EvolutionConfig(dt=5e-4, T=0.1, sample_interval=0.025, variant=w.variant)
+        traces = stability_experiment(w, amplitudes, cfg, seed=3, sigma=sigma, mu=mu, nu=nu)
+        direction = random_smooth_field(w.grid, 3, norm_s=w.sobolev_index)
+        trajs = integrate([w.profile + direction * a for a in amplitudes], cfg, w.symbol,
+                          w.nonlinearity)
+        for trace, traj in zip(traces, trajs):
+            assert len(trace.lyapunov) == len(traj.states) == 5
+            for V, u in zip(trace.lyapunov, traj.states):
+                assert V == lyapunov_value(u, w, sigma, mu, nu)
 
 
 class TestOrbitalDistance:
@@ -272,9 +293,9 @@ class TestIntegrate:
     def test_traveling_wave_exactness(self, kdv_stable):
         w = kdv_stable
         cfg = EvolutionConfig(dt=5e-4, T=1.0)
-        traj = integrate(w.profile, cfg, w.symbol, w.nonlinearity)
+        traj = integrate([w.profile], cfg, w.symbol, w.nonlinearity)[0]
         exact = shift(w.profile, -w.omega * 1.0)
-        assert (traj.final() - exact).sup_norm() < 1e-6
+        assert (traj.states[-1] - exact).sup_norm() < 1e-6
 
     def test_linear_phase_evolution(self, grid):
         # tiny amplitude: nonlinearity negligible, each mode rotates by e^{i xi theta t}
@@ -282,20 +303,20 @@ class TestIntegrate:
         amp = 1e-8
         u0 = Field(grid, amp * np.cos(grid.nodes))
         cfg = EvolutionConfig(dt=1e-4, T=0.1)
-        traj = integrate(u0, cfg, sym, Nonlinearity.kdv())
+        traj = integrate([u0], cfg, sym, Nonlinearity.kdv())[0]
         xi, theta = 1.0, 1.0
         expected = amp * np.cos(grid.nodes + xi * theta * 0.1)
-        assert np.abs(traj.final().values - expected).max() < 1e-8 * amp
+        assert np.abs(traj.states[-1].values - expected).max() < 1e-8 * amp
 
     def test_fourth_order_self_convergence(self, kdv_midk):
         # dt window chosen above the roundoff floor (~1e-12 at this resolution)
         w = kdv_midk
         errs = []
         for dt in (4e-3, 2e-3, 1e-3):
-            traj = integrate(w.profile, EvolutionConfig(dt=dt, T=1.0), w.symbol,
-                             w.nonlinearity)
+            traj = integrate([w.profile], EvolutionConfig(dt=dt, T=1.0), w.symbol,
+                             w.nonlinearity)[0]
             exact = shift(w.profile, -w.omega * 1.0)
-            errs.append((traj.final() - exact).sup_norm())
+            errs.append((traj.states[-1] - exact).sup_norm())
         assert math.log2(errs[0] / errs[1]) > 3.8
         assert math.log2(errs[1] / errs[2]) > 3.5
 
@@ -303,50 +324,50 @@ class TestIntegrate:
         w = kdv_midk
         cfg = EvolutionConfig(dt=5e-4, T=0.5)
         r = 9 * w.grid.spacing
-        a = integrate(shift(w.profile, r), cfg, w.symbol, w.nonlinearity).final()
-        b = shift(integrate(w.profile, cfg, w.symbol, w.nonlinearity).final(), r)
+        a = integrate([shift(w.profile, r)], cfg, w.symbol, w.nonlinearity)[0].states[-1]
+        b = shift(integrate([w.profile], cfg, w.symbol, w.nonlinearity)[0].states[-1], r)
         assert (a - b).sup_norm() < 1e-9
 
     def test_mass_conserved_to_roundoff(self, kdv_midk):
         w = kdv_midk
         u0 = w.profile + random_smooth_field(w.grid, seed=2, norm_s=0.0) * 1e-3
-        traj = integrate(u0, EvolutionConfig(dt=5e-4, T=1.0), w.symbol, w.nonlinearity)
-        assert abs(mass(traj.final()) - mass(u0)) < 1e-12
+        traj = integrate([u0], EvolutionConfig(dt=5e-4, T=1.0), w.symbol, w.nonlinearity)[0]
+        assert abs(mass(traj.states[-1]) - mass(u0)) < 1e-12
 
     def test_short_horizon_conservation(self, kdv_midk):
         w = kdv_midk
         u0 = w.profile + random_smooth_field(w.grid, seed=2, norm_s=1.0) * 1e-3
-        traj = integrate(u0, EvolutionConfig(dt=2e-4, T=2.0), w.symbol, w.nonlinearity)
+        traj = integrate([u0], EvolutionConfig(dt=2e-4, T=2.0), w.symbol, w.nonlinearity)[0]
         P0 = energy(u0, w.symbol, w.nonlinearity)
         F0 = momentum(u0)
-        assert abs(energy(traj.final(), w.symbol, w.nonlinearity) - P0) < 1e-7 * max(1, abs(P0))
-        assert abs(momentum(traj.final()) - F0) < 1e-7 * max(1, abs(F0))
+        assert abs(energy(traj.states[-1], w.symbol, w.nonlinearity) - P0) < 1e-7 * max(1, abs(P0))
+        assert abs(momentum(traj.states[-1]) - F0) < 1e-7 * max(1, abs(F0))
 
     def test_regularized_short_horizon_conservation(self, bbm_wave):
         w = bbm_wave
         u0 = w.profile + random_smooth_field(w.grid, seed=2, norm_s=1.0) * 1e-3
         cfg = EvolutionConfig(dt=1e-3, T=1.0, variant="regularized")
-        traj = integrate(u0, cfg, w.symbol, w.nonlinearity)
+        traj = integrate([u0], cfg, w.symbol, w.nonlinearity)[0]
         P0 = energy(u0, w.symbol, w.nonlinearity)
         F0 = momentum(u0, symbol=w.symbol, variant="regularized")
-        P1 = energy(traj.final(), w.symbol, w.nonlinearity)
-        F1 = momentum(traj.final(), symbol=w.symbol, variant="regularized")
+        P1 = energy(traj.states[-1], w.symbol, w.nonlinearity)
+        F1 = momentum(traj.states[-1], symbol=w.symbol, variant="regularized")
         assert abs(P1 - P0) < 1e-7 * max(1, abs(P0))
         assert abs(F1 - F0) < 1e-7 * max(1, abs(F0))
 
     def test_regularized_traveling_wave(self, bbm_wave):
         w = bbm_wave
         cfg = EvolutionConfig(dt=1e-3, T=1.0, variant="regularized")
-        traj = integrate(w.profile, cfg, w.symbol, w.nonlinearity)
+        traj = integrate([w.profile], cfg, w.symbol, w.nonlinearity)[0]
         exact = shift(w.profile, -w.omega * 1.0)
-        assert (traj.final() - exact).sup_norm() < 1e-6
+        assert (traj.states[-1] - exact).sup_norm() < 1e-6
 
     def test_blowup_detection(self, grid):
         sym = DispersionSymbol.second_derivative(TWO_PI)
         u0 = Field(grid, 80.0 * np.cos(grid.nodes))
         cfg = EvolutionConfig(dt=0.05, T=5.0)
         with pytest.raises(BlowupError) as info:
-            integrate(u0, cfg, sym, Nonlinearity.kdv())
+            integrate([u0], cfg, sym, Nonlinearity.kdv())
         assert info.value.time > 0
 
     @pytest.mark.parametrize(
@@ -360,7 +381,7 @@ class TestIntegrate:
               + Field(g, 1e-3 * (-1.0) ** np.arange(g.size)))
         dt = 1e-3
         cfg = EvolutionConfig(dt=dt, T=2 * dt, variant=w.variant, sample_interval=dt)
-        traj = integrate(u0, cfg, w.symbol, w.nonlinearity)
+        traj = integrate([u0], cfg, w.symbol, w.nonlinearity)[0]
         for n_steps in (1, 2):
             ref = _full_spectrum_reference(u0, cfg, w.symbol, w.nonlinearity, n_steps)
             got = traj.states[n_steps].values
@@ -442,7 +463,7 @@ class TestIntegrate:
         trajs = integrate(starts, cfg, w.symbol, w.nonlinearity)
         assert len(trajs) == 2
         for start, traj in zip(starts, trajs):
-            alone = integrate(start, cfg, w.symbol, w.nonlinearity)
+            alone = integrate([start], cfg, w.symbol, w.nonlinearity)[0]
             assert traj.states[0] is start
             assert np.array_equal(traj.times, alone.times)
             for a, b in zip(traj.states, alone.states):
@@ -456,7 +477,7 @@ class TestIntegrate:
         u_big = Field(grid, 80.0 * np.cos(grid.nodes))
         cfg = EvolutionConfig(dt=0.05, T=5.0)
         with pytest.raises(BlowupError) as alone:
-            integrate(u_big, cfg, sym, Nonlinearity.kdv())
+            integrate([u_big], cfg, sym, Nonlinearity.kdv())
         with pytest.raises(BlowupError) as batch:
             integrate([Field.constant(grid, 1e4), u_big], cfg, sym, Nonlinearity.kdv())
         assert batch.value.time == alone.value.time

@@ -163,7 +163,7 @@ class TestConfig:
         ('solve.guess={"type":"cnoidal","k":0}', "solve/guess/k"),
         ('solve.guess={"type":"cnoidal","k":1}', "solve/guess/k"),
         ('solve.guess={"type":"cnoidal","k":0.5}', None),
-        ('solve.guess={"type":"cosine","newton_polish":"yes"}', "solve/guess/newton_polish"),
+        ('solve.guess={"type":"cosine","newton_polish":"yes"}', "solve/guess"),
         ('solve.guess={"type":"cosine","mode":0}', "solve/guess/mode"),
         ('solve.guess={"k":0.5}', "solve/guess"),
         ('solve.guess={"type":"sech"}', "solve/guess/type"),
@@ -291,7 +291,7 @@ class TestCli:
                 "nonlinearity": {"kind": "power", "p": 1, "c": 1.0},
             },
             "grid": {"L": TWO_PI, "N": 128},
-            "solve": {"guess": {"type": "cnoidal", "k": 0.9, "newton_polish": True}},
+            "solve": {"guess": {"type": "cnoidal", "k": 0.9}},
         }
         path = tmp_path / "run.json"
         path.write_text(json.dumps(cfg))
@@ -709,9 +709,10 @@ class TestCli:
         assert fields[1] == fields[0]
 
     def test_newton_polish_at_roundoff_floor(self, tmp_path):
+        # the closed form needs no polish: unpolished, it is within the bound
         out = str(tmp_path / "run")
         code = self.run("solve", "--preset", "kdv-cnoidal", "--override", "grid.N=512",
-                        "--override", "solve.guess.newton_polish=true", "--out", out)
+                        "--out", out)
         assert code == 0
         w = load_wave(os.path.join(out, "wave"))
         assert w.residual_norm <= residual_bound(w.symbol, w.profile)
@@ -958,6 +959,19 @@ class TestCli:
         assert failed["lyapunov"]["sigma"] == 1.0
         assert failed["lyapunov"]["reason"] == "no coercive penalty weight: test"
 
+    def test_evolve_records_why_the_verdict_gave_no_weight(self, tmp_path):
+        # gkdv-p's verdict is inconclusive and picks no (mu, nu): evolve runs
+        # with the unit weight and names the verdict's conclusion and reason
+        out = tmp_path / "run"
+        assert self.run("evolve", "--preset", "gkdv-p", "--out", str(out),
+                        "--override", "evolve.T=0.2") == 0
+        summary = json.loads((out / "evolve_summary.json").read_text())
+        assert summary["lyapunov"] == {
+            "sigma": 1.0, "mu": 0.0, "nu": 1.0,
+            "reason": "verdict inconclusive gives no (mu, nu): spectral prerequisites "
+                      "failed (n_neg=2, zero_dim=1, h1=True)",
+        }
+
     def test_evolve_solves_for_the_tangent_once(self, tmp_path, monkeypatch):
         # lyapunov_sigma reads the surface certify already holds
         calls, real = [], waves.param_derivatives
@@ -982,6 +996,20 @@ class TestCli:
         err = capsys.readouterr().err.strip()
         assert err == ("config error: config schema violation at evolve: "
                        f"unknown key '{key}'")
+        assert not os.path.exists(out)
+
+    def test_saved_config_with_newton_polish_refused(self, tmp_path, capsys):
+        # closed forms are no longer Newton-polished; configs that asked for
+        # it carry the key
+        config = load_config(preset="kdv-cnoidal")
+        config["solve"]["guess"]["newton_polish"] = True
+        path = tmp_path / "saved.json"
+        path.write_text(json.dumps(config))
+        out = str(tmp_path / "run")
+        assert self.run("solve", "--config", str(path), "--out", out) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == ("config error: config schema violation at solve/guess: "
+                       "unknown key 'newton_polish'")
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("key, value", [("integrator", "etdrk4"), ("dealias", "true")])
@@ -1017,22 +1045,30 @@ class TestCli:
     def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # c3 read the K x K collocation matrix, whose products OpenBLAS splits
         # across threads: its last digits differed between 1 and 2 threads
-        # for ilw at its own N and for ilw and bo at N = 1024
-        runs = {"ilw": [], "ilw-1024": ["--override", "grid.N=1024"],
-                "bo-1024": ["--override", "grid.N=1024"]}
+        # for ilw at its own N and for ilw and bo at N = 1024; evolve's
+        # summary and traces are held to the same
+        certified = ("certify.json", "spectrum.csv")
+        evolved = ("evolve_summary.json", "trace_000.csv")
+        # (run name, its argv without --out, the files compared)
+        runs = [
+            ("ilw", ["certify", "--preset", "ilw"], certified),
+            ("ilw-1024", ["certify", "--preset", "ilw", "--override", "grid.N=1024"],
+             certified),
+            ("bo-1024", ["certify", "--preset", "bo", "--override", "grid.N=1024"], certified),
+            *((f"evolve-{preset}", ["evolve", "--preset", preset, "--override", "evolve.T=0.2"],
+               evolved) for preset in ("kdv-cnoidal", "regularized-bbm-like")),
+        ]
         src = os.path.dirname(os.path.dirname(os.path.abspath(
             sys.modules["periwave.cli"].__file__)))
         script = ("import json, sys\nfrom periwave.cli import main\n"
                   "sys.exit(max([main(argv) for argv in json.loads(sys.argv[1])]))")
         for threads in ("1", "2"):
-            argvs = [["certify", "--preset", name.split("-")[0],
-                      "--out", str(tmp_path / threads / name), *overrides]
-                     for name, overrides in runs.items()]
+            argvs = [[*argv, "--out", str(tmp_path / threads / name)] for name, argv, _ in runs]
             env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
             subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
                            check=True, capture_output=True)
-        for name in runs:
-            for file in ("certify.json", "spectrum.csv"):
+        for name, _, files in runs:
+            for file in files:
                 one, two = ((tmp_path / t / name / file).read_bytes() for t in "12")
                 assert one == two, (name, file)
 

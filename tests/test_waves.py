@@ -4,11 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from conftest import apply, certified_tangent, omega_targets, shift
+from conftest import apply, certified_tangent, constrained_energy, omega_targets, shift
 from periwave import elliptic, waves
 from periwave.cli import _solve_wave
 from periwave.config import load_config
-from periwave.evolution import constrained_energy, energy, mass, momentum
+from periwave.evolution import energy, mass, momentum
 from periwave.linop import assemble
 from periwave.spectral import (
     DispersionSymbol,
@@ -328,20 +328,6 @@ class TestNewton:
             w.profile, w.omega, Constraint.fixed_A(w.A), w.symbol, w.nonlinearity, tol=1e-8
         )
         assert len(out.newton_history) == 1 and out.newton_report()["newton_steps"] == 0
-
-    @pytest.mark.parametrize("preset,overrides", [
-        ("kdv-cnoidal", []), ("regularized-bbm-like", ["grid.N=1024"]),
-    ])
-    def test_polish_starts_at_the_closed_form(self, preset, overrides):
-        # A is solved for, and starts at the zero mode of the profile equation
-        # at the guess: the closed form's own A, not 0
-        config = load_config(preset=preset, overrides=overrides)
-        closed = _solve_wave(config)
-        polished = _solve_wave(load_config(
-            preset=preset, overrides=overrides + ["solve.guess.newton_polish=true"]))
-        assert config["solve"]["constraint"]["mode"] != "fixed_A"
-        assert polished.newton_history[0] == pytest.approx(
-            closed.residual_norm, abs=residual_bound(closed.symbol, closed.profile))
 
     def test_solution_at_n_is_the_padded_coarse_solution(self, preset_wave):
         fine, coarse = preset_wave("bo", 1024), preset_wave("bo", 256)
