@@ -270,6 +270,28 @@ def cmd_sweep(out: str, seed_wave: TravelingWave, config: dict) -> int:
     return EXIT_SWEEP_PARTIAL if partial else EXIT_OK
 
 
+def _save_traces(out: str, traces) -> list[dict]:
+    """Write each trace to ``out``/trace_NNN.csv; returns their summary entries."""
+    summary = []
+    for i, trace in enumerate(traces):
+        name = f"trace_{i:03d}.csv"
+        save_trace_csv(trace, os.path.join(out, name))
+        ratio = trace.sup_ratio()
+        summary.append(
+            {
+                "amplitude": trace.amplitude,
+                "sup_ratio": ratio if math.isfinite(ratio) else None,
+                "sup_distance": float(trace.d_orbit.max()),
+                "drift_P": trace.drift(trace.energy),
+                "drift_F": trace.drift(trace.momentum),
+                "drift_M": trace.drift(trace.mass),
+                "drift_V": trace.drift(trace.lyapunov),
+                "trace_file": name,
+            }
+        )
+    return summary
+
+
 def cmd_evolve(out: str, wave: TravelingWave, config: dict) -> int:
     ev = config["evolve"]
     cfg = EvolutionConfig(
@@ -297,8 +319,9 @@ def cmd_evolve(out: str, wave: TravelingWave, config: dict) -> int:
             wave, ev["amplitudes"], cfg, seed=ev["seed"], sigma=sigma, mu=mu, nu=nu
         )
     except BlowupError as exc:
+        # every amplitude's trace up to the sample before the blowup
         _write_json(
-            {"blowup_time": exc.time, "error": str(exc)},
+            {"blowup_time": exc.time, "error": str(exc), "traces": _save_traces(out, exc.traces)},
             _stamp(config),
             os.path.join(out, "evolve_summary.json"),
         )
@@ -306,22 +329,7 @@ def cmd_evolve(out: str, wave: TravelingWave, config: dict) -> int:
         return EXIT_BLOWUP
     seconds = time.perf_counter() - start
 
-    summary = []
-    for i, trace in enumerate(traces):
-        name = f"trace_{i:03d}.csv"
-        save_trace_csv(trace, os.path.join(out, name))
-        summary.append(
-            {
-                "amplitude": trace.amplitude,
-                "sup_ratio": None if not math.isfinite(trace.sup_ratio()) else trace.sup_ratio(),
-                "sup_distance": float(trace.d_orbit.max()),
-                "drift_P": trace.drift(trace.energy),
-                "drift_F": trace.drift(trace.momentum),
-                "drift_M": trace.drift(trace.mass),
-                "drift_V": trace.drift(trace.lyapunov),
-                "trace_file": name,
-            }
-        )
+    summary = _save_traces(out, traces)
     _write_json(
         {"traces": summary, "lyapunov": {"sigma": sigma, "mu": mu, "nu": nu, **failed}},
         _stamp(config),

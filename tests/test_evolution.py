@@ -369,6 +369,12 @@ class TestIntegrate:
         with pytest.raises(BlowupError) as info:
             integrate([u0], cfg, sym, Nonlinearity.kdv())
         assert info.value.time > 0
+        # the samples taken before the failing one come with the error
+        (traj,) = info.value.trajectories
+        assert info.value.traces == []
+        assert traj.states[0] is u0 and len(traj.states) == len(traj.times)
+        assert traj.times[-1] < info.value.time
+        assert all(np.isfinite(u.values).all() for u in traj.states)
 
     @pytest.mark.parametrize(
         "wave", ["kdv_midk", "bbm_wave", "kdv_n96", "gkdv3_wave", "bo_wave"])
@@ -388,10 +394,13 @@ class TestIntegrate:
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("rows", [1, 2, 3])
-    @pytest.mark.parametrize("wave", ["kdv_stable", "bbm_wave", "kdv_n96"])
+    @pytest.mark.parametrize("wave", ["kdv_stable", "bbm_wave", "kdv_n96", "gkdv2_wave"])
     def test_etdrk4_bitwise_equal_to_allocating_step(self, request, wave, rows):
         # every step is sampled, so a sample that aliased a reused stage
-        # buffer would be overwritten by later steps and differ here
+        # buffer would be overwritten by later steps and differ here; the
+        # reference multiplies by the (N/2+1,) coefficients, broadcast over
+        # the rows, where integrate uses copies at the batch's shape; p = 2
+        # takes the np.power branch
         w = request.getfixturevalue(wave)
         p = random_smooth_field(w.grid, seed=4, norm_s=1.0)
         starts = [w.profile + p * a for a in (1e-2, 1e-1, 0.0)][:rows]
@@ -408,9 +417,9 @@ class TestIntegrate:
     @pytest.mark.parametrize("N", [16, 96, 256])
     @pytest.mark.parametrize("rows", [1, 2, 3])
     def test_step_transforms_bitwise_equal_to_public_fft(self, rows, N):
-        # the gufuncs integrate calls, through its out= buffers and with phys
-        # squared in place, against np.fft's public functions; at N = 96,
-        # dividing by N rounds differently from the factor 1/N
+        # the gufuncs integrate calls, with its buffers as positional outputs
+        # and phys squared in place, against np.fft's public functions; at
+        # N = 96, dividing by N rounds differently from the factor 1/N
         pfu = evolution._pocketfft_umath
         rng = np.random.default_rng(rows * N)
         phys = np.empty((rows, N))
@@ -420,10 +429,10 @@ class TestIntegrate:
             y = rng.standard_normal((rows, N // 2 + 1)) + 1j * rng.standard_normal(
                 (rows, N // 2 + 1))
             want_phys = np.fft.irfft(y, N)
-            assert pfu.irfft(y, inv_n, out=phys) is phys
+            assert pfu.irfft(y, inv_n, phys) is phys
             assert np.array_equal(phys, want_phys)
             want_out = np.fft.rfft(want_phys ** 2)
-            assert pfu.rfft_n_even(np.square(phys, out=phys), 1.0, out=out) is out
+            assert pfu.rfft_n_even(np.square(phys, phys), 1.0, out) is out
             assert np.array_equal(out, want_out)
 
     def test_public_fft_calls_scale_with_samples_not_steps(self, kdv_midk, monkeypatch):
@@ -562,14 +571,28 @@ class TestStabilityExperiment:
         # only the larger amplitude blows up; the batch stops at its time
         w = cnoidal_wave(TWO_PI, 0.9, 128)
         cfg = EvolutionConfig(dt=0.05, T=5.0)
-        stability_experiment(w, [1e-3], cfg)
+        (small,) = stability_experiment(w, [1e-3], cfg)
         with pytest.raises(BlowupError) as alone:
             stability_experiment(w, [20.0], cfg)
         with pytest.raises(BlowupError) as batch:
             stability_experiment(w, [1e-3, 20.0], cfg)
-        assert batch.value.time == alone.value.time > 1.0
-        assert batch.value.row == 1
-        assert str(batch.value).endswith("at amplitude 20")
+        exc = batch.value
+        assert exc.time == alone.value.time > 1.0
+        assert exc.row == 1
+        assert str(exc).endswith("at amplitude 20")
+        # each row's trace up to the sample before the blowup is bitwise the
+        # start of that amplitude's trace when it runs alone
+        assert [t.amplitude for t in exc.traces] == [1e-3, 20.0]
+        n = len(exc.traces[0].times)
+        assert 1 < n < len(small.times)
+        assert small.times[n] == exc.time
+        for name in ("times", "d_orbit", "r_star", "energy", "momentum", "mass", "lyapunov"):
+            assert np.array_equal(getattr(exc.traces[0], name), getattr(small, name)[:n]), name
+            assert np.array_equal(getattr(exc.traces[1], name),
+                                  getattr(alone.value.traces[0], name)), name
+        for traj, trace in zip(exc.trajectories, exc.traces, strict=True):
+            assert np.array_equal(traj.times, trace.times)
+            assert len(traj.states) == n
 
     def test_negative_amplitude_rejected(self, kdv_midk):
         cfg = EvolutionConfig(dt=5e-4, T=1.0)

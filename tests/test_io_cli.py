@@ -1036,6 +1036,37 @@ class TestCli:
         summary = json.loads(open(os.path.join(out, "evolve_summary.json")).read())
         assert summary["blowup_time"] > 0
 
+    def test_evolve_blowup_writes_the_traces_taken(self, tmp_path):
+        # both amplitudes' samples before the blowup are written, and the
+        # bounded one's file is the prefix of its file from a run alone
+        def run(name, amplitudes, T):
+            out = str(tmp_path / name)
+            code = self.run(
+                "evolve", "--preset", "kdv-cnoidal", "--out", out,
+                "--override", "grid.N=128", "--override", "evolve.dt=0.05",
+                "--override", f"evolve.T={T}", "--override", "evolve.sample_interval=0.1",
+                "--override", f"evolve.amplitudes={amplitudes}",
+            )
+            return code, out
+
+        code, out = run("batch", "[0.001,50.0]", 5.0)
+        assert code == 5
+        summary = json.loads(open(os.path.join(out, "evolve_summary.json")).read())
+        assert summary["blowup_time"] > 0
+        assert summary["error"].endswith("at amplitude 50")
+        traces = summary["traces"]
+        assert [t["amplitude"] for t in traces] == [0.001, 50.0]
+        assert [t["trace_file"] for t in traces] == ["trace_000.csv", "trace_001.csv"]
+        assert sorted(os.listdir(out)) == ["evolve_summary.json", "trace_000.csv",
+                                           "trace_001.csv"]
+        lines = open(os.path.join(out, "trace_000.csv")).read().splitlines()
+        assert lines[0] == "t,d_orbit,r_star,P,F,M,V"
+        assert float(lines[-1].split(",")[0]) < summary["blowup_time"]
+        code, alone = run("alone", "[0.001]", 5.0)
+        assert code == 0
+        full = open(os.path.join(alone, "trace_000.csv")).read().splitlines()
+        assert full[:len(lines)] == lines and len(full) > len(lines)
+
     def test_solve_takes_no_wave(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["solve", "--preset", "bo", "--wave", "x"])
