@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 configuration error, 2 solver failure,
 3 certification prerequisites failed (inconclusive verdict),
-4 sweep aborted partway (family.csv and sweep.json, marked partial, hold
-the members converged so far, possibly none), 5 blowup detected.
+4 sweep aborted partway (family.csv, members.csv and sweep.json, marked
+partial, hold the members converged so far, possibly none), 5 blowup detected.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from .evolution import (
 )
 from .io import (
     _csv_text,
+    _equation_fields,
+    _node_column,
     _nonlinearity_to_dict,
     _symbol_to_dict,
     atomic_write_text,
@@ -218,12 +220,12 @@ def cmd_sweep(out: str, seed_wave: TravelingWave, config: dict) -> int:
         targets = [(float(np.polyval(sweep["omega_coeffs"][::-1], x)),
                     Constraint.fixed_A(float(np.polyval(sweep["A_coeffs"][::-1], x))))
                    for x in values]
-    stamp = _stamp(config)  # one config hash for every member and sweep.json
-    rows = []
+    rows, profiles = [], []
 
     def visit(w: TravelingWave):
-        """Certify and write one member; its tangent predicts the next."""
+        """Certify and keep one member; its tangent predicts the next."""
         cert = certify(w)
+        profiles.append(w.profile.values)
         rows.append(
             {
                 "xi": float(values[len(rows)]),
@@ -233,9 +235,9 @@ def cmd_sweep(out: str, seed_wave: TravelingWave, config: dict) -> int:
                 "momentum": momentum(w.profile, symbol=w.symbol, variant=w.variant),
                 "verdict": cert.verdict.conclusion,
                 "newton_steps": w.newton_report()["newton_steps"],
+                "residual_norm": w.residual_norm,
             }
         )
-        save_wave(w, os.path.join(out, f"wave_{len(rows) - 1:03d}"), extra=stamp)
         return None if cert.eta is None else (cert.eta, cert.beta)
 
     partial = False
@@ -250,19 +252,21 @@ def cmd_sweep(out: str, seed_wave: TravelingWave, config: dict) -> int:
                for key in ("xi", "omega", "A", "mass", "momentum", "verdict")]
     atomic_write_text(os.path.join(out, "family.csv"),
                       _csv_text(["xi", "omega", "A", "M", "F", "verdict"], columns))
+    atomic_write_text(os.path.join(out, "members.csv"),
+                      _csv_text(["x", *(f"u_{k:03d}" for k in range(len(profiles)))],
+                                profiles, (_node_column(seed_wave.grid),)))
 
-    curve_value = None
-    curve_mu_nu = None
-    if len(rows) >= 3:
-        curve_value, curve_mu_nu = curve_criterion(*columns[:5])
+    curve_value, curve_mu_nu = curve_criterion(*columns[:5]) if len(rows) >= 3 else (None, None)
     _write_json(
         {
             "curve_criterion": curve_value,
             "curve_mu_nu": list(curve_mu_nu) if curve_mu_nu else None,
             "members": rows,
             "partial": partial,
+            # the entries every member's sidecar shares; its row holds the rest
+            **_equation_fields(seed_wave), "constraint": targets[0][1].mode,
         },
-        stamp,
+        _stamp(config),
         os.path.join(out, "sweep.json"),
     )
     if curve_value is not None:
@@ -300,41 +304,37 @@ def cmd_evolve(out: str, wave: TravelingWave, config: dict) -> int:
         sample_interval=ev["sample_interval"],
     )
     # without the verdict's (mu, nu) or their sigma, evolve with the unit
-    # weight, and say why
-    sigma, mu, nu, failed = 1.0, 0.0, 1.0, {}
+    # weight, and say why; with them, record sigma's margin
+    sigma, mu, nu, noted = 1.0, 0.0, 1.0, {}
     cert = certify(wave)
     verdict = cert.verdict
     if verdict.mu_nu is None:
-        failed = {"reason": f"verdict {verdict.conclusion} gives no (mu, nu)"
-                  + (f": {verdict.reason}" if verdict.reason else "")}
+        noted = {"reason": f"verdict {verdict.conclusion} gives no (mu, nu)"
+                 + (f": {verdict.reason}" if verdict.reason else "")}
     else:
         mu, nu = verdict.mu_nu
         try:
-            sigma, _ = lyapunov_sigma(cert.core, cert.operator, cert.surface, mu, nu)
+            sigma, noted["margin"] = lyapunov_sigma(cert.core, cert.operator, cert.surface, mu, nu)
         except SolverError as exc:
-            failed = {"reason": str(exc)}
-    start = time.perf_counter()
+            noted = {"reason": str(exc)}
+    start, blowup = time.perf_counter(), {}
     try:
         traces = stability_experiment(
             wave, ev["amplitudes"], cfg, seed=ev["seed"], sigma=sigma, mu=mu, nu=nu
         )
-    except BlowupError as exc:
-        # every amplitude's trace up to the sample before the blowup
-        _write_json(
-            {"blowup_time": exc.time, "error": str(exc), "traces": _save_traces(out, exc.traces)},
-            _stamp(config),
-            os.path.join(out, "evolve_summary.json"),
-        )
-        print(f"blowup detected: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
+    except BlowupError as exc:  # every amplitude's trace up to the sample before it
+        traces, blowup = exc.traces, {"blowup_time": exc.time, "error": str(exc)}
     seconds = time.perf_counter() - start
 
     summary = _save_traces(out, traces)
     _write_json(
-        {"traces": summary, "lyapunov": {"sigma": sigma, "mu": mu, "nu": nu, **failed}},
+        {"traces": summary, "lyapunov": {"sigma": sigma, "mu": mu, "nu": nu, **noted}, **blowup},
         _stamp(config),
         os.path.join(out, "evolve_summary.json"),
     )
+    if blowup:
+        print(f"blowup detected: {blowup['error']}", file=sys.stderr)
+        return EXIT_BLOWUP
     for item in summary:
         ratio = item["sup_ratio"]
         print(
@@ -375,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory (defaults to config output.directory)")
     parser.add_argument("--override", action="append", default=[], metavar="KEY.PATH=VALUE",
                         help="override a config entry (value parsed as JSON)")
-    parser.add_argument("--wave", help="basepath of a saved wave (.csv/.json pair); not for solve")
+    parser.add_argument("--wave", help="BASEPATH of a saved .csv/.json pair, or DIR#k for "
+                        "member k of the sweep in DIR; not for solve")
     return parser
 
 

@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import warnings
 from dataclasses import replace
 from functools import lru_cache
@@ -31,7 +32,6 @@ __all__ = [
     "canonical_json",
     "config_hash",
     "atomic_write_text",
-    "save_field_csv",
     "save_wave",
     "load_wave",
     "symbol_from_dict",
@@ -147,10 +147,6 @@ def _node_column(grid: PeriodicGrid) -> tuple:
     return "%s", tuple(map("%.17g".__mod__, grid.nodes.tolist()))
 
 
-def save_field_csv(u: Field, path: str):
-    atomic_write_text(path, _csv_text(["x", "u"], [u.values], (_node_column(u.grid),)))
-
-
 def _symbol_to_dict(symbol: DispersionSymbol) -> dict:
     out = {"kind": symbol.kind, "m": symbol.order, "L": symbol.length}
     if symbol.delta is not None:
@@ -186,41 +182,54 @@ def nonlinearity_from_dict(data: dict) -> Nonlinearity:
     raise ValueError(f"unknown nonlinearity kind {data['kind']!r}")
 
 
-def save_wave(w: TravelingWave, basepath: str, extra: dict | None = None):
-    """Write <basepath>.csv (x, phi) and the <basepath>.json sidecar."""
-    save_field_csv(w.profile, basepath + ".csv")
-    sidecar = {
+def _equation_fields(w: TravelingWave) -> dict:
+    """The sidecar entries a sweep's members share: its grid, equation and constraint."""
+    return {
         "L": w.grid.length,
         "N": w.grid.size,
-        "omega": w.omega,
-        "A": w.A,
         "symbol": _symbol_to_dict(w.symbol),
         "nonlinearity": _nonlinearity_to_dict(w.nonlinearity),
-        "residual_norm": w.residual_norm,
         "variant": w.variant,
         "constraint": w.constraint,
     }
-    if extra:
-        sidecar.update(extra)
+
+
+def save_wave(w: TravelingWave, basepath: str, extra: dict | None = None):
+    """Write <basepath>.csv (x, u: the profile) and the <basepath>.json sidecar."""
+    atomic_write_text(basepath + ".csv",
+                      _csv_text(["x", "u"], [w.profile.values], (_node_column(w.grid),)))
+    sidecar = {**_equation_fields(w), "omega": w.omega, "A": w.A,
+               "residual_norm": w.residual_norm, **(extra or {})}
     atomic_write_text(basepath + ".json", canonical_json(sidecar))
 
 
 def load_wave(basepath: str) -> TravelingWave:
     """Read a saved wave, recomputing its residual instead of trusting the sidecar.
 
-    A profile without x, u rows or whose length differs from the sidecar's N,
-    or a sidecar that is not a JSON object or lacks an entry, raises
-    ValueError.
+    ``DIR#k`` names member k of the sweep in DIR: sweep.json's top level with
+    its k-th member row, and column k + 1 of members.csv.  A profile without
+    x, u rows or whose length differs from the sidecar's N, a sidecar that is
+    not a JSON object or lacks an entry, or no member k raises ValueError.
     """
-    with open(basepath + ".json") as handle:
+    sidecar, table, column = basepath + ".json", basepath + ".csv", 1
+    if member := re.fullmatch(r"(.*)#(\d+)", basepath):
+        sidecar, table = (os.path.join(member[1], name) for name in ("sweep.json", "members.csv"))
+        column = int(member[2]) + 1
+    with open(sidecar) as handle:
         meta = json.load(handle)
     if not isinstance(meta, dict):
-        raise ValueError(f"sidecar {basepath}.json is not a JSON object")
+        raise ValueError(f"sidecar {sidecar} is not a JSON object")
+    if member:
+        rows = meta.get("members")
+        row = rows[column - 1] if isinstance(rows, list) and column <= len(rows) else None
+        if not isinstance(row, dict):
+            raise ValueError(f"sweep {sidecar} has no member {member[2]}")
+        meta = {**meta, **row}
     with warnings.catch_warnings():  # an empty table is refused just below
         warnings.simplefilter("ignore", UserWarning)
-        data = np.loadtxt(basepath + ".csv", delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] < 2:
-        raise ValueError(f"profile {basepath}.csv holds no x, u rows")
+        data = np.loadtxt(table, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] <= column:
+        raise ValueError(f"profile {table} holds no x, u rows")
     try:
         grid = PeriodicGrid(float(meta["L"]), int(meta["N"]))
         entries = dict(
@@ -232,8 +241,8 @@ def load_wave(basepath: str) -> TravelingWave:
             constraint=meta.get("constraint", ""),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"sidecar {basepath}.json: bad or missing entry ({exc!r})") from None
-    w = TravelingWave(profile=Field(grid, data[:, 1]), **entries)
+        raise ValueError(f"sidecar {sidecar}: bad or missing entry ({exc!r})") from None
+    w = TravelingWave(profile=Field(grid, data[:, column]), **entries)
     return replace(w, residual_norm=residual(w).sup_norm())
 
 

@@ -5,13 +5,20 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from periwave import cli, stability, waves
 from periwave.cli import main
-from periwave.config import ConfigError, list_presets, load_config, symbol_from_config
+from periwave.config import (
+    ConfigError,
+    grid_from_config,
+    list_presets,
+    load_config,
+    symbol_from_config,
+)
 from periwave.io import (
     _csv_text,
     atomic_write_text,
@@ -19,7 +26,6 @@ from periwave.io import (
     config_hash,
     format_float,
     load_wave,
-    save_field_csv,
     save_wave,
 )
 from periwave.spectral import PeriodicGrid, mean_value, random_smooth_field
@@ -89,14 +95,21 @@ class TestSerialization:
         atomic_write_text(str(tmp_path / "report.json"), text)
         assert (tmp_path / "report.json").read_bytes() == text.encode()
 
-    def test_field_csv_roundtrip(self, tmp_path):
-        grid = PeriodicGrid(TWO_PI, 64)
+    def test_field_csv_roundtrip(self, tmp_path, kdv_stable):
+        # the profile table's 17-digit columns give back the nodes and values
+        grid = kdv_stable.grid
         u = random_smooth_field(grid, seed=1)
-        path = str(tmp_path / "field.csv")
-        save_field_csv(u, path)
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        base = str(tmp_path / "wave")
+        save_wave(replace(kdv_stable, profile=u), base)
+        data = np.loadtxt(base + ".csv", delimiter=",", skiprows=1)
         assert np.array_equal(data[:, 0], grid.nodes)
         assert np.array_equal(data[:, 1], u.values)
+
+    def test_basepath_with_a_hash_not_before_digits_is_a_pair(self, tmp_path, kdv_stable):
+        # only a trailing #<digits> names a sweep member
+        base = str(tmp_path / "a#b" / "w#")
+        save_wave(kdv_stable, base)
+        assert np.array_equal(load_wave(base).profile.values, kdv_stable.profile.values)
 
     def test_wave_roundtrip(self, tmp_path, kdv_stable, ilw_stable, bbm_wave):
         for w in (kdv_stable, ilw_stable, bbm_wave):
@@ -743,6 +756,87 @@ class TestCli:
         lines = open(os.path.join(out, "family.csv")).read().strip().split("\n")
         assert lines[0] == "xi,omega,A,M,F,verdict"
         assert len(lines) == 5
+        assert sorted(os.listdir(out)) == ["family.csv", "members.csv", "sweep.json"]
+
+    @pytest.mark.parametrize("preset", ["kdv-cnoidal", "gkdv-p", "bo", "ilw"])
+    def test_members_csv_holds_what_save_wave_writes(self, tmp_path, monkeypatch, preset):
+        # member k's column of members.csv is byte-equal to the u column that
+        # save_wave writes for it, and certify --wave DIR#k writes the
+        # certify.json of that member saved by save_wave as a basepath pair
+        members, real = [], cli.certify
+        monkeypatch.setattr(cli, "certify", lambda w: members.append(w) or real(w))
+        out = str(tmp_path / "sweep")
+        assert self.run("sweep", "--preset", preset, "--out", out) == 0
+        monkeypatch.undo()
+        rows = json.loads(open(os.path.join(out, "sweep.json")).read())["members"]
+        assert len(members) == len(rows) > 1
+        with open(os.path.join(out, "members.csv")) as handle:
+            header, *table = csv.reader(handle)
+        assert header == ["x"] + [f"u_{k:03d}" for k in range(len(members))]
+        for k, w in enumerate(members):
+            base = str(tmp_path / f"wave_{k:03d}")
+            save_wave(w, base)
+            with open(base + ".csv") as handle:
+                wave_header, *wave_table = csv.reader(handle)
+            assert wave_header == ["x", "u"]
+            assert [cells[0] for cells in table] == [cells[0] for cells in wave_table]
+            assert [cells[k + 1] for cells in table] == [cells[1] for cells in wave_table]
+            assert rows[k]["residual_norm"] == w.residual_norm
+            reports = []
+            for name, wave in (("member", f"{out}#{k}"), ("pair", base)):
+                run = str(tmp_path / f"{name}-{k}")
+                code = self.run("certify", "--wave", wave, "--preset", preset, "--out", run)
+                assert code in (0, 3)
+                reports.append(open(os.path.join(run, "certify.json"), "rb").read())
+            assert reports[0] == reports[1]
+            assert json.loads(reports[0])["conclusion"] == rows[k]["verdict"]
+
+    def test_sweep_json_holds_the_shared_sidecar_entries(self, tmp_path):
+        # an A sweep of a zero-mean seed: its members, and sweep.json, are fixed_A
+        out = str(tmp_path / "run")
+        argv = ["sweep", "--preset", "bo", "--out", out]
+        for item in ("sweep.parameter=A", "sweep.start=0.5", "sweep.stop=0.52", "sweep.count=2"):
+            argv += ["--override", item]
+        assert self.run(*argv) == 0
+        sweep = json.loads(open(os.path.join(out, "sweep.json")).read())
+        assert sweep["constraint"] == "fixed_A" and len(sweep["members"]) == 2
+        for k, row in enumerate(sweep["members"]):
+            # the sidecar save_wave writes for the member: sweep.json's shared
+            # entries, the row's omega and A, and the recomputed residual
+            w = load_wave(f"{out}#{k}")
+            save_wave(w, str(tmp_path / "w"))
+            sidecar = json.loads(open(tmp_path / "w.json").read())
+            assert [sidecar.pop("omega"), sidecar.pop("A")] == [row["omega"], row["A"]]
+            assert sidecar.pop("residual_norm") <= residual_bound(w.symbol, w.profile)
+            assert sidecar == {key: sweep[key] for key in ("L", "N", "symbol", "nonlinearity",
+                                                           "variant", "constraint")}
+
+    def test_sweep_member_must_exist(self, tmp_path, capsys):
+        # DIR#k past the last member, or in a directory without sweep.json,
+        # is refused with exit 1 and names the file
+        out = str(tmp_path / "run")
+        assert self.run("sweep", "--preset", "kdv-cnoidal", "--out", out,
+                        "--override", "grid.N=128", "--override", "sweep.count=2") == 0
+        certify = ["certify", "--preset", "kdv-cnoidal", "--override", "grid.N=128"]
+        assert self.run(*certify, "--wave", f"{out}#1", "--out", str(tmp_path / "ok")) == 0
+        capsys.readouterr()
+        for wave, message in (
+            (f"{out}#2", f"config error: cannot load wave {out}#2: "
+                         f"sweep {out}/sweep.json has no member 2"),
+            (f"{tmp_path}#0", f"{tmp_path}/sweep.json"),
+            (f"{tmp_path / 'none'}#0", f"{tmp_path / 'none'}/sweep.json"),
+        ):
+            assert self.run(*certify, "--wave", wave, "--out", str(tmp_path / "x")) == 1
+            err = capsys.readouterr().err.strip()
+            assert message in err and "\n" not in err
+            assert not os.path.exists(tmp_path / "x" / "certify.json")
+        # a member row that is not a JSON object is no member either
+        sweep = json.loads(open(os.path.join(out, "sweep.json")).read())
+        sweep["members"][1] = 7
+        open(os.path.join(out, "sweep.json"), "w").write(json.dumps(sweep))
+        with pytest.raises(ValueError, match="has no member 1"):
+            load_wave(f"{out}#1")
+        assert np.isfinite(load_wave(f"{out}#0").residual_norm)
 
     @pytest.mark.parametrize("preset", ["kdv-cnoidal", "gkdv-p", "bo", "ilw"])
     def test_curve_criterion_is_read_off_family_csv(self, tmp_path, preset):
@@ -789,8 +883,15 @@ class TestCli:
         assert sweep["curve_criterion"] is None
         lines = open(os.path.join(out, "family.csv")).read().strip().split("\n")
         assert len(lines) == 2 and float(lines[1].split(",")[0]) == 0.46
-        assert os.path.exists(os.path.join(out, "wave_000.json"))
-        assert not os.path.exists(os.path.join(out, "wave_001.json"))
+        # members.csv holds exactly the converged member, which re-loads
+        with open(os.path.join(out, "members.csv")) as handle:
+            header, *table = csv.reader(handle)
+        assert header == ["x", "u_000"] and len(table) == 128
+        w = load_wave(f"{out}#0")
+        assert [row[1] for row in table] == [format_float(x) for x in w.profile.values]
+        assert w.omega == 0.46 and w.residual_norm <= residual_bound(w.symbol, w.profile)
+        with pytest.raises(ValueError, match="has no member 1"):
+            load_wave(f"{out}#1")
 
     def test_sweep_carries_fixed_mean(self, tmp_path):
         out = str(tmp_path / "run")
@@ -802,7 +903,7 @@ class TestCli:
         sweep = json.loads(open(os.path.join(out, "sweep.json")).read())
         assert len(sweep["members"]) == 7
         for i in range(7):
-            w = load_wave(os.path.join(out, f"wave_{i:03d}"))
+            w = load_wave(f"{out}#{i}")
             assert w.constraint == "fixed_mean"
             assert abs(mean_value(w.profile) - 0.1) < 1e-12
 
@@ -819,7 +920,11 @@ class TestCli:
         assert sweep["members"] == [] and sweep["partial"] is True
         assert sweep["curve_criterion"] is None and sweep["curve_mu_nu"] is None
         assert open(os.path.join(out, "family.csv")).read() == "xi,omega,A,M,F,verdict\n"
-        assert not os.path.exists(os.path.join(out, "wave_000.json"))
+        # and members.csv holds the node column only
+        nodes = grid_from_config(load_config(preset="kdv-cnoidal")).nodes
+        assert open(os.path.join(out, "members.csv")).read() == "".join(
+            ["x\n"] + [format_float(x) + "\n" for x in nodes])
+        assert sorted(os.listdir(out)) == ["family.csv", "members.csv", "sweep.json"]
 
     @pytest.mark.parametrize("command, override, path", [
         ("certify", "grid.L=NaN", "grid/L"),
@@ -846,7 +951,7 @@ class TestCli:
         # 2 steps each here; seeded by the previous profile they took 4
         assert sum(m["newton_steps"] for m in members) < 30
         for i, member in enumerate(members):
-            w = load_wave(os.path.join(out, f"wave_{i:03d}"))
+            w = load_wave(f"{out}#{i}")
             assert w.residual_norm <= residual_bound(w.symbol, w.profile)
             assert member["verdict"] == "orbitally_stable"
 
@@ -948,7 +1053,7 @@ class TestCli:
                   "--override", "evolve.sample_interval=0.01"]
         assert self.run(*evolve, "--out", str(tmp_path / "ok")) == 0
         summary = json.loads(open(tmp_path / "ok" / "evolve_summary.json").read())
-        assert "reason" not in summary["lyapunov"]
+        assert "reason" not in summary["lyapunov"] and summary["lyapunov"]["margin"] > 0.0
 
         def fail(*args):
             raise SolverError("no coercive penalty weight: test")
@@ -958,6 +1063,18 @@ class TestCli:
         failed = json.loads(open(tmp_path / "failed" / "evolve_summary.json").read())
         assert failed["lyapunov"]["sigma"] == 1.0
         assert failed["lyapunov"]["reason"] == "no coercive penalty weight: test"
+        assert "margin" not in failed["lyapunov"]
+
+    @pytest.mark.parametrize("preset, margin", [("kdv-cnoidal", 0.378435),
+                                                ("regularized-bbm-like", 0.444022)])
+    def test_evolve_records_the_margin(self, tmp_path, preset, margin):
+        # lyapunov_sigma's least generalized eigenvalue, next to sigma
+        out = tmp_path / "run"
+        assert self.run("evolve", "--preset", preset, "--out", str(out),
+                        "--override", "evolve.T=0.05") == 0
+        lyapunov = json.loads((out / "evolve_summary.json").read_text())["lyapunov"]
+        assert set(lyapunov) == {"sigma", "mu", "nu", "margin"}
+        assert round(lyapunov["margin"], 6) == margin
 
     def test_evolve_records_why_the_verdict_gave_no_weight(self, tmp_path):
         # gkdv-p's verdict is inconclusive and picks no (mu, nu): evolve runs
@@ -1066,6 +1183,10 @@ class TestCli:
         assert code == 0
         full = open(os.path.join(alone, "trace_000.csv")).read().splitlines()
         assert full[:len(lines)] == lines and len(full) > len(lines)
+        # the sigma, mu, nu and margin behind the V column, as a run without blowup writes them
+        unblown = json.loads(open(os.path.join(alone, "evolve_summary.json")).read())
+        assert summary["lyapunov"] == unblown["lyapunov"]
+        assert set(summary["lyapunov"]) == {"sigma", "mu", "nu", "margin"}
 
     def test_solve_takes_no_wave(self, capsys):
         with pytest.raises(SystemExit) as info:
