@@ -36,7 +36,6 @@ from .io import (
     _csv_text,
     _equation_fields,
     _node_column,
-    _nonlinearity_to_dict,
     _symbol_to_dict,
     atomic_write_text,
     canonical_json,
@@ -80,17 +79,24 @@ def _write_json(payload: dict, stamp: dict, path: str):
     atomic_write_text(path, canonical_json(payload))
 
 
+def _symbol_value(symbol) -> dict:
+    """The symbol's fields, second_derivative and hilbert_derivative read as the
+    powers m = 2 and m = 1 that ``DispersionSymbol`` builds them from."""
+    fields = _symbol_to_dict(symbol)
+    power = fields["kind"] in ("second_derivative", "hilbert_derivative")
+    return dict(fields, kind="power") if power else fields
+
+
 def _check_matches(wave: TravelingWave, config: dict, source: str):
     """ConfigError naming the first field where ``wave``'s grid or equation
-    differs from the config's."""
+    differs in value from the config's: the flux is compared by its (p, c)."""
     grid = grid_from_config(config)
     for name, theirs, configured in (
         ("grid.L", wave.grid.length, grid.length),
         ("grid.N", wave.grid.size, grid.size),
-        ("equation.symbol", _symbol_to_dict(wave.symbol),
-         _symbol_to_dict(symbol_from_config(config))),
-        ("equation.nonlinearity", _nonlinearity_to_dict(wave.nonlinearity),
-         _nonlinearity_to_dict(nonlinearity_from_config(config))),
+        ("equation.symbol", _symbol_value(wave.symbol), _symbol_value(symbol_from_config(config))),
+        ("equation.nonlinearity", dict(zip("pc", wave.nonlinearity.params)),
+         dict(zip("pc", nonlinearity_from_config(config).params))),
         ("equation.variant", wave.variant, config["equation"]["variant"]),
     ):
         if theirs != configured:

@@ -343,40 +343,24 @@ def random_smooth_field(grid: PeriodicGrid, seed: int, norm_s: float | None = No
 # dense matrices (collocation representation)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _circulant_window(diag_of, *key) -> np.ndarray:
-    """(c[::-1], c[:0:-1]) with c = F^-1 diag_of(*key), read-only, built once per hashable key."""
-    c = np.fft.ifft(diag_of(*key)).real
-    return _read_only(np.concatenate((c[::-1], c[:0:-1])))
-
-
-def _conjugated_diagonal(diag_of, *key) -> np.ndarray:
-    """Real collocation matrix of a Fourier-diagonal operator F^-1 diag F.
-
-    The matrix is circulant: entry (j, l) is c[(j - l) mod N] with
-    c = F^-1 diag, diag = diag_of(*key): row j is the window of
-    r = ``_circulant_window`` that starts at r[N - 1 - j] = c[j].
-    """
-    r = _circulant_window(diag_of, *key)
-    N, step = (r.size + 1) // 2, r.itemsize
-    return np.ndarray((N, N), r.dtype, r, (N - 1) * step, (-step, step)).copy()
-
-
-def _derivative_diag(grid: PeriodicGrid) -> np.ndarray:
-    return np.where(np.arange(grid.size) == grid.nyquist_index, 0.0, 1j * grid.frequencies)
+def _circulant(d: np.ndarray) -> np.ndarray:
+    """Real collocation matrix of the Fourier-diagonal operator F^-1 diag(d) F:
+    entry (j, l) is c[(j - l) mod N] with c = F^-1 d."""
+    j = np.arange(d.size)
+    return np.fft.ifft(d).real[(j[:, None] - j) % d.size]
 
 
 def multiplier_matrix(symbol: DispersionSymbol, grid: PeriodicGrid) -> np.ndarray:
-    return _conjugated_diagonal(DispersionSymbol.values_on, symbol, grid)
+    return _circulant(symbol.values_on(grid))
 
 
 def derivative_matrix(grid: PeriodicGrid) -> np.ndarray:
-    return _conjugated_diagonal(_derivative_diag, grid)
+    return _circulant(np.where(np.arange(grid.size) == grid.nyquist_index, 0.0, 1j * grid.frequencies))
 
 
 def sobolev_weight_matrix(grid: PeriodicGrid, s: float) -> np.ndarray:
     """Collocation matrix of the H^s weight (1 + xi^2)^s (kept at Nyquist: it is a norm, not a derivative)."""
-    return _conjugated_diagonal(_sobolev_weights, grid, s)
+    return _circulant(_sobolev_weights(grid, s))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

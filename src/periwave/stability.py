@@ -74,7 +74,6 @@ __all__ = [
     "SurfaceDerivatives",
     "StabilityVerdict",
     "HamiltonianSpectrum",
-    "ResolventReport",
     "Certification",
     "surface_derivatives",
     "finite_difference_surface_derivatives",
@@ -91,10 +90,6 @@ __all__ = [
 ORBITALLY_STABLE = "orbitally_stable"
 SPECTRALLY_UNSTABLE = "spectrally_unstable"
 INCONCLUSIVE = "inconclusive"
-
-
-def _relative_deviation(a: float, b: float) -> float:
-    return abs(a - b) / (1.0 + abs(b))
 
 
 @dataclass(frozen=True)
@@ -172,35 +167,10 @@ def finite_difference_surface_derivatives(w: TravelingWave) -> SurfaceDerivative
     )
 
 
-@dataclass(frozen=True)
-class ResolventReport:
-    M_omega: float
-    M_A: float
-    F_omega: float
-    dev_M_omega: float
-    dev_M_A: float
-    dev_F_omega: float
-
-    def max_deviation(self) -> float:
-        return max(self.dev_M_omega, self.dev_M_A, self.dev_F_omega)
-
-
-def resolvent_consistency(
-    w: TravelingWave,
-    lin: LinearizedOperator,
-    sd: SurfaceDerivatives,
-) -> ResolventReport:
-    """-(L^-1 g, 1), -(L^-1 1, 1), -(L^-1 g, g) from ``param_derivatives``'s
-    kernel solves, compared with sd (independent when sd is finite-difference)."""
-    r = surface_derivatives(w, *param_derivatives(w, lin))
-    return ResolventReport(
-        M_omega=r.M_omega,
-        M_A=r.M_A,
-        F_omega=r.F_omega,
-        dev_M_omega=_relative_deviation(r.M_omega, sd.M_omega),
-        dev_M_A=_relative_deviation(r.M_A, sd.M_A),
-        dev_F_omega=_relative_deviation(r.F_omega, sd.F_omega),
-    )
+def resolvent_consistency(w: TravelingWave, lin: LinearizedOperator) -> SurfaceDerivatives:
+    """The surface from ``param_derivatives``' kernel solves: -(L^-1 g, 1),
+    -(L^-1 1, 1), -(L^-1 g, g) and -(L^-1 1, g)."""
+    return surface_derivatives(w, *param_derivatives(w, lin))
 
 
 # ---------------------------------------------------------------------------

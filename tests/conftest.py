@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -68,6 +68,12 @@ def symmetry_defect(spec) -> float:
     ev = spec.eigenvalues
     dist = np.abs(ev[:, None] + ev[None, :]).min(axis=1)
     return float(dist.max() / max(1.0, np.abs(ev).max()))
+
+
+def surface_deviation(sd, reference) -> float:
+    """max |a - b| / (1 + |b|) over the four surface derivatives, a from sd and
+    b from ``reference``."""
+    return max(abs(a - b) / (1.0 + abs(b)) for a, b in zip(astuple(sd), astuple(reference)))
 
 
 def shift(u: Field, r: float) -> Field:

@@ -14,7 +14,6 @@ from periwave.io import format_float
 from periwave.spectral import (
     DispersionSymbol,
     PeriodicGrid,
-    _circulant_window,
     _sobolev_weights,
     derivative_matrix,
     multiplier_matrix,
@@ -28,7 +27,6 @@ CACHES = (
     PeriodicGrid.frequencies.fget,
     DispersionSymbol.values_on,
     spectral._sobolev_weights,
-    spectral._circulant_window,
     spectral.verify_symbol_bounds,
     io._node_column,
 )
@@ -103,9 +101,6 @@ def test_cached_arrays_are_read_only():
         grid.frequencies,
         symbol.values_on(grid),
         _sobolev_weights(grid, 0.5),
-        _circulant_window(DispersionSymbol.values_on, symbol, grid),
-        _circulant_window(spectral._derivative_diag, grid),
-        _circulant_window(_sobolev_weights, grid, -0.5),
     ):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -135,11 +130,9 @@ def test_other_period_size_or_index_misses():
         missed, again = _missed(cache, lambda: getattr(PeriodicGrid(3.0, 32), name))
         assert not missed and again is built[0]
     keys = ((grids[0], 0.5), (grids[1], 0.5), (grids[2], 0.5), (grids[0], 1.0))
-    for cache, build in ((spectral._sobolev_weights, _sobolev_weights),
-                         (spectral._circulant_window, sobolev_weight_matrix)):
-        for key in keys:
-            assert _missed(cache, lambda: build(*key))[0]
-            assert not _missed(cache, lambda: build(*key))[0]
+    for key in keys:
+        assert _missed(spectral._sobolev_weights, lambda: _sobolev_weights(*key))[0]
+        assert not _missed(spectral._sobolev_weights, lambda: _sobolev_weights(*key))[0]
     # a symbol is keyed by its parameters, not by identity
     for symbol, grid, misses in ((DispersionSymbol.ilw(1.0, 3.0), grids[0], True),
                                  (DispersionSymbol.ilw(1.0, 3.0), grids[0], False),

@@ -538,6 +538,12 @@ class TestCli:
             ("ilw", [], "equation.symbol"),
             ("gkdv-p", ["grid.N=256"], "equation.nonlinearity"),
             ("regularized-bbm-like", [], "equation.variant"),
+            # compared by value: the flux by (p, c), the symbol as its power
+            ("kdv-cnoidal", ['equation.nonlinearity={"kind":"power","p":2}'],
+             "equation.nonlinearity"),
+            ("kdv-cnoidal", ['equation.nonlinearity={"kind":"quadratic"}'],
+             "equation.nonlinearity"),
+            ("kdv-cnoidal", ['equation.symbol={"kind":"power","m":1}'], "equation.symbol"),
         ],
     )
     def test_wave_must_match_config(self, tmp_path, kdv_stable, capsys, preset, overrides,
@@ -552,6 +558,27 @@ class TestCli:
         assert err.startswith("config error: wave ") and "\n" not in err
         assert f"does not match the config: {field} is " in err
         assert not os.path.exists(os.path.join(tmp_path, "run", "certify.json"))
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            # quadratic is the power-law flux p = 1, c = 2; hilbert_derivative
+            # is the power symbol m = 1
+            'equation.nonlinearity={"kind":"power","p":1,"c":2}',
+            'equation.symbol={"kind":"power","m":1}',
+        ],
+        ids=["flux", "symbol"],
+    )
+    def test_wave_matches_its_equation_spelled_otherwise(self, tmp_path, override):
+        src = str(tmp_path / "src")
+        assert self.run("solve", "--preset", "bo", "--out", src) == 0
+        assert self.run("certify", "--preset", "bo", "--out", str(tmp_path / "a")) == 0
+        assert self.run("certify", "--wave", os.path.join(src, "wave"), "--preset", "bo",
+                        "--override", override, "--out", str(tmp_path / "b")) == 0
+        a, b = (json.loads(open(os.path.join(tmp_path, run, "certify.json")).read())
+                for run in ("a", "b"))
+        assert b["conclusion"] == a["conclusion"] == "orbitally_stable"
+        assert b["surface_derivatives"] == a["surface_derivatives"]
 
     @pytest.mark.parametrize(
         "command,preset,override,message",

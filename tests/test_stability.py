@@ -10,6 +10,7 @@ from conftest import (
     collocation,
     make_gkdv5_wave,
     omega_targets,
+    surface_deviation,
     symmetry_defect,
 )
 from periwave.config import list_presets, load_config
@@ -108,11 +109,9 @@ class TestSurfaceDerivatives:
 
     def test_resolvent_two_paths(self, kdv_stable):
         w = kdv_stable
-        lin = assemble(w)
+        sd = resolvent_consistency(w, assemble(w))
         # independent finite-difference path
-        fd = finite_difference_surface_derivatives(w)
-        rep_fd = resolvent_consistency(w, lin, fd)
-        assert rep_fd.max_deviation() < 1e-4
+        assert surface_deviation(sd, finite_difference_surface_derivatives(w)) < 1e-4
 
     def test_regularized_variant_identity(self, bbm_wave):
         lin = assemble(bbm_wave)
@@ -120,8 +119,7 @@ class TestSurfaceDerivatives:
         sd = surface_derivatives(bbm_wave, eta, beta)
         assert abs(sd.F_A - sd.M_omega) < 1e-5 * (1 + abs(sd.M_omega))
         # independent finite-difference path for the regularized variant
-        rep = resolvent_consistency(bbm_wave, lin, finite_difference_surface_derivatives(bbm_wave))
-        assert rep.max_deviation() < 1e-4
+        assert surface_deviation(sd, finite_difference_surface_derivatives(bbm_wave)) < 1e-4
 
 
 class TestDeltaForm:
